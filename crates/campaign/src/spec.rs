@@ -8,7 +8,7 @@
 //! ```text
 //! renuca-campaign-v1
 //! name fig3                      # required; campaign identity
-//! config default                 # default | small <1|4|16> | mesh <cols> <rows>
+//! config default                 # default | small <1|4|16> | mesh <cols> <rows> (≤ 32 tiles)
 //! budget warmup=500000 measure=300000   # optional; default: RENUCA_WARMUP/MEASURE
 //! schemes S-NUCA R-NUCA Private Naive   # or: all | baselines
 //! workloads 1..10                # inclusive range, or an explicit list
@@ -30,6 +30,7 @@
 
 use std::fmt::Write as _;
 
+use cmp_sim::config::MAX_CORES;
 use cmp_sim::SystemConfig;
 use experiments::Budget;
 use renuca_core::Scheme;
@@ -302,6 +303,11 @@ fn parse_config(rest: &[&str]) -> Result<(SystemConfig, String), String> {
             if cols == 0 || rows == 0 {
                 return Err("mesh needs at least one tile".into());
             }
+            if cols.checked_mul(rows).is_none_or(|n| n > MAX_CORES) {
+                return Err(format!(
+                    "mesh {cols} {rows} exceeds the {MAX_CORES}-tile limit"
+                ));
+            }
             Ok((
                 SystemConfig::mesh(cols, rows),
                 format!("mesh {cols} {rows}"),
@@ -541,6 +547,19 @@ retries 1
         ] {
             assert!(CampaignSpec::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn oversized_mesh_is_an_error_not_a_panic() {
+        let spec = |mesh: &str| {
+            CampaignSpec::parse(&format!(
+                "renuca-campaign-v1\nname x\nconfig mesh {mesh}\nschemes all\nworkloads 1\n"
+            ))
+        };
+        let err = spec("8 8").unwrap_err();
+        assert!(err.contains("32-tile limit"), "{err}");
+        assert!(spec(&format!("{} 2", usize::MAX)).is_err());
+        assert_eq!(spec("8 4").unwrap().config.n_cores, 32);
     }
 
     #[test]

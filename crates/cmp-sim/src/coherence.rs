@@ -36,7 +36,8 @@ pub enum Mesi {
 /// Directory record for one line: which cores hold it and in what state.
 #[derive(Clone, Debug, Default)]
 pub struct DirEntry {
-    /// Bitmask of sharer cores (bit i = core i).
+    /// Bitmask of sharer cores (bit i = core i); wide enough for
+    /// [`crate::config::MAX_CORES`] cores.
     pub sharers: u32,
     /// True when exactly one core holds the line in M or E.
     pub exclusive: bool,

@@ -2,6 +2,13 @@
 
 use crate::types::LINE_BYTES;
 
+/// Most cores (and banks) a system may have. Two structures depend on it:
+/// the coherence directory's sharer mask is a `u32` with one bit per core,
+/// and the caches' 32-bit tags need every physical line address —
+/// `n_cores` disjoint 2^22-line slices, below 2^27 at this bound — to fit
+/// under `u32::MAX`.
+pub const MAX_CORES: usize = 32;
+
 /// Geometry and latency of one set-associative cache.
 ///
 /// Latency is split three ways because the L3 banks are ReRAM: the tag
@@ -475,6 +482,11 @@ impl SystemConfig {
     /// Panics with a descriptive message on inconsistent configuration.
     pub fn validate(&self) {
         assert!(self.n_cores > 0, "need at least one core");
+        assert!(
+            self.n_cores <= MAX_CORES,
+            "{} cores exceed the {MAX_CORES}-core limit (u32 sharer masks)",
+            self.n_cores
+        );
         assert_eq!(
             self.n_cores, self.n_banks,
             "the paper's NUCA keeps one bank per core"
@@ -636,6 +648,18 @@ mod tests {
         SystemConfig::mesh(2, 2).validate();
         SystemConfig::mesh(1, 1).validate();
         SystemConfig::mesh(5, 1).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 32-core limit")]
+    fn more_than_max_cores_rejected() {
+        // Core 32 would alias core 0 in the directory's u32 sharer mask.
+        SystemConfig::mesh(8, 8).validate();
+    }
+
+    #[test]
+    fn max_cores_accepted() {
+        SystemConfig::mesh(8, 4).validate();
     }
 
     #[test]

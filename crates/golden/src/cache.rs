@@ -12,7 +12,8 @@
 //! * the fill victim is the first invalid way, else the way with the
 //!   strictly smallest stamp scanning ways in order; under write-aware
 //!   replacement (MAC banks) the stamp scan considers clean ways first and
-//!   falls back to the all-ways scan only when every way is dirty;
+//!   falls back to the all-ways scan only when every way is dirty (the
+//!   dirty-first mutation twin mirrors this with dirty ways first);
 //! * L3 banks fold the line address (`line ^ line>>11 ^ line>>22`) before
 //!   set selection, private caches index with the raw line address;
 //! * the physical slot of a (set, way) is `set * assoc + way` (set rotation
@@ -54,9 +55,11 @@ pub struct GoldenCache {
     sets: Vec<Vec<Way>>,
     assoc: usize,
     hash_index: bool,
-    /// MAC banks: prefer clean victims (twin of
-    /// `cmp_sim::cache::ReplacementKind::WriteAware`).
-    write_aware: bool,
+    /// Victim class scanned before the all-ways fallback: `Some(false)`
+    /// prefers clean ways (MAC banks, twin of
+    /// `cmp_sim::cache::ReplacementKind::WriteAware`), `Some(true)` dirty
+    /// ways (twin of `DirtyFirst`), `None` is plain LRU.
+    prefer_dirty: Option<bool>,
     clock: u64,
 }
 
@@ -64,16 +67,17 @@ impl GoldenCache {
     /// A cache with `lines / assoc` sets of `assoc` ways. `hash_index`
     /// selects the L3 XOR-fold set function.
     pub fn new(lines: usize, assoc: usize, hash_index: bool) -> Self {
-        Self::with_write_aware(lines, assoc, hash_index, false)
+        Self::with_preference(lines, assoc, hash_index, None)
     }
 
-    /// A cache with an explicit victim-selection policy: `write_aware`
-    /// makes fills prefer clean victims (MAC's replacement).
-    pub fn with_write_aware(
+    /// A cache with an explicit victim-selection policy: `Some(false)`
+    /// makes fills prefer clean victims (MAC's replacement), `Some(true)`
+    /// dirty ones.
+    pub fn with_preference(
         lines: usize,
         assoc: usize,
         hash_index: bool,
-        write_aware: bool,
+        prefer_dirty: Option<bool>,
     ) -> Self {
         assert!(lines > 0 && assoc > 0 && lines % assoc == 0);
         let n_sets = lines / assoc;
@@ -81,7 +85,7 @@ impl GoldenCache {
             sets: vec![vec![Way::default(); assoc]; n_sets],
             assoc,
             hash_index,
-            write_aware,
+            prefer_dirty,
             clock: 0,
         }
     }
@@ -172,20 +176,20 @@ impl GoldenCache {
         }
     }
 
-    /// Victim way for a fill into `set`: first invalid way; else, under
-    /// write-aware replacement, the smallest-stamp *clean* way if any; else
-    /// the smallest-stamp way overall. All scans go in way order with a
-    /// strict `<` comparison.
+    /// Victim way for a fill into `set`: first invalid way; else, under a
+    /// preference, the smallest-stamp way of the preferred class (clean or
+    /// dirty) if any; else the smallest-stamp way overall. All scans go in
+    /// way order with a strict `<` comparison.
     fn pick_victim(&self, set: usize) -> usize {
         let ways = &self.sets[set];
         if let Some(i) = ways.iter().position(|w| !w.valid) {
             return i;
         }
-        let smallest = |want_clean: bool| -> Option<usize> {
+        let smallest = |want_dirty: Option<bool>| -> Option<usize> {
             let mut victim = None;
             let mut victim_stamp = u64::MAX;
             for (i, way) in ways.iter().enumerate() {
-                if want_clean && way.dirty {
+                if want_dirty.is_some_and(|d| way.dirty != d) {
                     continue;
                 }
                 if way.stamp < victim_stamp {
@@ -195,12 +199,10 @@ impl GoldenCache {
             }
             victim
         };
-        if self.write_aware {
-            if let Some(i) = smallest(true) {
-                return i;
-            }
-        }
-        smallest(false).expect("full set has a victim")
+        self.prefer_dirty
+            .and_then(|d| smallest(Some(d)))
+            .or_else(|| smallest(None))
+            .expect("full set has a victim")
     }
 
     /// Drop `line` if resident; returns whether it was dirty. No clock
@@ -269,7 +271,7 @@ mod tests {
 
     #[test]
     fn write_aware_prefers_clean_victims() {
-        let mut c = GoldenCache::with_write_aware(4, 2, false, true);
+        let mut c = GoldenCache::with_preference(4, 2, false, Some(false));
         c.fill(0, true); // dirty, LRU
         c.fill(2, false); // clean, newer
         let out = c.fill(4, false);

@@ -155,11 +155,11 @@ impl GoldenSystem {
             // `LlcPlacement::l3_replacement` on the real side.
             l3: (0..cfg.n_banks)
                 .map(|_| {
-                    GoldenCache::with_write_aware(
+                    GoldenCache::with_preference(
                         cfg.l3_bank.lines(),
                         cfg.l3_bank.assoc,
                         true,
-                        policy.scheme().write_aware_replacement(),
+                        policy.scheme().write_aware_replacement().then_some(false),
                     )
                 })
                 .collect(),

@@ -206,6 +206,49 @@ impl LlcPlacement for PrivateMap {
 }
 
 // ---------------------------------------------------------------------------
+// Residency directory shared by Naive, WEC and Coloring
+// ---------------------------------------------------------------------------
+
+/// Line → bank residency directory of the directory-based schemes. The
+/// bank id is stored as a `u8`: a system has at most
+/// [`cmp_sim::config::MAX_CORES`] banks, so one byte per entry holds it
+/// where a `usize` would spend eight.
+#[derive(Clone, Debug)]
+struct BankDirectory(FixedTable<u8>);
+
+impl BankDirectory {
+    /// A directory bounded to `max_lines` tracked lines plus one in-flight
+    /// fill per bank of slack.
+    fn new(n_banks: usize, max_lines: usize) -> Self {
+        assert!(
+            n_banks <= u8::MAX as usize + 1,
+            "{n_banks} banks exceed the directory's u8 bank ids"
+        );
+        let bound = max_lines + n_banks;
+        BankDirectory(FixedTable::with_capacity(bound.min(4096), bound))
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    fn get(&self, line: u64) -> Option<BankId> {
+        self.0.get(line).map(|&b| b as BankId)
+    }
+
+    #[inline]
+    fn insert(&mut self, line: u64, bank: BankId) {
+        self.0.insert(line, bank as u8);
+    }
+
+    #[inline]
+    fn remove(&mut self, line: u64) -> Option<BankId> {
+        self.0.remove(line).map(|b| b as BankId)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Naive (perfect wear-leveling oracle)
 // ---------------------------------------------------------------------------
 
@@ -222,7 +265,7 @@ pub struct NaiveOracle {
     /// O(n_banks) rescan runs only when the current minimum bank is
     /// written — `fill_bank` itself becomes O(1).
     min_bank: BankId,
-    directory: FixedTable<BankId>,
+    directory: BankDirectory,
     dir_latency: Cycle,
     fallback: SNuca,
 }
@@ -240,11 +283,10 @@ impl NaiveOracle {
     /// lines (the LLC capacity in lines — entries are removed on eviction,
     /// with one in-flight fill per bank of slack).
     pub fn with_line_capacity(n_banks: usize, dir_latency: Cycle, max_lines: usize) -> Self {
-        let bound = max_lines + n_banks;
         NaiveOracle {
             writes: vec![0; n_banks],
             min_bank: 0,
-            directory: FixedTable::with_capacity(bound.min(4096), bound),
+            directory: BankDirectory::new(n_banks, max_lines),
             dir_latency,
             fallback: SNuca::new(n_banks),
         }
@@ -294,7 +336,6 @@ impl LlcPlacement for NaiveOracle {
         // and `fill_bank` decides the real placement).
         self.directory
             .get(meta.line)
-            .copied()
             .unwrap_or_else(|| self.fallback.bank_of(meta.line))
     }
     fn fill_bank(&mut self, _meta: &AccessMeta) -> BankId {
@@ -662,7 +703,7 @@ pub struct Wec {
     threshold: u64,
     /// Residency directory for *redirected* lines only: a line absent here
     /// is at its S-NUCA home.
-    directory: FixedTable<BankId>,
+    directory: BankDirectory,
     snuca: SNuca,
     /// Injected-bug switch for the mutation self-check: redirected fills go
     /// one bank past the coldest one. Internally consistent (the directory
@@ -682,12 +723,11 @@ impl Wec {
     /// lines (the LLC capacity — entries leave on eviction, with one
     /// in-flight fill per bank of slack).
     pub fn with_line_capacity(n_banks: usize, max_lines: usize) -> Self {
-        let bound = max_lines + n_banks;
         Wec {
             writes: vec![0; n_banks],
             min_bank: 0,
             threshold: WEC_THRESHOLD,
-            directory: FixedTable::with_capacity(bound.min(4096), bound),
+            directory: BankDirectory::new(n_banks, max_lines),
             snuca: SNuca::new(n_banks),
             bug_skewed_redirect: false,
         }
@@ -733,7 +773,6 @@ impl LlcPlacement for Wec {
     fn lookup_bank(&mut self, meta: &AccessMeta) -> BankId {
         self.directory
             .get(meta.line)
-            .copied()
             .unwrap_or_else(|| self.snuca.bank_of(meta.line))
     }
     fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
@@ -806,7 +845,7 @@ pub struct Coloring {
     snuca: SNuca,
     epoch_writes: u64,
     total_writes: u64,
-    directory: FixedTable<BankId>,
+    directory: BankDirectory,
 }
 
 impl Coloring {
@@ -827,13 +866,12 @@ impl Coloring {
     /// class a real regression would introduce.
     pub fn with_epoch(n_banks: usize, max_lines: usize, epoch_writes: u64) -> Self {
         assert!(epoch_writes > 0, "epoch must be positive");
-        let bound = max_lines + n_banks;
         Coloring {
             n_banks: n_banks as u64,
             snuca: SNuca::new(n_banks),
             epoch_writes,
             total_writes: 0,
-            directory: FixedTable::with_capacity(bound.min(4096), bound),
+            directory: BankDirectory::new(n_banks, max_lines),
         }
     }
 
@@ -866,7 +904,6 @@ impl LlcPlacement for Coloring {
     fn lookup_bank(&mut self, meta: &AccessMeta) -> BankId {
         self.directory
             .get(meta.line)
-            .copied()
             .unwrap_or_else(|| self.current_bank(meta.line))
     }
     fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {

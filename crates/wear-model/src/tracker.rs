@@ -3,15 +3,19 @@
 /// Tracks every write into every physical line slot of a banked cache.
 ///
 /// A *slot* is a (set, way) position inside one bank — the actual ReRAM
-/// cells. The tracker is a dense `nbanks × slots_per_bank` array of `u64`
+/// cells. The tracker is a dense `nbanks × slots_per_bank` array of `u32`
 /// counters: for the paper's configuration (16 banks × 2 MB / 64 B = 32768
-/// slots) that is 4 MB of counters, cheap enough to keep exact counts.
+/// slots) that is 2 MB of counters, cheap enough to keep exact counts.
+/// A slot or cell counter that would pass `u32::MAX` panics rather than
+/// wrap: lifetimes are extrapolated from a measured window, and a slot
+/// absorbing 2^32 writes within one run would take far more simulated
+/// cycles than any run has. Per-bank totals and every accessor are `u64`.
 #[derive(Clone, Debug)]
 pub struct WearTracker {
     nbanks: usize,
     slots_per_bank: usize,
     /// Row-major: `writes[bank * slots_per_bank + slot]`.
-    writes: Vec<u64>,
+    writes: Vec<u32>,
     /// Per-bank totals, maintained incrementally (hot path reads these).
     bank_totals: Vec<u64>,
     /// Sub-blocks per slot when sub-block (compression) accounting is
@@ -19,12 +23,27 @@ pub struct WearTracker {
     sb_per_slot: usize,
     /// Row-major cell counters:
     /// `subblock_writes[(bank * slots_per_bank + slot) * sb_per_slot + k]`.
-    subblock_writes: Vec<u64>,
+    subblock_writes: Vec<u32>,
     /// Per-bank cell-write totals (sum over the bank's sub-block cells).
     sb_bank_totals: Vec<u64>,
     /// Cache-wide totals per sub-block *position* `k` — the input of
     /// [`WearTracker::subblock_cv`].
     sb_position_totals: Vec<u64>,
+}
+
+/// Add `n` to a 32-bit counter, panicking instead of wrapping.
+#[inline]
+fn bump(counter: &mut u32, n: u32) {
+    match counter.checked_add(n) {
+        Some(v) => *counter = v,
+        None => counter_overflow(),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn counter_overflow() -> ! {
+    panic!("wear counter overflow: a slot or cell passed u32::MAX writes")
 }
 
 impl WearTracker {
@@ -83,17 +102,18 @@ impl WearTracker {
     /// # Panics
     /// Debug-asserts the indices; in release an out-of-range index panics via
     /// the slice bound check (a simulator bug, not a recoverable condition).
+    /// Panics if a counter would pass `u32::MAX`.
     #[inline]
     pub fn record_write(&mut self, bank: usize, slot: usize) {
         debug_assert!(bank < self.nbanks, "bank {bank} out of range");
         debug_assert!(slot < self.slots_per_bank, "slot {slot} out of range");
-        self.writes[bank * self.slots_per_bank + slot] += 1;
+        bump(&mut self.writes[bank * self.slots_per_bank + slot], 1);
         self.bank_totals[bank] += 1;
         if self.sb_per_slot != 0 {
             // Uncompressed full-line write: every cell of the slot ages.
             let base = (bank * self.slots_per_bank + slot) * self.sb_per_slot;
             for k in 0..self.sb_per_slot {
-                self.subblock_writes[base + k] += 1;
+                bump(&mut self.subblock_writes[base + k], 1);
                 self.sb_position_totals[k] += 1;
             }
             self.sb_bank_totals[bank] += self.sb_per_slot as u64;
@@ -109,7 +129,8 @@ impl WearTracker {
     ///
     /// # Panics
     /// Panics (debug) if sub-block accounting is disabled, the indices are
-    /// out of range, or `mask` addresses cells past `sb_per_slot`.
+    /// out of range, or `mask` addresses cells past `sb_per_slot`; panics if
+    /// a counter would pass `u32::MAX`.
     #[inline]
     pub fn record_subblock_write(&mut self, bank: usize, slot: usize, mask: u64) {
         debug_assert!(self.sb_per_slot != 0, "sub-block accounting disabled");
@@ -120,13 +141,13 @@ impl WearTracker {
             "mask {mask:#x} exceeds {} sub-blocks",
             self.sb_per_slot
         );
-        self.writes[bank * self.slots_per_bank + slot] += 1;
+        bump(&mut self.writes[bank * self.slots_per_bank + slot], 1);
         self.bank_totals[bank] += 1;
         let base = (bank * self.slots_per_bank + slot) * self.sb_per_slot;
         let mut m = mask;
         while m != 0 {
             let k = m.trailing_zeros() as usize;
-            self.subblock_writes[base + k] += 1;
+            bump(&mut self.subblock_writes[base + k], 1);
             self.sb_position_totals[k] += 1;
             m &= m - 1;
         }
@@ -148,7 +169,7 @@ impl WearTracker {
     pub fn cell_writes(&self, bank: usize, slot: usize, k: usize) -> u64 {
         assert!(self.sb_per_slot != 0, "sub-block accounting disabled");
         assert!(k < self.sb_per_slot, "sub-block {k} out of range");
-        self.subblock_writes[(bank * self.slots_per_bank + slot) * self.sb_per_slot + k]
+        self.subblock_writes[(bank * self.slots_per_bank + slot) * self.sb_per_slot + k] as u64
     }
 
     /// Sum of cell writes over one slot's sub-blocks.
@@ -157,6 +178,7 @@ impl WearTracker {
         let base = (bank * self.slots_per_bank + slot) * self.sb_per_slot;
         self.subblock_writes[base..base + self.sb_per_slot]
             .iter()
+            .map(|&w| w as u64)
             .sum()
     }
 
@@ -183,7 +205,7 @@ impl WearTracker {
             .iter()
             .copied()
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0) as u64
     }
 
     /// Total writes absorbed by `bank`.
@@ -210,13 +232,13 @@ impl WearTracker {
             .iter()
             .copied()
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0) as u64
     }
 
     /// Writes of an individual slot.
     #[inline]
     pub fn slot_writes(&self, bank: usize, slot: usize) -> u64 {
-        self.writes[bank * self.slots_per_bank + slot]
+        self.writes[bank * self.slots_per_bank + slot] as u64
     }
 
     /// Index of the bank with the fewest total writes (ties -> lowest id).
@@ -252,7 +274,11 @@ impl WearTracker {
         for bank in 0..self.nbanks {
             for set in 0..sets_per_bank {
                 let base = bank * self.slots_per_bank + set * assoc;
-                totals.push(self.writes[base..base + assoc].iter().sum::<u64>() as f64);
+                let set_total: u64 = self.writes[base..base + assoc]
+                    .iter()
+                    .map(|&w| w as u64)
+                    .sum();
+                totals.push(set_total as f64);
             }
         }
         sim_stats::cv(&totals)
@@ -321,7 +347,8 @@ impl WearTracker {
     /// Merge another tracker of identical geometry into this one.
     ///
     /// # Panics
-    /// Panics on geometry mismatch.
+    /// Panics on geometry mismatch, or if a merged slot or cell counter
+    /// would pass `u32::MAX`.
     pub fn merge(&mut self, other: &WearTracker) {
         assert_eq!(self.nbanks, other.nbanks, "bank count mismatch");
         assert_eq!(
@@ -329,18 +356,18 @@ impl WearTracker {
             "slot count mismatch"
         );
         assert_eq!(self.sb_per_slot, other.sb_per_slot, "sub-block mismatch");
-        for (a, b) in self.writes.iter_mut().zip(other.writes.iter()) {
-            *a += b;
+        for (a, &b) in self.writes.iter_mut().zip(other.writes.iter()) {
+            bump(a, b);
         }
         for (a, b) in self.bank_totals.iter_mut().zip(other.bank_totals.iter()) {
             *a += b;
         }
-        for (a, b) in self
+        for (a, &b) in self
             .subblock_writes
             .iter_mut()
             .zip(other.subblock_writes.iter())
         {
-            *a += b;
+            bump(a, b);
         }
         for (a, b) in self
             .sb_bank_totals
@@ -587,6 +614,62 @@ mod tests {
         a.reset();
         assert_eq!(a.subblock_total_writes(), 0);
         assert_eq!(a.subblock_cv(), 0.0);
+    }
+
+    #[test]
+    fn counters_reach_u32_max_and_report_it_as_u64() {
+        let mut t = WearTracker::with_subblocks(1, 2, 2);
+        t.writes[1] = u32::MAX - 1;
+        t.subblock_writes[2] = u32::MAX - 1;
+        t.record_write(0, 1);
+        assert_eq!(t.slot_writes(0, 1), u32::MAX as u64);
+        assert_eq!(t.cell_writes(0, 1, 0), u32::MAX as u64);
+        assert_eq!(t.max_slot_writes(0), u32::MAX as u64);
+        assert_eq!(t.subblock_slot_sum(0, 1), u32::MAX as u64 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wear counter overflow")]
+    fn slot_counter_overflow_panics() {
+        let mut t = WearTracker::new(2, 2);
+        t.writes[3] = u32::MAX;
+        t.record_write(1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wear counter overflow")]
+    fn cell_counter_overflow_panics_on_full_line_write() {
+        let mut t = WearTracker::with_subblocks(1, 2, 4);
+        t.subblock_writes[4 + 3] = u32::MAX;
+        t.record_write(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wear counter overflow")]
+    fn cell_counter_overflow_panics_on_compressed_write() {
+        let mut t = WearTracker::with_subblocks(1, 2, 4);
+        t.subblock_writes[2] = u32::MAX;
+        t.record_subblock_write(0, 0, 0b0100);
+    }
+
+    #[test]
+    #[should_panic(expected = "wear counter overflow")]
+    fn merge_slot_overflow_panics() {
+        let mut a = WearTracker::new(1, 2);
+        let mut b = WearTracker::new(1, 2);
+        a.writes[0] = u32::MAX;
+        b.record_write(0, 0);
+        a.merge(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "wear counter overflow")]
+    fn merge_cell_overflow_panics() {
+        let mut a = WearTracker::with_subblocks(1, 2, 2);
+        let mut b = WearTracker::with_subblocks(1, 2, 2);
+        a.subblock_writes[1] = u32::MAX - 2;
+        b.subblock_writes[1] = 3;
+        a.merge(&b);
     }
 
     #[test]
