@@ -50,6 +50,18 @@ impl DirEntry {
     }
 }
 
+/// The cores of a sharer bitmask (bit i = core i), in ascending order.
+#[inline]
+pub fn cores_of(mut sharers: u32) -> impl Iterator<Item = CoreId> {
+    std::iter::from_fn(move || {
+        (sharers != 0).then(|| {
+            let core = sharers.trailing_zeros() as CoreId;
+            sharers &= sharers - 1;
+            core
+        })
+    })
+}
+
 /// Coherence event counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CoherenceStats {
@@ -179,12 +191,13 @@ impl Directory {
     }
 
     /// A core fetches (or upgrades) a line for writing. All other sharers
-    /// are invalidated; returns them (ascending core id) so the caller can
-    /// drop their private copies — a sharer left resident after its
-    /// directory bit is cleared would be invisible to a later inclusive-L3
-    /// back-invalidation, and its eventual dirty eviction would write back
-    /// a line the L3 no longer holds.
-    pub fn write(&mut self, line: u64, core: CoreId) -> Vec<CoreId> {
+    /// are invalidated; returns them as a sharer bitmask (see
+    /// [`cores_of`]) so the caller can drop their private copies — a
+    /// sharer left resident after its directory bit is cleared would be
+    /// invisible to a later inclusive-L3 back-invalidation, and its
+    /// eventual dirty eviction would write back a line the L3 no longer
+    /// holds.
+    pub fn write(&mut self, line: u64, core: CoreId) -> u32 {
         let bit = 1u32 << core;
         let e = self.entries.get_or_insert_with(line, DirEntry::default);
         let victims = e.sharers & !bit;
@@ -194,7 +207,7 @@ impl Directory {
         self.stats
             .invalidations_sent
             .add(victims.count_ones() as u64);
-        (0..32).filter(|c| victims & (1 << c) != 0).collect()
+        victims
     }
 
     /// A core silently drops its copy (clean eviction) or writes it back
@@ -214,18 +227,16 @@ impl Directory {
     }
 
     /// The L3 evicts a line: every private copy must be invalidated
-    /// (inclusive hierarchy). Returns the cores that held it. The caller
-    /// performs the actual private-cache invalidation and any dirty
+    /// (inclusive hierarchy). Returns the cores that held it as a sharer
+    /// bitmask (see [`cores_of`]); 0 when no private cache held it. The
+    /// caller performs the actual private-cache invalidation and any dirty
     /// writeback.
-    pub fn back_invalidate(&mut self, line: u64) -> Vec<CoreId> {
-        match self.entries.remove(line) {
-            None => Vec::new(),
-            Some(e) => {
-                let holders: Vec<CoreId> = (0..32).filter(|c| e.sharers & (1 << c) != 0).collect();
-                self.stats.back_invalidations.add(holders.len() as u64);
-                holders
-            }
-        }
+    pub fn back_invalidate(&mut self, line: u64) -> u32 {
+        let holders = self.entries.remove(line).map_or(0, |e| e.sharers);
+        self.stats
+            .back_invalidations
+            .add(holders.count_ones() as u64);
+        holders
     }
 
     /// Reset statistics (warm-up boundary).
@@ -272,7 +283,8 @@ mod tests {
         d.read(9, 1);
         d.read(9, 2);
         let invals = d.write(9, 0);
-        assert_eq!(invals, vec![1, 2]);
+        assert_eq!(invals, 0b110);
+        assert_eq!(cores_of(invals).collect::<Vec<_>>(), vec![1, 2]);
         let e = d.entry(9).unwrap();
         assert_eq!(e.n_sharers(), 1);
         assert!(e.exclusive);
@@ -283,7 +295,8 @@ mod tests {
     fn write_by_sole_owner_sends_no_invalidations() {
         let mut d = Directory::new();
         d.read(9, 4);
-        assert!(d.write(9, 4).is_empty());
+        assert_eq!(d.write(9, 4), 0);
+        assert_eq!(d.stats.invalidations_sent.get(), 0);
     }
 
     #[test]
@@ -311,10 +324,24 @@ mod tests {
         d.read(5, 2);
         d.read(5, 7);
         let holders = d.back_invalidate(5);
-        assert_eq!(holders, vec![2, 7]);
+        assert_eq!(holders, 1 << 2 | 1 << 7);
+        assert_eq!(cores_of(holders).collect::<Vec<_>>(), vec![2, 7]);
         assert!(d.entry(5).is_none());
         assert_eq!(d.stats.back_invalidations.get(), 2);
-        assert!(d.back_invalidate(5).is_empty());
+        assert_eq!(d.back_invalidate(5), 0);
+        assert_eq!(d.stats.back_invalidations.get(), 2);
+    }
+
+    #[test]
+    fn cores_of_lists_set_bits_in_ascending_order() {
+        assert_eq!(cores_of(0).count(), 0);
+        assert_eq!(cores_of(1).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(cores_of(1 << 31).collect::<Vec<_>>(), vec![31]);
+        assert_eq!(cores_of(0b1010_0110).collect::<Vec<_>>(), vec![1, 2, 5, 7]);
+        assert_eq!(
+            cores_of(u32::MAX).collect::<Vec<_>>(),
+            (0..32).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::bank::LlcBanks;
 use crate::cache::{LookupResult, SetAssocCache};
-use crate::coherence::Directory;
+use crate::coherence::{cores_of, Directory};
 use crate::config::{PrefetchConfig, SystemConfig};
 use crate::dram::Dram;
 use crate::noc::Mesh;
@@ -555,7 +555,7 @@ impl MemoryHierarchy {
         // lists, and an untracked dirty copy would eventually write back a
         // line the L3 no longer holds.
         if is_store {
-            for holder in self.dir.write(line, core) {
+            for holder in cores_of(self.dir.write(line, core)) {
                 self.l1[holder].invalidate(line);
                 self.l2[holder].invalidate(line);
                 self.trace.record(TraceEvent::Coherence {
@@ -833,7 +833,7 @@ impl MemoryHierarchy {
     /// write dirty data to DRAM, notify the policy.
     fn evict_l3_victim(&mut self, victim: u64, l3_dirty: bool, bank: BankId, now: Cycle) {
         let mut dirty = l3_dirty;
-        for holder in self.dir.back_invalidate(victim) {
+        for holder in cores_of(self.dir.back_invalidate(victim)) {
             let d1 = self.l1[holder].invalidate(victim).unwrap_or(false);
             let d2 = self.l2[holder].invalidate(victim).unwrap_or(false);
             dirty |= d1 || d2;

@@ -51,7 +51,8 @@ pub struct SimResult {
     pub per_core: Vec<CoreResult>,
     /// Total writes each L3 bank absorbed (index = bank).
     pub bank_writes: Vec<u64>,
-    /// Full per-slot wear counters (lifetime extrapolation input).
+    /// Full per-slot wear counters (lifetime extrapolation input), a
+    /// snapshot that shares its counter arrays copy-on-write.
     pub wear: WearTracker,
     /// Global hierarchy counters.
     pub hierarchy: HierarchyStats,
@@ -187,6 +188,17 @@ pub struct System {
     measure_start: Cycle,
 }
 
+/// The cycle past which [`System::run`] declares a livelock: `now` plus
+/// `10_000 × instr_per_core + 1_000_000`, saturating at `u64::MAX` so a
+/// huge budget never wraps to a small bound.
+fn livelock_bound(now: Cycle, instr_per_core: u64) -> Cycle {
+    now.saturating_add(
+        10_000u64
+            .saturating_mul(instr_per_core)
+            .saturating_add(1_000_000),
+    )
+}
+
 impl System {
     /// Build a system. `sources` must provide one instruction stream per
     /// core; `predictors` one criticality predictor per core (use
@@ -249,11 +261,10 @@ impl System {
     /// Panics if time fails to advance between event batches (a
     /// non-advancing event queue means a substrate bug; this is checked
     /// in release builds too), or if the system livelocks, after a
-    /// generous cycle bound of `10_000 × instr_per_core + 1_000_000`.
+    /// generous cycle bound of `10_000 × instr_per_core + 1_000_000`
+    /// cycles from the start, saturating at `u64::MAX`.
     pub fn run(&mut self, instr_per_core: u64) {
-        let bound = self
-            .now
-            .saturating_add(10_000u64.saturating_mul(instr_per_core) + 1_000_000);
+        let bound = livelock_bound(self.now, instr_per_core);
         for c in &mut self.cores {
             c.add_budget(instr_per_core);
         }
@@ -339,6 +350,12 @@ impl System {
     }
 
     /// Extract the results of the measurement window (call after `run`).
+    ///
+    /// The result is a snapshot: running on afterwards leaves it as it is.
+    /// Its `wear` tracker shares the system's per-slot and per-cell
+    /// counter arrays copy-on-write ([`WearTracker`]), so this call does
+    /// not copy them. If the result is still alive at the system's next
+    /// L3 write, that write copies them, once.
     pub fn result(&self) -> SimResult {
         let per_core = (0..self.cores.len())
             .map(|i| {
@@ -561,5 +578,17 @@ mod tests {
         let t1 = sys.now();
         sys.run(100);
         assert!(sys.now() > t1);
+    }
+
+    #[test]
+    fn livelock_bound_saturates_instead_of_wrapping() {
+        assert_eq!(livelock_bound(0, 0), 1_000_000);
+        assert_eq!(livelock_bound(5, 3), 5 + 30_000 + 1_000_000);
+        // 10_000 × budget fits in u64, but adding the 1 M slack would not.
+        let near = u64::MAX / 10_000;
+        assert_eq!(livelock_bound(0, near), u64::MAX);
+        assert_eq!(livelock_bound(0, u64::MAX), u64::MAX);
+        assert_eq!(livelock_bound(u64::MAX, 1), u64::MAX);
+        assert_eq!(livelock_bound(u64::MAX - 1, 0), u64::MAX);
     }
 }

@@ -1,11 +1,18 @@
 //! Per-slot write counters for a banked cache.
 
+use std::slice::SliceIndex;
+use std::sync::atomic::{fence, AtomicU32, Ordering};
+use std::sync::Arc;
+
 /// Tracks every write into every physical line slot of a banked cache.
 ///
 /// A *slot* is a (set, way) position inside one bank — the actual ReRAM
-/// cells. The tracker is a dense `nbanks × slots_per_bank` array of `u32`
-/// counters: for the paper's configuration (16 banks × 2 MB / 64 B = 32768
-/// slots) that is 2 MB of counters, cheap enough to keep exact counts.
+/// cells. The tracker keeps one 32-bit counter per slot, `nbanks ×
+/// slots_per_bank` of them: for the paper's configuration (16 banks × 2 MB
+/// / 64 B = 32768 slots) that is 2 MB of counters, cheap enough to keep
+/// exact counts. The per-slot and per-cell arrays are copy-on-write: a
+/// clone shares them until either handle writes, so snapshotting a
+/// tracker (as `SimResult` does) copies only the per-bank totals.
 /// A slot or cell counter that would pass `u32::MAX` panics rather than
 /// wrap: lifetimes are extrapolated from a measured window, and a slot
 /// absorbing 2^32 writes within one run would take far more simulated
@@ -15,15 +22,15 @@ pub struct WearTracker {
     nbanks: usize,
     slots_per_bank: usize,
     /// Row-major: `writes[bank * slots_per_bank + slot]`.
-    writes: Vec<u32>,
+    writes: Counters,
     /// Per-bank totals, maintained incrementally (hot path reads these).
     bank_totals: Vec<u64>,
     /// Sub-blocks per slot when sub-block (compression) accounting is
-    /// enabled; 0 disables it and leaves the vectors below empty.
+    /// enabled; 0 disables it and leaves the arrays below empty.
     sb_per_slot: usize,
     /// Row-major cell counters:
     /// `subblock_writes[(bank * slots_per_bank + slot) * sb_per_slot + k]`.
-    subblock_writes: Vec<u32>,
+    subblock_writes: Counters,
     /// Per-bank cell-write totals (sum over the bank's sub-block cells).
     sb_bank_totals: Vec<u64>,
     /// Cache-wide totals per sub-block *position* `k` — the input of
@@ -31,11 +38,70 @@ pub struct WearTracker {
     sb_position_totals: Vec<u64>,
 }
 
-/// Add `n` to a 32-bit counter, panicking instead of wrapping.
+/// A fixed-length array of `u32` counters whose clones share storage until
+/// one of them writes.
+///
+/// Counters are read and written with `Relaxed` loads and stores — plain
+/// moves on x86-64 — so a write costs one load of the reference count and
+/// no locked instruction. Every write goes through [`Counters::unique`],
+/// which first copies the array if another handle shares it. No `Weak`
+/// handle is ever made, so a strong count of 1 means this handle is the
+/// only one, and no other handle can see the write.
+#[derive(Clone, Debug)]
+struct Counters(Arc<[AtomicU32]>);
+
+impl Counters {
+    /// `n` zero counters. Collecting an exact-size iterator allocates the
+    /// `Arc` once; going through a `Vec` would briefly hold two copies.
+    fn zeroed(n: usize) -> Self {
+        Counters((0..n).map(|_| AtomicU32::new(0)).collect())
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> u32 {
+        self.0[i].load(Ordering::Relaxed)
+    }
+
+    /// The counters of `range`, in order.
+    fn values<R>(&self, range: R) -> impl Iterator<Item = u32> + '_
+    where
+        R: SliceIndex<[AtomicU32], Output = [AtomicU32]>,
+    {
+        self.0[range].iter().map(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// The counters, for writing: copies them into a fresh array first if
+    /// another handle shares this one.
+    #[inline]
+    fn unique(&mut self) -> &[AtomicU32] {
+        if Arc::strong_count(&self.0) != 1 {
+            self.0 = self.values(..).map(AtomicU32::new).collect();
+        } else {
+            // Pairs with the `Release` decrement of the last other handle's
+            // drop: its reads happen before this handle's writes.
+            fence(Ordering::Acquire);
+        }
+        &self.0
+    }
+
+    /// True when both handles share one array.
+    fn shares_with(&self, other: &Counters) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Overwrite counter `i` (tests that start near `u32::MAX`).
+    #[cfg(test)]
+    fn set(&mut self, i: usize, v: u32) {
+        self.unique()[i].store(v, Ordering::Relaxed);
+    }
+}
+
+/// Add `n` to a counter, panicking instead of wrapping. The caller holds
+/// the array exclusively (see [`Counters::unique`]).
 #[inline]
-fn bump(counter: &mut u32, n: u32) {
-    match counter.checked_add(n) {
-        Some(v) => *counter = v,
+fn bump(counter: &AtomicU32, n: u32) {
+    match counter.load(Ordering::Relaxed).checked_add(n) {
+        Some(v) => counter.store(v, Ordering::Relaxed),
         None => counter_overflow(),
     }
 }
@@ -57,10 +123,10 @@ impl WearTracker {
         WearTracker {
             nbanks,
             slots_per_bank,
-            writes: vec![0; nbanks * slots_per_bank],
+            writes: Counters::zeroed(nbanks * slots_per_bank),
             bank_totals: vec![0; nbanks],
             sb_per_slot: 0,
-            subblock_writes: Vec::new(),
+            subblock_writes: Counters::zeroed(0),
             sb_bank_totals: Vec::new(),
             sb_position_totals: Vec::new(),
         }
@@ -79,10 +145,18 @@ impl WearTracker {
         assert!(sb_per_slot > 0, "need at least one sub-block per slot");
         let mut t = WearTracker::new(nbanks, slots_per_bank);
         t.sb_per_slot = sb_per_slot;
-        t.subblock_writes = vec![0; nbanks * slots_per_bank * sb_per_slot];
+        t.subblock_writes = Counters::zeroed(nbanks * slots_per_bank * sb_per_slot);
         t.sb_bank_totals = vec![0; nbanks];
         t.sb_position_totals = vec![0; sb_per_slot];
         t
+    }
+
+    /// True when `self` and `other` share every per-slot and per-cell
+    /// counter array, as a fresh clone does until either one writes.
+    #[doc(hidden)]
+    pub fn shares_counters_with(&self, other: &WearTracker) -> bool {
+        self.writes.shares_with(&other.writes)
+            && self.subblock_writes.shares_with(&other.subblock_writes)
     }
 
     /// Number of banks tracked.
@@ -107,13 +181,14 @@ impl WearTracker {
     pub fn record_write(&mut self, bank: usize, slot: usize) {
         debug_assert!(bank < self.nbanks, "bank {bank} out of range");
         debug_assert!(slot < self.slots_per_bank, "slot {slot} out of range");
-        bump(&mut self.writes[bank * self.slots_per_bank + slot], 1);
+        bump(&self.writes.unique()[bank * self.slots_per_bank + slot], 1);
         self.bank_totals[bank] += 1;
         if self.sb_per_slot != 0 {
             // Uncompressed full-line write: every cell of the slot ages.
             let base = (bank * self.slots_per_bank + slot) * self.sb_per_slot;
-            for k in 0..self.sb_per_slot {
-                bump(&mut self.subblock_writes[base + k], 1);
+            let cells = &self.subblock_writes.unique()[base..base + self.sb_per_slot];
+            for (k, cell) in cells.iter().enumerate() {
+                bump(cell, 1);
                 self.sb_position_totals[k] += 1;
             }
             self.sb_bank_totals[bank] += self.sb_per_slot as u64;
@@ -141,13 +216,14 @@ impl WearTracker {
             "mask {mask:#x} exceeds {} sub-blocks",
             self.sb_per_slot
         );
-        bump(&mut self.writes[bank * self.slots_per_bank + slot], 1);
+        bump(&self.writes.unique()[bank * self.slots_per_bank + slot], 1);
         self.bank_totals[bank] += 1;
         let base = (bank * self.slots_per_bank + slot) * self.sb_per_slot;
+        let cells = self.subblock_writes.unique();
         let mut m = mask;
         while m != 0 {
             let k = m.trailing_zeros() as usize;
-            bump(&mut self.subblock_writes[base + k], 1);
+            bump(&cells[base + k], 1);
             self.sb_position_totals[k] += 1;
             m &= m - 1;
         }
@@ -169,16 +245,17 @@ impl WearTracker {
     pub fn cell_writes(&self, bank: usize, slot: usize, k: usize) -> u64 {
         assert!(self.sb_per_slot != 0, "sub-block accounting disabled");
         assert!(k < self.sb_per_slot, "sub-block {k} out of range");
-        self.subblock_writes[(bank * self.slots_per_bank + slot) * self.sb_per_slot + k] as u64
+        self.subblock_writes
+            .get((bank * self.slots_per_bank + slot) * self.sb_per_slot + k) as u64
     }
 
     /// Sum of cell writes over one slot's sub-blocks.
     pub fn subblock_slot_sum(&self, bank: usize, slot: usize) -> u64 {
         assert!(self.sb_per_slot != 0, "sub-block accounting disabled");
         let base = (bank * self.slots_per_bank + slot) * self.sb_per_slot;
-        self.subblock_writes[base..base + self.sb_per_slot]
-            .iter()
-            .map(|&w| w as u64)
+        self.subblock_writes
+            .values(base..base + self.sb_per_slot)
+            .map(u64::from)
             .sum()
     }
 
@@ -201,9 +278,8 @@ impl WearTracker {
         assert!(self.sb_per_slot != 0, "sub-block accounting disabled");
         let stride = self.slots_per_bank * self.sb_per_slot;
         let base = bank * stride;
-        self.subblock_writes[base..base + stride]
-            .iter()
-            .copied()
+        self.subblock_writes
+            .values(base..base + stride)
             .max()
             .unwrap_or(0) as u64
     }
@@ -228,9 +304,8 @@ impl WearTracker {
     /// The most-written slot of `bank` (its count).
     pub fn max_slot_writes(&self, bank: usize) -> u64 {
         let base = bank * self.slots_per_bank;
-        self.writes[base..base + self.slots_per_bank]
-            .iter()
-            .copied()
+        self.writes
+            .values(base..base + self.slots_per_bank)
             .max()
             .unwrap_or(0) as u64
     }
@@ -238,7 +313,7 @@ impl WearTracker {
     /// Writes of an individual slot.
     #[inline]
     pub fn slot_writes(&self, bank: usize, slot: usize) -> u64 {
-        self.writes[bank * self.slots_per_bank + slot] as u64
+        self.writes.get(bank * self.slots_per_bank + slot) as u64
     }
 
     /// Index of the bank with the fewest total writes (ties -> lowest id).
@@ -274,10 +349,7 @@ impl WearTracker {
         for bank in 0..self.nbanks {
             for set in 0..sets_per_bank {
                 let base = bank * self.slots_per_bank + set * assoc;
-                let set_total: u64 = self.writes[base..base + assoc]
-                    .iter()
-                    .map(|&w| w as u64)
-                    .sum();
+                let set_total: u64 = self.writes.values(base..base + assoc).map(u64::from).sum();
                 totals.push(set_total as f64);
             }
         }
@@ -303,9 +375,10 @@ impl WearTracker {
         for bank in 0..self.nbanks {
             for set in 0..sets_per_bank {
                 let base = bank * self.slots_per_bank + set * assoc;
-                let ways: Vec<f64> = self.writes[base..base + assoc]
-                    .iter()
-                    .map(|&w| w as f64)
+                let ways: Vec<f64> = self
+                    .writes
+                    .values(base..base + assoc)
+                    .map(f64::from)
                     .collect();
                 if ways.iter().any(|&w| w > 0.0) {
                     sum += sim_stats::cv(&ways);
@@ -337,9 +410,12 @@ impl WearTracker {
 
     /// Reset all counters (between warm-up and measurement).
     pub fn reset(&mut self) {
-        self.writes.iter_mut().for_each(|w| *w = 0);
+        for counters in [&mut self.writes, &mut self.subblock_writes] {
+            for c in counters.unique() {
+                c.store(0, Ordering::Relaxed);
+            }
+        }
         self.bank_totals.iter_mut().for_each(|w| *w = 0);
-        self.subblock_writes.iter_mut().for_each(|w| *w = 0);
         self.sb_bank_totals.iter_mut().for_each(|w| *w = 0);
         self.sb_position_totals.iter_mut().for_each(|w| *w = 0);
     }
@@ -356,16 +432,17 @@ impl WearTracker {
             "slot count mismatch"
         );
         assert_eq!(self.sb_per_slot, other.sb_per_slot, "sub-block mismatch");
-        for (a, &b) in self.writes.iter_mut().zip(other.writes.iter()) {
+        for (a, b) in self.writes.unique().iter().zip(other.writes.values(..)) {
             bump(a, b);
         }
         for (a, b) in self.bank_totals.iter_mut().zip(other.bank_totals.iter()) {
             *a += b;
         }
-        for (a, &b) in self
+        for (a, b) in self
             .subblock_writes
-            .iter_mut()
-            .zip(other.subblock_writes.iter())
+            .unique()
+            .iter()
+            .zip(other.subblock_writes.values(..))
         {
             bump(a, b);
         }
@@ -619,8 +696,8 @@ mod tests {
     #[test]
     fn counters_reach_u32_max_and_report_it_as_u64() {
         let mut t = WearTracker::with_subblocks(1, 2, 2);
-        t.writes[1] = u32::MAX - 1;
-        t.subblock_writes[2] = u32::MAX - 1;
+        t.writes.set(1, u32::MAX - 1);
+        t.subblock_writes.set(2, u32::MAX - 1);
         t.record_write(0, 1);
         assert_eq!(t.slot_writes(0, 1), u32::MAX as u64);
         assert_eq!(t.cell_writes(0, 1, 0), u32::MAX as u64);
@@ -632,7 +709,7 @@ mod tests {
     #[should_panic(expected = "wear counter overflow")]
     fn slot_counter_overflow_panics() {
         let mut t = WearTracker::new(2, 2);
-        t.writes[3] = u32::MAX;
+        t.writes.set(3, u32::MAX);
         t.record_write(1, 1);
     }
 
@@ -640,7 +717,7 @@ mod tests {
     #[should_panic(expected = "wear counter overflow")]
     fn cell_counter_overflow_panics_on_full_line_write() {
         let mut t = WearTracker::with_subblocks(1, 2, 4);
-        t.subblock_writes[4 + 3] = u32::MAX;
+        t.subblock_writes.set(4 + 3, u32::MAX);
         t.record_write(0, 1);
     }
 
@@ -648,7 +725,7 @@ mod tests {
     #[should_panic(expected = "wear counter overflow")]
     fn cell_counter_overflow_panics_on_compressed_write() {
         let mut t = WearTracker::with_subblocks(1, 2, 4);
-        t.subblock_writes[2] = u32::MAX;
+        t.subblock_writes.set(2, u32::MAX);
         t.record_subblock_write(0, 0, 0b0100);
     }
 
@@ -657,7 +734,7 @@ mod tests {
     fn merge_slot_overflow_panics() {
         let mut a = WearTracker::new(1, 2);
         let mut b = WearTracker::new(1, 2);
-        a.writes[0] = u32::MAX;
+        a.writes.set(0, u32::MAX);
         b.record_write(0, 0);
         a.merge(&b);
     }
@@ -667,8 +744,8 @@ mod tests {
     fn merge_cell_overflow_panics() {
         let mut a = WearTracker::with_subblocks(1, 2, 2);
         let mut b = WearTracker::with_subblocks(1, 2, 2);
-        a.subblock_writes[1] = u32::MAX - 2;
-        b.subblock_writes[1] = 3;
+        a.subblock_writes.set(1, u32::MAX - 2);
+        b.subblock_writes.set(1, 3);
         a.merge(&b);
     }
 
@@ -678,5 +755,125 @@ mod tests {
         let mut a = WearTracker::with_subblocks(1, 2, 2);
         let b = WearTracker::new(1, 2);
         a.merge(&b);
+    }
+
+    /// Every slot and cell count of `t`, in index order.
+    fn snapshot(t: &WearTracker) -> (Vec<u32>, Vec<u32>) {
+        (
+            t.writes.values(..).collect(),
+            t.subblock_writes.values(..).collect(),
+        )
+    }
+
+    /// A sub-block tracker with some writes in it, and a clone of it.
+    fn written_pair() -> (WearTracker, WearTracker) {
+        let mut t = WearTracker::with_subblocks(2, 4, 4);
+        t.record_write(0, 1);
+        t.record_subblock_write(1, 2, 0b0110);
+        t.record_subblock_write(1, 3, 0b1000);
+        let c = t.clone();
+        (t, c)
+    }
+
+    #[test]
+    fn clone_shares_counter_storage() {
+        let (t, c) = written_pair();
+        assert!(t.shares_counters_with(&c));
+        assert!(c.shares_counters_with(&t));
+        assert_eq!(snapshot(&t), snapshot(&c));
+        let u = WearTracker::with_subblocks(2, 4, 4);
+        assert!(!t.shares_counters_with(&u));
+    }
+
+    /// Apply `write` to one handle of a fresh clone pair, and check that
+    /// the other handle still holds the pre-write counts and that the two
+    /// no longer share storage. Runs once writing through the original and
+    /// once through the clone.
+    fn check_write_leaves_other_handle(write: impl Fn(&mut WearTracker)) {
+        for write_original in [true, false] {
+            let (mut t, mut c) = written_pair();
+            let before = snapshot(&t);
+            let (written, other) = if write_original {
+                (&mut t, &c)
+            } else {
+                (&mut c, &t)
+            };
+            write(written);
+            assert_ne!(snapshot(written), before, "the write must land");
+            assert_eq!(snapshot(other), before, "the other handle must not see it");
+            assert_eq!(other.total_writes(), 3);
+            assert_eq!(other.subblock_total_writes(), 4 + 2 + 1);
+            assert!(!t.shares_counters_with(&c));
+        }
+    }
+
+    #[test]
+    fn record_write_after_clone_leaves_other_handle_unchanged() {
+        check_write_leaves_other_handle(|t| t.record_write(1, 2));
+    }
+
+    #[test]
+    fn record_subblock_write_after_clone_leaves_other_handle_unchanged() {
+        check_write_leaves_other_handle(|t| t.record_subblock_write(0, 0, 0b0001));
+    }
+
+    #[test]
+    fn reset_after_clone_leaves_other_handle_unchanged() {
+        check_write_leaves_other_handle(|t| t.reset());
+    }
+
+    #[test]
+    fn merge_after_clone_leaves_other_handle_unchanged() {
+        check_write_leaves_other_handle(|t| {
+            let other = t.clone();
+            t.merge(&other);
+            assert_eq!(t.total_writes(), 6);
+        });
+    }
+
+    #[test]
+    fn sole_handle_writes_in_place() {
+        let (mut t, c) = written_pair();
+        drop(c);
+        // No other handle left: writes reuse the same arrays.
+        let slots = Arc::as_ptr(&t.writes.0);
+        let cells = Arc::as_ptr(&t.subblock_writes.0);
+        t.record_write(0, 0);
+        t.record_subblock_write(0, 0, 0b0001);
+        t.merge(&WearTracker::with_subblocks(2, 4, 4));
+        t.reset();
+        assert_eq!(Arc::as_ptr(&t.writes.0), slots);
+        assert_eq!(Arc::as_ptr(&t.subblock_writes.0), cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "wear counter overflow")]
+    fn slot_overflow_panics_through_a_shared_handle() {
+        let mut t = WearTracker::with_subblocks(1, 2, 2);
+        t.writes.set(1, u32::MAX);
+        let c = t.clone();
+        assert!(t.shares_counters_with(&c));
+        t.record_write(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wear counter overflow")]
+    fn cell_overflow_panics_through_a_shared_handle() {
+        let mut t = WearTracker::with_subblocks(1, 2, 2);
+        t.subblock_writes.set(3, u32::MAX);
+        let c = t.clone();
+        assert!(t.shares_counters_with(&c));
+        t.record_subblock_write(0, 1, 0b10);
+    }
+
+    #[test]
+    #[should_panic(expected = "wear counter overflow")]
+    fn merge_overflow_panics_through_a_shared_handle() {
+        let mut t = WearTracker::new(1, 2);
+        t.writes.set(0, u32::MAX - 1);
+        t.record_write(0, 0);
+        let c = t.clone();
+        // `c` shares `t`'s array, which holds u32::MAX at slot 0.
+        t.merge(&c);
     }
 }

@@ -44,6 +44,59 @@ const SCAN_PCS: (Pc, u32) = (0x4000, 16);
 /// Store PCs live in a disjoint range from load PCs.
 const STORE_PC_OFFSET: Pc = 0x8000;
 
+/// `⌈p · 2^53⌉`: the integer threshold `t` for which `(next_u64() >> 11)
+/// < t` holds exactly when `gen_f64() < p` on the same draw.
+///
+/// `gen_f64` returns `m · 2^-53` for the 53-bit integer `m = next_u64() >>
+/// 11`, and scaling by `2^53` is exact in `f64`, so `m · 2^-53 < p` holds
+/// exactly when `m < p · 2^53`, that is when `m < ⌈p · 2^53⌉`. The cast
+/// saturates, which keeps the edges exact too: `p ≤ 0` (or NaN) gives 0,
+/// never true, and `p ≥ 1` gives at least `2^53`, always true.
+fn draw_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// [`AppModel`]'s per-draw thresholds, one per probability of the spec.
+#[derive(Clone, Copy, Debug)]
+struct Thresholds {
+    /// `mem_frac`: the instruction is a memory op.
+    mem: u64,
+    /// `w_big` over the expected burst length: a memory op starts a big
+    /// burst.
+    burst: u64,
+    /// That burst probability plus `w_mid` (the same `f64` sum as a direct
+    /// comparison would use): a memory op that starts no burst goes to
+    /// the mid region.
+    mid: u64,
+    store_hot: u64,
+    store_mid: u64,
+    store_big: u64,
+    scan: u64,
+    alu_long: u64,
+}
+
+impl Thresholds {
+    fn new(spec: &AppSpec) -> Self {
+        // A burst delivers several big accesses, so the *start* probability
+        // is the big weight divided by the expected burst length (given the
+        // chase/scan mix) — keeping `w_big` the fraction of memory ops that
+        // are big-region loads regardless of burstiness.
+        let expected_burst_len =
+            (1.0 - spec.scan_frac) * spec.burst as f64 + spec.scan_frac * spec.scan_burst as f64;
+        let p_burst = spec.w_big / expected_burst_len;
+        Thresholds {
+            mem: draw_threshold(spec.mem_frac),
+            burst: draw_threshold(p_burst),
+            mid: draw_threshold(p_burst + spec.w_mid),
+            store_hot: draw_threshold(spec.store_frac_hot),
+            store_mid: draw_threshold(spec.store_frac_mid),
+            store_big: draw_threshold(spec.store_frac_big),
+            scan: draw_threshold(spec.scan_frac),
+            alu_long: draw_threshold(spec.alu_long_frac),
+        }
+    }
+}
+
 /// A deterministic synthetic application.
 pub struct AppModel {
     spec: AppSpec,
@@ -65,9 +118,9 @@ pub struct AppModel {
     pending_store: Option<(u64, Pc)>,
     /// Whether the current burst is a scan (separate PC pool).
     in_scan: bool,
-    /// `w_big / expected_burst_len()`, hoisted from the per-draw path (a
-    /// constant of the spec; same f64 value as computing it inline).
-    p_burst: f64,
+    /// Integer draw thresholds (see [`draw_threshold`]), computed once
+    /// from the spec's probabilities.
+    t: Thresholds,
     /// An instruction drawn past the end of an ALU run (see
     /// [`InstrSource::next_alu_run`]), handed out by the next
     /// `next_instr` call so the stream order is unchanged.
@@ -82,7 +135,7 @@ impl AppModel {
         let hot_lines = HOT_BYTES / LINE_BYTES;
         let mid_lines = spec.mid_bytes / LINE_BYTES;
         let big_lines = spec.big_bytes / LINE_BYTES;
-        let mut m = AppModel {
+        AppModel {
             mid_lines,
             big_lines,
             hot_pick: Bounded::new(hot_lines.max(1)),
@@ -94,13 +147,18 @@ impl AppModel {
             stream_pos: 0,
             pending_store: None,
             in_scan: false,
-            p_burst: 0.0,
+            t: Thresholds::new(&spec),
             peeked: None,
             pc_counters: [0; 4],
             spec,
-        };
-        m.p_burst = m.spec.w_big / m.expected_burst_len();
-        m
+        }
+    }
+
+    /// One Bernoulli draw against threshold `t`: the same outcome, and the
+    /// same RNG step, as `self.rng.gen_f64() < p` for `t = draw_threshold(p)`.
+    #[inline]
+    fn draw_below(&mut self, t: u64) -> bool {
+        (self.rng.next_u64() >> 11) < t
     }
 
     /// The spec driving this model.
@@ -123,7 +181,7 @@ impl AppModel {
         let line = self.hot_pick.sample(&mut self.rng);
         let vaddr = HOT_BASE + line * LINE_BYTES;
         let pc = self.next_pc(0);
-        if self.rng.gen_f64() < self.spec.store_frac_hot {
+        if self.draw_below(self.t.store_hot) {
             Instr::Store {
                 vaddr,
                 pc: pc + STORE_PC_OFFSET,
@@ -139,7 +197,7 @@ impl AppModel {
         let line = self.mid_pick.sample(&mut self.rng);
         let vaddr = MID_BASE + line * LINE_BYTES;
         let pc = self.next_pc(1);
-        if self.rng.gen_f64() < self.spec.store_frac_mid {
+        if self.draw_below(self.t.store_mid) {
             // Read-modify-write: the store trails the load.
             self.pending_store = Some((vaddr, pc + STORE_PC_OFFSET));
         }
@@ -158,14 +216,14 @@ impl AppModel {
         self.burst_left -= 1;
         let vaddr = BIG_BASE + line * LINE_BYTES;
         let pc = self.next_pc(if self.in_scan { 3 } else { 2 });
-        if self.rng.gen_f64() < self.spec.store_frac_big {
+        if self.draw_below(self.t.store_big) {
             self.pending_store = Some((vaddr, pc + STORE_PC_OFFSET));
         }
         Instr::Load { vaddr, pc }
     }
 
     fn start_burst(&mut self) {
-        self.in_scan = self.spec.scan_frac > 0.0 && self.rng.gen_f64() < self.spec.scan_frac;
+        self.in_scan = self.spec.scan_frac > 0.0 && self.draw_below(self.t.scan);
         let len = if self.in_scan {
             self.spec.scan_burst
         } else {
@@ -185,43 +243,32 @@ impl AppModel {
         };
     }
 
-    /// Expected burst length given the chase/scan mix.
-    fn expected_burst_len(&self) -> f64 {
-        (1.0 - self.spec.scan_frac) * self.spec.burst as f64
-            + self.spec.scan_frac * self.spec.scan_burst as f64
-    }
-
     /// Draw the next instruction from the generative model (ignoring any
     /// peeked instruction — callers handle that).
     fn draw(&mut self) -> Instr {
-        if self.rng.gen_f64() < self.spec.mem_frac {
+        if self.draw_below(self.t.mem) {
             if let Some((vaddr, pc)) = self.pending_store.take() {
                 return Instr::Store { vaddr, pc };
             }
             if self.burst_left > 0 {
                 return self.big_access();
             }
-            // A burst delivers several big accesses, so the *start*
-            // probability is the big weight divided by the expected burst
-            // length — keeping `w_big` the fraction of memory ops that are
-            // big-region loads regardless of burstiness.
-            let p_burst = self.p_burst;
-            let r = self.rng.gen_f64();
-            if r < p_burst {
+            // One draw picks the region: burst start, mid, else hot.
+            let r = self.rng.next_u64() >> 11;
+            if r < self.t.burst {
                 self.start_burst();
                 self.big_access()
-            } else if r < p_burst + self.spec.w_mid {
+            } else if r < self.t.mid {
                 self.mid_access()
             } else {
                 self.hot_access()
             }
         } else {
-            let latency =
-                if self.spec.alu_long_frac > 0.0 && self.rng.gen_f64() < self.spec.alu_long_frac {
-                    self.spec.alu_long_latency
-                } else {
-                    1
-                };
+            let latency = if self.spec.alu_long_frac > 0.0 && self.draw_below(self.t.alu_long) {
+                self.spec.alu_long_latency
+            } else {
+                1
+            };
             Instr::Alu { latency }
         }
     }
@@ -273,6 +320,63 @@ impl InstrSource for AppModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `draw_threshold` agrees with the `f64` comparison it replaces for
+    /// every 53-bit draw `m` tried against `p`.
+    fn assert_threshold_exact(m: u64, p: f64) {
+        let by_float = m as f64 * (1.0 / (1u64 << 53) as f64) < p;
+        assert_eq!(m < draw_threshold(p), by_float, "m = {m}, p = {p:e}");
+    }
+
+    #[test]
+    fn draw_threshold_matches_f64_comparison_at_the_edges() {
+        const TOP: u64 = (1 << 53) - 1;
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut ps = vec![0.0, -0.0, 1.0, f64::MIN_POSITIVE, 5e-324, -ulp];
+        // p = k · 2^-53 and its neighbouring doubles, for small, middling
+        // and near-one k.
+        for k in [1u64, 2, 3, 1 << 20, 1 << 52, (1 << 52) + 1, TOP - 1, TOP] {
+            let p = k as f64 * ulp;
+            ps.extend([
+                p,
+                f64::from_bits(p.to_bits() - 1),
+                f64::from_bits(p.to_bits() + 1),
+            ]);
+        }
+        ps.push(f64::from_bits(1.0f64.to_bits() - 1));
+        ps.push(f64::from_bits(1.0f64.to_bits() + 1));
+        for &p in &ps {
+            let t = draw_threshold(p).min(TOP + 1);
+            for m in [0, 1, 2, TOP - 1, TOP] {
+                assert_threshold_exact(m, p);
+            }
+            for m in [t.saturating_sub(2), t.saturating_sub(1), t, t + 1] {
+                assert_threshold_exact(m.min(TOP), p);
+            }
+        }
+        assert_eq!(draw_threshold(0.0), 0);
+        assert_eq!(draw_threshold(1.0), 1 << 53);
+        assert_eq!(draw_threshold(ulp), 1);
+        assert_eq!(draw_threshold(f64::MIN_POSITIVE), 1);
+    }
+
+    #[test]
+    fn draw_threshold_matches_f64_comparison_on_random_pairs() {
+        let mut rng = SimRng::seed_from_u64(0xD2A3);
+        for i in 0..1_000_000u32 {
+            let m = rng.next_u64() >> 11;
+            // Alternate uniform p, p near m's own value, and spec-like
+            // short decimals.
+            let p = match i % 3 {
+                0 => rng.gen_f64(),
+                1 => f64::from_bits(
+                    (m as f64 / (1u64 << 53) as f64).to_bits() ^ (rng.next_u64() & 3),
+                ),
+                _ => (rng.next_u64() % 1001) as f64 / 1000.0,
+            };
+            assert_threshold_exact(m, p);
+        }
+    }
     use crate::spec::{app_by_name, SPEC_TABLE};
 
     fn count_kinds(model: &mut AppModel, n: usize) -> (usize, usize, usize) {

@@ -3,8 +3,9 @@
 # ("Same-window A/B") describes it: build a base revision and the working
 # tree into separate target directories, run PAIRS alternating pairs of one
 # workload on the held-out seed 1 (`--seed 1 --trace 0`), then print, per
-# end-to-end metric of BENCHMARK.json, each side's median and IQR and how
-# many pairs the working tree won.
+# end-to-end metric of BENCHMARK.json, each side's median and IQR, how
+# many pairs the working tree won, and a 95 % bootstrap confidence interval
+# of the relative change of the median.
 #
 #   scripts/bench_ab.sh [-n PAIRS] [-w WORKLOAD] [BASE]
 #
@@ -18,7 +19,15 @@
 # marked "claim" when the working tree wins at least 90 % of all PAIRS
 # pairs (ties, and pairs where either run has no value, count as losses),
 # the medians differ by more than the base's IQR, and the working tree has
-# no more failed points than the base. Everything is written under out/ab/: the base
+# no more failed points than the base. The CI does not enter the verdict.
+#
+# The CI resamples the complete pairs with replacement 2000 times, keeping
+# each pair's base and head values together, and computes
+# (head median - base median) / base median for each resample. It prints
+# the 50th and 1951st of the sorted 2000 values (the percentile bootstrap).
+# The draws come from a Park-Miller generator with a fixed seed, restarted
+# for every metric, so the same run logs always give the same interval,
+# whatever the awk. Everything is written under out/ab/: the base
 # checkout (a git worktree, removed on exit), both target directories, one
 # log per run and summary.txt. The e2e runs themselves write their JSON
 # documents to out/bench/. No RENUCA_* variable may be set (e2e refuses).
@@ -31,7 +40,7 @@ while getopts n:w: opt; do
     case "$opt" in
     n) PAIRS="$OPTARG" ;;
     w) WORKLOAD="$OPTARG" ;;
-    *) sed -n '9,15p' "$0" >&2; exit 2 ;;
+    *) sed -n '10,16p' "$0" >&2; exit 2 ;;
     esac
 done
 SECS="$(sed -nE 's/.*"run_seconds": *([0-9]+).*/\1/p' BENCHMARK.json)"
@@ -101,6 +110,34 @@ function summarize(v, n,    i, j, k, t, m, d) {
         if (k == 1) q1 = t; else q3 = t
     }
 }
+# Park-Miller minimal standard generator: every product stays below 2^53,
+# so it is exact in awk doubles. Returns a value in (0, 1).
+function rnd() {
+    seed = (16807 * seed) % 2147483647
+    return seed / 2147483647
+}
+# Percentile-bootstrap 95 % CI of the relative median change over the nb
+# complete pairs (bv[i], hv[i]); sets ci_lo and ci_hi (fractions). Call it
+# before summarize, which sorts bv and hv in place and breaks the pairs.
+function bootstrap(nb,    r, i, j, t, bm) {
+    seed = 20160523
+    for (r = 1; r <= BOOT; r++) {
+        for (i = 1; i <= nb; i++) {
+            j = 1 + int(rnd() * nb)
+            rb[i] = bv[j]; rh[i] = hv[j]
+        }
+        summarize(rb, nb); bm = med
+        summarize(rh, nb)
+        rel[r] = (bm != 0) ? (med - bm) / bm : 0
+    }
+    for (i = 2; i <= BOOT; i++) {
+        t = rel[i]
+        for (j = i - 1; j >= 1 && rel[j] > t; j--) rel[j + 1] = rel[j]
+        rel[j + 1] = t
+    }
+    ci_lo = rel[int(BOOT * 0.025)]; ci_hi = rel[BOOT - int(BOOT * 0.025) + 1]
+}
+BEGIN { BOOT = 2000 }
 FNR == NR { better[$1] = $2; order[++nm] = $1; next }
 { val[$3, $2, $1] = $4; seen[$3, $2, $1] = 1 }
 END {
@@ -109,8 +146,8 @@ END {
         fb += val["failed_points", "base", p]; fh += val["failed_points", "head", p]
     }
     printf "workload %s, %d pairs, seed 1\n", w, pairs
-    printf "%-14s %12s %10s %12s %10s %6s  %s\n", "metric", "base_med", "base_iqr",
-        "head_med", "head_iqr", "wins", "verdict"
+    printf "%-14s %12s %10s %12s %10s %6s  %-20s %s\n", "metric", "base_med", "base_iqr",
+        "head_med", "head_iqr", "wins", "ci95_rel_change", "verdict"
     for (k = 1; k <= nm; k++) {
         name = order[k]; nb = nh = wins = 0
         for (p = 1; p <= pairs; p++) {
@@ -120,12 +157,14 @@ END {
             if ((better[name] == "higher") ? h > b : h < b) wins++
         }
         if (nb == 0) { printf "%-14s no complete pairs\n", name; continue }
+        bootstrap(nb)
+        ci = sprintf("[%+.2f%%, %+.2f%%]", 100 * ci_lo, 100 * ci_hi)
         summarize(bv, nb); bmed = med; biqr = q3 - q1
         summarize(hv, nh); hmed = med; hiqr = q3 - q1
         diff = hmed - bmed; if (diff < 0) diff = -diff
         verdict = (wins >= 0.9 * pairs && diff > biqr && fh <= fb) ? "claim" : "-"
-        printf "%-14s %12.4f %10.4f %12.4f %10.4f %3d/%-2d  %s\n", name, bmed, biqr,
-            hmed, hiqr, wins, pairs, verdict
+        printf "%-14s %12.4f %10.4f %12.4f %10.4f %3d/%-2d  %-20s %s\n", name, bmed, biqr,
+            hmed, hiqr, wins, pairs, ci, verdict
     }
     printf "failed points: base %d, head %d\n", fb, fh
 }' - "$OUT/values.txt" | tee "$OUT/summary.txt"
