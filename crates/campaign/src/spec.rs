@@ -343,7 +343,12 @@ fn parse_schemes(rest: &[&str]) -> Result<Vec<Scheme>, String> {
         ["baselines"] => Scheme::BASELINES.to_vec(),
         names => names
             .iter()
-            .map(|w| scheme_by_name(w))
+            .map(|name| {
+                Scheme::from_name(name).ok_or_else(|| {
+                    let known: Vec<&str> = Scheme::ALL.iter().map(|s| s.name()).collect();
+                    format!("unknown scheme {name:?} (known: {known:?})")
+                })
+            })
             .collect::<Result<_, _>>()?,
     };
     let mut seen = Vec::new();
@@ -354,18 +359,6 @@ fn parse_schemes(rest: &[&str]) -> Result<Vec<Scheme>, String> {
         seen.push(*s);
     }
     Ok(out)
-}
-
-/// Inverse of [`Scheme::name`].
-pub fn scheme_by_name(name: &str) -> Result<Scheme, String> {
-    Scheme::ALL
-        .iter()
-        .copied()
-        .find(|s| s.name() == name)
-        .ok_or_else(|| {
-            let known: Vec<&str> = Scheme::ALL.iter().map(|s| s.name()).collect();
-            format!("unknown scheme {name:?} (known: {known:?})")
-        })
 }
 
 fn parse_workloads(rest: &[&str]) -> Result<Vec<usize>, String> {
@@ -565,8 +558,13 @@ retries 1
     #[test]
     fn scheme_roundtrip() {
         for s in Scheme::ALL {
-            assert_eq!(scheme_by_name(s.name()).unwrap(), s);
+            assert_eq!(parse_schemes(&[s.name()]).unwrap(), vec![s]);
         }
-        assert!(scheme_by_name("s-nuca").is_err());
+        let err = parse_schemes(&["s-nuca"]).unwrap_err();
+        assert!(err.contains("unknown scheme \"s-nuca\""), "{err}");
+        assert!(
+            err.contains("\"Re-NUCA-C2\""),
+            "error lists the known names: {err}"
+        );
     }
 }

@@ -279,8 +279,8 @@ impl MemoryHierarchy {
             l2: (0..cfg.n_cores)
                 .map(|_| SetAssocCache::new(cfg.l2, false))
                 .collect(),
-            // The placement scheme owns L3 victim selection (MAC swaps in
-            // write-aware replacement; everything else is true LRU).
+            // The placement policy reports the scheme's L3 victim
+            // selection (true LRU unless its replacement part differs).
             l3: (0..cfg.n_banks)
                 .map(|_| {
                     SetAssocCache::with_replacement(cfg.l3_bank, true, policy.l3_replacement())
@@ -370,6 +370,12 @@ impl MemoryHierarchy {
     /// Whether `line` is present in L3 bank `bank` (invariant checks).
     pub fn l3_bank_contains(&self, bank: BankId, line: u64) -> bool {
         self.l3[bank].contains(line)
+    }
+
+    /// The victim-selection policy the placement policy drives in every
+    /// L3 bank.
+    pub fn l3_replacement(&self) -> crate::cache::ReplacementKind {
+        self.l3[0].replacement()
     }
 
     /// The compression spec the placement policy drives, if any.

@@ -89,10 +89,10 @@ pub trait LlcPlacement {
     }
 
     /// Victim-selection policy of the L3 banks this placement drives. The
-    /// hierarchy queries this once at construction; replacement-policy
-    /// schemes (MAC) override it while placement-only schemes keep the
-    /// default true LRU. This keeps replacement a property of the scheme —
-    /// no `SystemConfig` knob, no manifest churn.
+    /// hierarchy queries this once at construction; a scheme whose
+    /// replacement part is not true LRU overrides it, bare placements keep
+    /// the default. This keeps replacement a property of the scheme — no
+    /// `SystemConfig` knob, no manifest churn.
     fn l3_replacement(&self) -> ReplacementKind {
         ReplacementKind::Lru
     }

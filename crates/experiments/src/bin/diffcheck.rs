@@ -7,14 +7,16 @@
 //! diffcheck --replay FILE [--mutant]
 //! ```
 //!
-//! The default sweep is the acceptance corpus: 100 seeds × 8 schemes ×
-//! 2 mesh configs (pow2 and non-pow2) = 1600 differential replays, plus
-//! the metamorphic invariants and the per-scheme mutation self-checks
-//! (S-NUCA's wrapped mutant and the bugged twins of WEC, Coloring and
-//! MAC). `--quick` is the bounded CI smoke variant and runs the same
-//! mutation schemes. `--replay` re-runs a previously shrunk
-//! `renuca-trace-v1` file; add `--mutant` for traces produced by the
-//! mutation self-check (they only diverge under the injected bug).
+//! The default sweep is the acceptance corpus: 100 seeds × 9 schemes ×
+//! 2 mesh configs (pow2 and non-pow2) = 1800 differential replays, plus
+//! the metamorphic invariants and the mutation self-checks of every
+//! scheme in `diff::MUTATION_SCHEMES`. `--quick` is the bounded CI smoke
+//! variant and runs the same mutation schemes. `--replay` re-runs a
+//! previously shrunk `renuca-trace-v1` file; add `--mutant` for traces
+//! produced by the mutation self-check (they only diverge under the
+//! injected bug). A trace file that does not parse — bad header, unknown
+//! scheme, a mesh outside `1..=MAX_CORES` tiles, an op from a core off
+//! the mesh — is reported and exits non-zero.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -61,12 +63,8 @@ fn parse_args() -> Result<Args, String> {
 fn replay_file(path: &Path, mutant: bool) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let (scheme_name, cols, rows, seed, ops) = parse_trace(&text)
-        .ok_or_else(|| format!("{} is not a renuca-trace-v1 file", path.display()))?;
-    let scheme = Scheme::ALL
-        .into_iter()
-        .find(|s| s.name() == scheme_name)
-        .ok_or_else(|| format!("unknown scheme {scheme_name:?} in trace header"))?;
+    let (scheme, cols, rows, seed, ops) =
+        parse_trace(&text, Scheme::from_name).map_err(|e| format!("{}: {e}", path.display()))?;
     let cfg = diff::tiny_cfg(cols, rows);
     println!(
         "replaying {} ops: scheme {} on {cols}x{rows}, seed {seed}{}",

@@ -21,13 +21,17 @@
 //! the `renuca-trace-v1` format (seed in the filename) for replay with
 //! `cargo run -p experiments --bin diffcheck -- --replay <file>`.
 //!
+//! Both sides are built from the same [`Parts`]: the real policy by
+//! `renuca_core`, the golden twin by [`golden_system`].
+//!
 //! [`mutation_check`] proves the harness has teeth, per scheme: the
 //! stateless schemes get a `MutantPolicy` wrapper that deliberately
-//! mis-places a subset of lines; the directory-backed competitors (WEC,
-//! Coloring, MAC) get internally-consistent bugged twins built into
-//! `renuca_core` (a skewed redirect target, an off-by-one epoch, an
-//! inverted replacement policy). In every case the harness must catch the
-//! injected bug and shrink it to a 1-minimal reproducer.
+//! mis-places a subset of lines; the directory-backed placements (WEC,
+//! Coloring) get internally-consistent bugged twins built into
+//! `renuca_core` (a skewed redirect target, an off-by-one epoch); schemes
+//! with non-default bank parts get the same parts with a bugged bank part
+//! (inverted replacement, spurious expansions). In every case the harness
+//! must catch the injected bug and shrink it to a 1-minimal reproducer.
 //!
 //! The metamorphic checks ([`write_conservation`], [`snuca_shift_symmetry`],
 //! [`parallel_matches_serial`]) assert relations that must hold *across*
@@ -41,16 +45,17 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use cmp_sim::cache::ReplacementKind;
 use cmp_sim::config::SystemConfig;
 use cmp_sim::hierarchy::MemoryHierarchy;
 use cmp_sim::placement::{AccessMeta, CriticalityPredictor, LlcPlacement};
 use cmp_sim::types::{line_of, owner_of_line, page_of_line, BankId, Cycle};
 use golden::{
-    generate, trace_to_text, GoldenCpt, GoldenEvent, GoldenEventKind, GoldenPolicy, GoldenScheme,
-    GoldenSystem, TraceOp, TraceSpec,
+    generate, trace_to_text, GoldenCpt, GoldenEvent, GoldenEventKind, GoldenPlacement,
+    GoldenPolicy, GoldenSystem, TraceOp, TraceSpec,
 };
 use renuca_core::{
-    Coloring, Cpt, CptConfig, Mac, NaiveOracle, ReNuca, ReNucaC2, Scheme, Wec, COLORING_EPOCH,
+    Coloring, Cpt, CptConfig, NaiveOracle, Parts, Placement, ReNuca, Scheme, Wec, COLORING_EPOCH,
 };
 use sim_stats::{StatsRegistry, TraceBuffer, TraceCategory, TraceEvent};
 
@@ -139,9 +144,7 @@ pub fn replay(
 
 /// [`replay`] with a deliberate per-scheme bug injected into the real
 /// side — used by [`mutation_check`] to prove the harness catches real
-/// divergences. Stateless schemes (S-NUCA / R-NUCA / Private) get the
-/// `MutantPolicy` wrapper; WEC / Coloring / MAC get their bugged twins
-/// (see `inject_bug` for the dispatch).
+/// divergences (see `inject_bug` for which bug each scheme gets).
 pub fn replay_mutated(
     scheme: Scheme,
     cfg: &SystemConfig,
@@ -218,50 +221,73 @@ impl LlcPlacement for MutantPolicy {
     }
 }
 
-/// Per-scheme bug injection for [`replay_mutated`]. The stateless schemes
-/// take the `MutantPolicy` wrapper around the policy they already built;
-/// the directory-backed competitors cannot (twisted bank ids would trip
-/// their on-evict directory assertions), so they substitute the
-/// internally-consistent bugged twins shipped with `renuca_core`:
+/// Per-scheme bug injection for [`replay_mutated`], chosen from the
+/// scheme's parts:
 ///
-/// * WEC redirects hot fills one bank past the coldest;
-/// * Coloring rotates its remap one write too early (epoch 63, not 64);
-/// * MAC inverts its replacement policy (evict dirty-first, not clean-first);
-/// * Re-NUCA-C2 expands on class *equality*, not strict growth
+/// * write-aware replacement is inverted (evict dirty-first, not
+///   clean-first);
+/// * a compressed array expands on class *equality*, not strict growth
 ///   (`CompressSpec::expand_on_equal`) — placement stays identical and
 ///   only the expansion counters and bank `expand_ops` drift, so catching
-///   it requires the compression-state comparison.
+///   it requires the compression-state comparison;
+/// * otherwise WEC redirects hot fills one bank past the coldest, and
+///   Coloring rotates its remap one write too early (epoch 63, not 64) —
+///   internally-consistent twins shipped with `renuca_core`, because
+///   twisted bank ids would trip these directory-backed placements'
+///   on-evict assertions;
+/// * every other placement takes the `MutantPolicy` wrapper around the
+///   policy it already built.
 fn inject_bug(
     scheme: Scheme,
     cfg: &SystemConfig,
     policy: Box<dyn LlcPlacement>,
 ) -> Box<dyn LlcPlacement> {
+    let mut parts = scheme.parts(cfg);
     let max_lines = cfg.n_banks * cfg.l3_bank.lines();
-    match scheme {
-        Scheme::Wec => Box::new(Wec::bugged(cfg.n_banks, max_lines)),
-        Scheme::Coloring => Box::new(Coloring::with_epoch(
-            cfg.n_banks,
-            max_lines,
-            COLORING_EPOCH - 1,
-        )),
-        Scheme::Mac => Box::new(Mac::bugged(cfg.n_banks)),
-        Scheme::ReNucaC2 => Box::new(
-            ReNucaC2::new(
-                ReNuca::with_tlb_geometry(
-                    cfg.noc.cols,
-                    cfg.noc.rows,
-                    cfg.tlb_entries,
-                    cfg.tlb_assoc,
-                ),
-                compress::CompressSpec::new(cfg.l3_subblocks, cfg.compress_seed),
-            )
-            .bugged(),
-        ),
-        _ => Box::new(MutantPolicy {
-            inner: policy,
-            n_banks: cfg.n_banks,
-        }),
+    if parts.replacement == ReplacementKind::WriteAware {
+        parts.replacement = ReplacementKind::DirtyFirst;
+    } else if let Some(spec) = parts.compression.as_mut() {
+        spec.expand_on_equal = true;
+    } else {
+        return match parts.placement {
+            Placement::Wec => Box::new(Wec::bugged(cfg.n_banks, max_lines)),
+            Placement::Coloring => Box::new(Coloring::with_epoch(
+                cfg.n_banks,
+                max_lines,
+                COLORING_EPOCH - 1,
+            )),
+            _ => Box::new(MutantPolicy {
+                inner: policy,
+                n_banks: cfg.n_banks,
+            }),
+        };
     }
+    parts.build_policy(scheme.name(), cfg)
+}
+
+/// The golden twin of a real placement policy.
+fn golden_placement(placement: Placement) -> GoldenPlacement {
+    match placement {
+        Placement::SNuca => GoldenPlacement::SNuca,
+        Placement::RNuca => GoldenPlacement::RNuca,
+        Placement::Private => GoldenPlacement::Private,
+        Placement::Naive => GoldenPlacement::Naive,
+        Placement::ReNuca => GoldenPlacement::ReNuca,
+        Placement::Wec => GoldenPlacement::Wec,
+        Placement::Coloring => GoldenPlacement::Coloring,
+    }
+}
+
+/// The golden system built from `parts` under `cfg`: the twin placement
+/// model, the same L3 victim selection, and a compressed array exactly when
+/// the parts compress (geometry and seed come from `cfg` on both sides).
+pub fn golden_system(parts: &Parts, cfg: &SystemConfig) -> GoldenSystem {
+    let policy = GoldenPolicy::new(
+        golden_placement(parts.placement),
+        cfg.noc.cols,
+        cfg.noc.rows,
+    );
+    GoldenSystem::new(cfg, policy, parts.replacement, parts.compression.is_some())
 }
 
 /// The owning core of a line, exactly as `renuca_core::mapping` computes
@@ -314,6 +340,7 @@ fn run_diff(
         "harness expects one bank per tile"
     );
 
+    let parts = scheme.parts(cfg);
     let mut policy = scheme.build_policy(cfg);
     if mutate {
         policy = inject_bug(scheme, cfg, policy);
@@ -323,13 +350,12 @@ fn run_diff(
     // plus one writeback, so a small buffer drained every op never wraps.
     h.trace = TraceBuffer::with_categories(16, &[TraceCategory::Fill, TraceCategory::Writeback]);
 
-    let gscheme = GoldenScheme::from_name(scheme.name()).expect("golden mirrors every scheme");
-    let mut g = GoldenSystem::new(cfg, GoldenPolicy::new(gscheme, cols, rows));
+    let mut g = golden_system(&parts, cfg);
 
-    // Twin criticality predictors (both Re-NUCA flavours): the real CPT
-    // feeds the real hierarchy, the golden CPT feeds the golden system,
-    // and their verdicts must agree at every issue.
-    let renuca = matches!(scheme, Scheme::ReNuca | Scheme::ReNucaC2);
+    // Twin criticality predictors (Re-NUCA placement): the real CPT feeds
+    // the real hierarchy, the golden CPT feeds the golden system, and
+    // their verdicts must agree at every issue.
+    let renuca = parts.placement == Placement::ReNuca;
     let cpt_cfg = CptConfig::default();
     let mut cpts: Vec<Cpt> = (0..cfg.n_cores).map(|_| Cpt::new(cpt_cfg)).collect();
     let mut gcpts: Vec<GoldenCpt> = (0..cfg.n_cores)
@@ -564,66 +590,32 @@ fn final_state_compare(
     }
 
     // 4. Policy-internal state via the as_any escape hatch.
+    let gp = &g.policy;
     if let Some(any) = h.policy().as_any() {
         if let Some(real) = any.downcast_ref::<NaiveOracle>() {
-            if real.write_counters() != g.policy.naive_writes.as_slice() {
-                return Err(fail(format!(
-                    "Naive write counters diverged: real {:?}, golden {:?}",
-                    real.write_counters(),
-                    g.policy.naive_writes
-                )));
-            }
-            if real.directory_len() != g.policy.naive_directory.len() {
-                return Err(fail(format!(
-                    "Naive directory size diverged: real {}, golden {}",
-                    real.directory_len(),
-                    g.policy.naive_directory.len()
-                )));
-            }
+            let what = "Naive write counters";
+            agree(end, what, real.write_counters(), gp.naive_writes.as_slice())?;
+            let what = "Naive directory size";
+            agree(end, what, real.directory_len(), gp.naive_directory.len())?;
         }
         if let Some(real) = any.downcast_ref::<Wec>() {
-            if real.write_counters() != g.policy.wec_writes.as_slice() {
-                return Err(fail(format!(
-                    "WEC write counters diverged: real {:?}, golden {:?}",
-                    real.write_counters(),
-                    g.policy.wec_writes
-                )));
-            }
-            if real.directory_len() != g.policy.wec_directory.len() {
-                return Err(fail(format!(
-                    "WEC redirect-directory size diverged: real {}, golden {}",
-                    real.directory_len(),
-                    g.policy.wec_directory.len()
-                )));
-            }
+            let what = "WEC write counters";
+            agree(end, what, real.write_counters(), gp.wec_writes.as_slice())?;
+            let what = "WEC redirect-directory size";
+            agree(end, what, real.directory_len(), gp.wec_directory.len())?;
         }
         if let Some(real) = any.downcast_ref::<Coloring>() {
-            if real.total_writes() != g.policy.coloring_writes {
-                return Err(fail(format!(
-                    "Coloring write total diverged: real {}, golden {}",
-                    real.total_writes(),
-                    g.policy.coloring_writes
-                )));
-            }
-            if real.directory_len() != g.policy.coloring_directory.len() {
-                return Err(fail(format!(
-                    "Coloring directory size diverged: real {}, golden {}",
-                    real.directory_len(),
-                    g.policy.coloring_directory.len()
-                )));
-            }
+            let what = "Coloring write total";
+            agree(end, what, real.total_writes(), gp.coloring_writes)?;
+            let what = "Coloring directory size";
+            agree(end, what, real.directory_len(), gp.coloring_directory.len())?;
         }
         if let Some(real) = any.downcast_ref::<ReNuca>() {
             compare_renuca_state(real, g, cfg, ops, end)?;
         }
-        // The compressed variant wraps a Re-NUCA whose MBV/placement state
-        // must match the golden Re-NUCA-C2 model exactly the same way.
-        if let Some(real) = any.downcast_ref::<ReNucaC2>() {
-            compare_renuca_state(real.renuca(), g, cfg, ops, end)?;
-        }
     }
 
-    // 4b. Compressed-array state (Re-NUCA-C2): per-bank expansion and
+    // 4b. Compressed-array state: per-bank expansion and
     // class-histogram counters, per-slot allocation class and write
     // version, and the per-cell (sub-block) wear counters — plus the bank
     // service model's expand ops, which must equal the expansion count
@@ -636,12 +628,7 @@ fn final_state_compare(
             ));
         }
         (Some(spec), Some(gc)) => {
-            if spec.sub_blocks != gc.sub_blocks {
-                return Err(fail(format!(
-                    "sub-block geometry diverged: real {}, golden {}",
-                    spec.sub_blocks, gc.sub_blocks
-                )));
-            }
+            agree(end, "sub-block geometry", spec.sub_blocks, gc.sub_blocks)?;
             for bank in 0..cfg.n_banks {
                 let real_cs = h.compress_stats(bank);
                 let expand_ops = h.banks.stats(bank).expand_ops.get();
@@ -652,18 +639,10 @@ fn final_state_compare(
                         real_cs.expansions
                     )));
                 }
-                if real_cs.expansions != gc.expansions[bank] {
-                    return Err(fail(format!(
-                        "bank {bank} expansions diverged: real {}, golden {}",
-                        real_cs.expansions, gc.expansions[bank]
-                    )));
-                }
-                if real_cs.class_writes != gc.class_writes[bank] {
-                    return Err(fail(format!(
-                        "bank {bank} class-write histogram diverged: real {:?}, golden {:?}",
-                        real_cs.class_writes, gc.class_writes[bank]
-                    )));
-                }
+                let what = format!("bank {bank} expansions");
+                agree(end, &what, real_cs.expansions, gc.expansions[bank])?;
+                let what = format!("bank {bank} class-write histogram");
+                agree(end, &what, real_cs.class_writes, gc.class_writes[bank])?;
                 for slot in 0..slots {
                     let real_cv = h
                         .compress_slot(bank, slot)
@@ -726,9 +705,24 @@ fn final_state_compare(
     Ok(())
 }
 
+/// `Ok` when the real and golden sides agree on `what` at end of trace.
+fn agree<T: PartialEq + std::fmt::Debug>(
+    end: usize,
+    what: &str,
+    real: T,
+    gold: T,
+) -> Result<(), Mismatch> {
+    if real == gold {
+        return Ok(());
+    }
+    Err(Mismatch {
+        op_index: end,
+        detail: format!("{what} diverged: real {real:?}, golden {gold:?}"),
+    })
+}
+
 /// Compare a real `ReNuca`'s placement counters and MBV contents against
-/// the golden policy model — shared between Re-NUCA and the Re-NUCA it
-/// carries inside Re-NUCA-C2.
+/// the golden policy model.
 fn compare_renuca_state(
     real: &ReNuca,
     g: &GoldenSystem,
@@ -959,8 +953,9 @@ pub struct MutationReport {
 }
 
 /// The schemes whose injected bugs the self-check exercises: one
-/// stateless scheme for the `MutantPolicy` wrapper, plus every scheme
-/// with a bugged twin (see `inject_bug`).
+/// stateless scheme for the `MutantPolicy` wrapper, the two placements
+/// with bugged twins, and one scheme per non-default bank part (see
+/// `inject_bug`).
 pub const MUTATION_SCHEMES: [Scheme; 5] = [
     Scheme::SNuca,
     Scheme::Wec,
@@ -1028,9 +1023,9 @@ pub fn mutation_check(
 /// Placement cannot change write volume: in an eviction-free regime every
 /// scheme sees the same distinct-line fills and the same writebacks, so
 /// `l3_fills`, `l3_writes`, `l2_writebacks` and the histogram *total* must
-/// agree across all eight schemes (the histograms themselves differ — that
-/// is the point of the paper; MAC rides along because with zero capacity
-/// evictions its write-aware replacement never picks a victim).
+/// agree across all schemes (the histograms themselves differ — that is
+/// the point of the paper; write-aware replacement rides along because
+/// with zero capacity evictions it never picks a victim).
 pub fn write_conservation(cols: usize, rows: usize, seed: u64, ops_n: usize) -> Result<(), String> {
     let cfg = roomy_cfg(cols, rows);
     let mut spec = TraceSpec::new(seed, cols, rows, ops_n);

@@ -2,12 +2,13 @@
 //! metamorphic invariants, and the mutation self-check (an injected
 //! placement bug must be caught and shrunk to a 1-minimal trace).
 //!
-//! The full acceptance sweep (100 seeds × 8 schemes × 2 configs = 1600
+//! The full acceptance sweep (100 seeds × 9 schemes × 2 configs = 1800
 //! traces) runs through `cargo run --release -p experiments --bin
 //! diffcheck`; these tests keep a smaller always-on corpus in `cargo test`.
 
 use std::path::PathBuf;
 
+use cmp_sim::hierarchy::MemoryHierarchy;
 use experiments::diff;
 use golden::{generate, parse_trace, TraceSpec};
 use renuca_core::Scheme;
@@ -65,11 +66,9 @@ fn injected_placement_bug_is_caught_and_shrunk() {
     // The serialized reproducer round-trips and still reproduces the
     // divergence under the injected bug (and only under it).
     let text = std::fs::read_to_string(&report.trace_path).unwrap();
-    let (scheme_name, cols, rows, seed, ops) = parse_trace(&text).expect("valid trace file");
-    assert_eq!(
-        (scheme_name.as_str(), cols, rows, seed),
-        ("S-NUCA", 2, 2, 42)
-    );
+    let (scheme, cols, rows, seed, ops) =
+        parse_trace(&text, Scheme::from_name).expect("valid trace file");
+    assert_eq!((scheme, cols, rows, seed), (Scheme::SNuca, 2, 2, 42));
     assert_eq!(ops.len(), report.minimal_len);
     let cfg = diff::tiny_cfg(cols, rows);
     assert!(diff::replay_mutated(Scheme::SNuca, &cfg, &ops).is_err());
@@ -78,23 +77,49 @@ fn injected_placement_bug_is_caught_and_shrunk() {
 
 #[test]
 fn injected_bugs_in_competitor_schemes_are_caught() {
-    // Each new scheme ships an internally-consistent bugged twin (skewed
-    // WEC redirect, off-by-one Coloring epoch, inverted MAC replacement);
-    // the harness must catch each one and shrink it to a 1-minimal trace
-    // (mutation_check itself verifies 1-minimality op by op).
-    let out = tmp_out();
-    for scheme in [Scheme::Wec, Scheme::Coloring, Scheme::Mac] {
+    // Every mutation scheme's injected bug (wrapped mis-placement, skewed
+    // WEC redirect, off-by-one Coloring epoch, inverted write-aware
+    // replacement, spurious compressed expansions) must be caught and
+    // shrunk to a 1-minimal trace (mutation_check itself verifies
+    // 1-minimality op by op). A directory of its own keeps the S-NUCA
+    // reproducer apart from the test above.
+    let out = tmp_out().join("mutation-schemes");
+    for scheme in diff::MUTATION_SCHEMES {
         let report = diff::mutation_check(scheme, 42, 2000, &out)
             .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
         assert!(report.minimal_len >= 1);
         assert!(report.trace_path.exists());
         // The reproducer round-trips and diverges only under the bug.
         let text = std::fs::read_to_string(&report.trace_path).unwrap();
-        let (scheme_name, cols, rows, _seed, ops) = parse_trace(&text).expect("valid trace file");
-        assert_eq!(scheme_name, scheme.name());
+        let (parsed, cols, rows, _seed, ops) =
+            parse_trace(&text, Scheme::from_name).expect("valid trace file");
+        assert_eq!(parsed, scheme);
         let cfg = diff::tiny_cfg(cols, rows);
         assert!(diff::replay_mutated(scheme, &cfg, &ops).is_err());
         assert!(diff::replay(scheme, &cfg, &ops).is_ok());
+    }
+}
+
+#[test]
+fn real_and_golden_get_the_same_bank_parts() {
+    // Both sides are built from one `Parts`: the real hierarchy learns its
+    // bank parts through the policy's hooks, the golden system takes them
+    // from the harness. Every preset must end up with the same L3 victim
+    // selection and the same compressed-array geometry and seed on both.
+    for (label, cfg) in diff::harness_configs() {
+        for scheme in Scheme::ALL {
+            let parts = scheme.parts(&cfg);
+            let h = MemoryHierarchy::new(&cfg, scheme.build_policy(&cfg));
+            let g = diff::golden_system(&parts, &cfg);
+            assert_eq!(h.l3_replacement(), parts.replacement, "{scheme} {label}");
+            assert_eq!(g.l3_replacement(), parts.replacement, "{scheme} {label}");
+            assert_eq!(h.compression_spec(), parts.compression, "{scheme} {label}");
+            assert_eq!(
+                h.compression_spec().map(|c| (c.sub_blocks, c.seed)),
+                g.compress.as_ref().map(|c| (c.sub_blocks, c.seed)),
+                "{scheme} {label}"
+            );
+        }
     }
 }
 

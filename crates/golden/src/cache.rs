@@ -11,7 +11,7 @@
 //!   recent access — victim choice then falls to way order);
 //! * the fill victim is the first invalid way, else the way with the
 //!   strictly smallest stamp scanning ways in order; under write-aware
-//!   replacement (MAC banks) the stamp scan considers clean ways first and
+//!   replacement the stamp scan considers clean ways first and
 //!   falls back to the all-ways scan only when every way is dirty (the
 //!   dirty-first mutation twin mirrors this with dirty ways first);
 //! * L3 banks fold the line address (`line ^ line>>11 ^ line>>22`) before
@@ -19,6 +19,8 @@
 //! * the physical slot of a (set, way) is `set * assoc + way` (set rotation
 //!   is out of scope for the golden model — the harness runs with rotation
 //!   disabled).
+
+use cmp_sim::cache::ReplacementKind;
 
 /// One cache way.
 #[derive(Clone, Debug, Default)]
@@ -55,11 +57,10 @@ pub struct GoldenCache {
     sets: Vec<Vec<Way>>,
     assoc: usize,
     hash_index: bool,
-    /// Victim class scanned before the all-ways fallback: `Some(false)`
-    /// prefers clean ways (MAC banks, twin of
-    /// `cmp_sim::cache::ReplacementKind::WriteAware`), `Some(true)` dirty
-    /// ways (twin of `DirtyFirst`), `None` is plain LRU.
-    prefer_dirty: Option<bool>,
+    /// Victim selection: `WriteAware` scans clean ways before the
+    /// all-ways fallback, `DirtyFirst` dirty ways, `Lru` goes straight to
+    /// the all-ways scan.
+    replacement: ReplacementKind,
     clock: u64,
 }
 
@@ -67,17 +68,15 @@ impl GoldenCache {
     /// A cache with `lines / assoc` sets of `assoc` ways. `hash_index`
     /// selects the L3 XOR-fold set function.
     pub fn new(lines: usize, assoc: usize, hash_index: bool) -> Self {
-        Self::with_preference(lines, assoc, hash_index, None)
+        Self::with_replacement(lines, assoc, hash_index, ReplacementKind::Lru)
     }
 
-    /// A cache with an explicit victim-selection policy: `Some(false)`
-    /// makes fills prefer clean victims (MAC's replacement), `Some(true)`
-    /// dirty ones.
-    pub fn with_preference(
+    /// A cache with an explicit victim-selection policy.
+    pub fn with_replacement(
         lines: usize,
         assoc: usize,
         hash_index: bool,
-        prefer_dirty: Option<bool>,
+        replacement: ReplacementKind,
     ) -> Self {
         assert!(lines > 0 && assoc > 0 && lines % assoc == 0);
         let n_sets = lines / assoc;
@@ -85,9 +84,14 @@ impl GoldenCache {
             sets: vec![vec![Way::default(); assoc]; n_sets],
             assoc,
             hash_index,
-            prefer_dirty,
+            replacement,
             clock: 0,
         }
+    }
+
+    /// The victim-selection policy this cache was built with.
+    pub fn replacement(&self) -> ReplacementKind {
+        self.replacement
     }
 
     /// Total line capacity.
@@ -199,7 +203,12 @@ impl GoldenCache {
             }
             victim
         };
-        self.prefer_dirty
+        let prefer_dirty = match self.replacement {
+            ReplacementKind::Lru => None,
+            ReplacementKind::WriteAware => Some(false),
+            ReplacementKind::DirtyFirst => Some(true),
+        };
+        prefer_dirty
             .and_then(|d| smallest(Some(d)))
             .or_else(|| smallest(None))
             .expect("full set has a victim")
@@ -271,7 +280,7 @@ mod tests {
 
     #[test]
     fn write_aware_prefers_clean_victims() {
-        let mut c = GoldenCache::with_preference(4, 2, false, Some(false));
+        let mut c = GoldenCache::with_replacement(4, 2, false, ReplacementKind::WriteAware);
         c.fill(0, true); // dirty, LRU
         c.fill(2, false); // clean, newer
         let out = c.fill(4, false);

@@ -16,12 +16,13 @@
 
 use std::collections::BTreeMap;
 
+use cmp_sim::cache::ReplacementKind;
 use cmp_sim::config::SystemConfig;
 use cmp_sim::types::line_of;
 
 use crate::cache::GoldenCache;
 use crate::compress::GoldenCompress;
-use crate::policy::{GoldenPolicy, GoldenScheme};
+use crate::policy::GoldenPolicy;
 
 /// What kind of L3 write an event records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,7 +103,6 @@ struct DirEntry {
 
 /// The golden reference system.
 pub struct GoldenSystem {
-    n_cores: usize,
     n_banks: usize,
     l1: Vec<GoldenCache>,
     l2: Vec<GoldenCache>,
@@ -110,7 +110,7 @@ pub struct GoldenSystem {
     dir: BTreeMap<u64, DirEntry>,
     /// Per-bank, per-slot write counts (slot = set × assoc + way).
     pub wear: Vec<Vec<u64>>,
-    /// Compressed-array state, present only for Re-NUCA-C2.
+    /// Compressed-array state, present only over a compressed data array.
     pub compress: Option<GoldenCompress>,
     /// Per-core counters.
     pub per_core: Vec<GoldenPerCore>,
@@ -123,12 +123,19 @@ pub struct GoldenSystem {
 }
 
 impl GoldenSystem {
-    /// Build the golden system for `cfg` with the given policy model.
+    /// Build the golden system for `cfg` with the given placement model,
+    /// L3 victim selection `replacement`, and — when `compressed` — a
+    /// compressed data array with `cfg`'s sub-block geometry and seed.
     ///
     /// # Panics
     /// Panics when `cfg` enables prefetching, intra-bank rotation or
     /// block-criticality tracking (outside the golden model's scope).
-    pub fn new(cfg: &SystemConfig, policy: GoldenPolicy) -> Self {
+    pub fn new(
+        cfg: &SystemConfig,
+        policy: GoldenPolicy,
+        replacement: ReplacementKind,
+        compressed: bool,
+    ) -> Self {
         cfg.validate();
         assert!(
             !cfg.prefetch.enabled || cfg.prefetch.streams == 0,
@@ -143,7 +150,6 @@ impl GoldenSystem {
             "golden model requires block-criticality tracking disabled"
         );
         GoldenSystem {
-            n_cores: cfg.n_cores,
             n_banks: cfg.n_banks,
             l1: (0..cfg.n_cores)
                 .map(|_| GoldenCache::new(cfg.l1.lines(), cfg.l1.assoc, false))
@@ -151,21 +157,19 @@ impl GoldenSystem {
             l2: (0..cfg.n_cores)
                 .map(|_| GoldenCache::new(cfg.l2.lines(), cfg.l2.assoc, false))
                 .collect(),
-            // MAC banks run clean-first victim selection, matching
-            // `LlcPlacement::l3_replacement` on the real side.
             l3: (0..cfg.n_banks)
                 .map(|_| {
-                    GoldenCache::with_preference(
+                    GoldenCache::with_replacement(
                         cfg.l3_bank.lines(),
                         cfg.l3_bank.assoc,
                         true,
-                        policy.scheme().write_aware_replacement().then_some(false),
+                        replacement,
                     )
                 })
                 .collect(),
             dir: BTreeMap::new(),
             wear: vec![vec![0; cfg.l3_bank.lines()]; cfg.n_banks],
-            compress: (policy.scheme() == GoldenScheme::ReNucaC2).then(|| {
+            compress: compressed.then(|| {
                 GoldenCompress::new(
                     cfg.n_banks,
                     cfg.l3_bank.lines(),
@@ -180,14 +184,9 @@ impl GoldenSystem {
         }
     }
 
-    /// Number of cores (= mesh tiles).
-    pub fn n_cores(&self) -> usize {
-        self.n_cores
-    }
-
-    /// Number of L3 banks.
-    pub fn n_banks(&self) -> usize {
-        self.n_banks
+    /// Victim selection of the L3 banks.
+    pub fn l3_replacement(&self) -> ReplacementKind {
+        self.l3[0].replacement()
     }
 
     /// Total writes absorbed by `bank`.
@@ -233,7 +232,7 @@ impl GoldenSystem {
         if self.l3[bank].access(line, false) {
             self.per_core[core].l3_hits += 1;
         } else {
-            // No secondary probe: none of the five modelled policies has a
+            // No secondary probe: none of the seven modelled policies has a
             // second candidate bank.
             self.per_core[core].l3_misses += 1;
             let fill_bank = self.policy.fill_bank(line, predicted);
@@ -444,7 +443,7 @@ impl GoldenSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::GoldenScheme;
+    use crate::policy::GoldenPlacement;
     use cmp_sim::types::phys_addr;
 
     fn tiny() -> SystemConfig {
@@ -456,7 +455,8 @@ mod tests {
     #[test]
     fn first_touch_fills_then_hits_silently() {
         let cfg = tiny();
-        let mut g = GoldenSystem::new(&cfg, GoldenPolicy::new(GoldenScheme::SNuca, 2, 2));
+        let policy = GoldenPolicy::new(GoldenPlacement::SNuca, 2, 2);
+        let mut g = GoldenSystem::new(&cfg, policy, ReplacementKind::Lru, false);
         let phys = phys_addr(0, 0x1000);
         let ev = g.step(0, phys, false, false);
         assert_eq!(ev.len(), 1);

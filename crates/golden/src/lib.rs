@@ -5,18 +5,19 @@
 //!
 //! * [`cache`] — a stamp-based set-associative cache using per-set `Vec`s and
 //!   modulo indexing,
-//! * [`policy`] — all five LLC placement policies (S-NUCA, R-NUCA, Private,
-//!   Naive, Re-NUCA) with `BTreeMap` state instead of the open-addressed
-//!   tables and hardware-shaped TLB of `renuca-core`,
+//! * [`policy`] — all seven LLC placement policies (S-NUCA, R-NUCA,
+//!   Private, Naive, Re-NUCA, WEC, Coloring) with `BTreeMap` state instead
+//!   of the open-addressed tables and hardware-shaped TLB of `renuca-core`,
 //! * [`cpt`] — the Criticality Prediction Table,
 //! * [`compress`] — the L2C2 size-class content model, sub-block masks and
-//!   per-cell wear for the compressed Re-NUCA-C2 variant,
+//!   per-cell wear of a compressed data array,
 //! * [`hierarchy`] — a [`GoldenSystem`] replaying the L1 → L2 → L3 → DRAM
 //!   state machine of `cmp_sim::hierarchy::MemoryHierarchy` step by step,
 //! * [`trace`] — a seeded workload-trace generator and the compact
 //!   `renuca-trace-v1` text format the harness replays and shrinks.
 //!
 //! The only things consumed from `cmp-sim` are configuration/geometry types
+//! (including the `ReplacementKind` tag of the L3 banks)
 //! and the address-layout constants; every behavioural component is written
 //! here independently, with zero optimization, so that a bug in the fast
 //! path and a bug in the reference are unlikely to coincide.
@@ -42,5 +43,5 @@ pub use cache::GoldenCache;
 pub use compress::{golden_size_class, golden_subblock_mask, GoldenCompress};
 pub use cpt::GoldenCpt;
 pub use hierarchy::{GoldenEvent, GoldenEventKind, GoldenSystem};
-pub use policy::{GoldenPolicy, GoldenScheme, GOLDEN_COLORING_EPOCH, GOLDEN_WEC_THRESHOLD};
+pub use policy::{GoldenPlacement, GoldenPolicy, GOLDEN_COLORING_EPOCH, GOLDEN_WEC_THRESHOLD};
 pub use trace::{generate, parse_trace, trace_to_text, TraceOp, TraceSpec};

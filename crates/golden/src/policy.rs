@@ -23,9 +23,11 @@ pub const GOLDEN_WEC_THRESHOLD: u64 = 8;
 /// Coloring's writes-per-epoch; twin of `renuca_core::COLORING_EPOCH`.
 pub const GOLDEN_COLORING_EPOCH: u64 = 64;
 
-/// The placement schemes, named as in `renuca_core::Scheme`.
+/// The placement policies, one per `renuca_core::Placement`. Bank parts
+/// below placement (replacement, compression) are modelled by
+/// [`crate::GoldenSystem`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GoldenScheme {
+pub enum GoldenPlacement {
     /// Static NUCA: bank = low line bits.
     SNuca,
     /// Reactive NUCA: rotational interleaving within a 2×2 cluster.
@@ -40,54 +42,6 @@ pub enum GoldenScheme {
     Wec,
     /// Coloring: the bank map rotates one bank per write epoch.
     Coloring,
-    /// MAC: S-NUCA placement over write-aware bank replacement.
-    Mac,
-    /// Re-NUCA over a compressed (L2C2-style) data array: placement is
-    /// identical to Re-NUCA; the hierarchy additionally tracks sub-block
-    /// wear, allocation classes and expansions (see `crate::compress`).
-    ReNucaC2,
-}
-
-impl GoldenScheme {
-    /// All nine schemes, in `renuca_core::Scheme::ALL` order.
-    pub const ALL: [GoldenScheme; 9] = [
-        GoldenScheme::Naive,
-        GoldenScheme::SNuca,
-        GoldenScheme::ReNuca,
-        GoldenScheme::RNuca,
-        GoldenScheme::Private,
-        GoldenScheme::Wec,
-        GoldenScheme::Coloring,
-        GoldenScheme::Mac,
-        GoldenScheme::ReNucaC2,
-    ];
-
-    /// Display name matching `renuca_core::Scheme::name`.
-    pub fn name(self) -> &'static str {
-        match self {
-            GoldenScheme::SNuca => "S-NUCA",
-            GoldenScheme::RNuca => "R-NUCA",
-            GoldenScheme::Private => "Private",
-            GoldenScheme::Naive => "Naive",
-            GoldenScheme::ReNuca => "Re-NUCA",
-            GoldenScheme::Wec => "WEC",
-            GoldenScheme::Coloring => "Coloring",
-            GoldenScheme::Mac => "MAC",
-            GoldenScheme::ReNucaC2 => "Re-NUCA-C2",
-        }
-    }
-
-    /// Parse a display name back into a scheme.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    /// Whether this scheme's L3 banks run write-aware (clean-first) victim
-    /// selection instead of true LRU — the golden hierarchy builds its bank
-    /// arrays accordingly.
-    pub fn write_aware_replacement(self) -> bool {
-        self == GoldenScheme::Mac
-    }
 }
 
 /// The owning core of a line, clamped into the machine: mask for pow2 core
@@ -117,7 +71,7 @@ pub struct GoldenReNucaStats {
 /// One naive placement policy instance.
 #[derive(Clone, Debug)]
 pub struct GoldenPolicy {
-    scheme: GoldenScheme,
+    placement: GoldenPlacement,
     cols: usize,
     rows: usize,
     n_banks: usize,
@@ -141,13 +95,13 @@ pub struct GoldenPolicy {
 }
 
 impl GoldenPolicy {
-    /// Build the naive model of `scheme` on a `cols × rows` mesh (one core
-    /// and one bank per tile, as everywhere in this codebase).
-    pub fn new(scheme: GoldenScheme, cols: usize, rows: usize) -> Self {
+    /// Build the naive model of `placement` on a `cols × rows` mesh (one
+    /// core and one bank per tile, as everywhere in this codebase).
+    pub fn new(placement: GoldenPlacement, cols: usize, rows: usize) -> Self {
         let n_banks = cols * rows;
         assert!(n_banks > 0);
         GoldenPolicy {
-            scheme,
+            placement,
             cols,
             rows,
             n_banks,
@@ -160,11 +114,6 @@ impl GoldenPolicy {
             coloring_writes: 0,
             coloring_directory: BTreeMap::new(),
         }
-    }
-
-    /// The scheme this policy models.
-    pub fn scheme(&self) -> GoldenScheme {
-        self.scheme
     }
 
     /// S-NUCA striping: mask for pow2 bank counts, modulo otherwise.
@@ -245,26 +194,26 @@ impl GoldenPolicy {
 
     /// The bank to search for `line` (mirrors `LlcPlacement::lookup_bank`).
     pub fn lookup_bank(&mut self, line: u64) -> usize {
-        match self.scheme {
-            GoldenScheme::SNuca | GoldenScheme::Mac => self.snuca_bank(line),
-            GoldenScheme::RNuca => self.rnuca_bank(owner(line, self.n_banks), line),
-            GoldenScheme::Private => owner(line, self.n_banks),
-            GoldenScheme::Naive => self
+        match self.placement {
+            GoldenPlacement::SNuca => self.snuca_bank(line),
+            GoldenPlacement::RNuca => self.rnuca_bank(owner(line, self.n_banks), line),
+            GoldenPlacement::Private => owner(line, self.n_banks),
+            GoldenPlacement::Naive => self
                 .naive_directory
                 .get(&line)
                 .copied()
                 .unwrap_or_else(|| self.snuca_bank(line)),
-            GoldenScheme::Wec => self
+            GoldenPlacement::Wec => self
                 .wec_directory
                 .get(&line)
                 .copied()
                 .unwrap_or_else(|| self.snuca_bank(line)),
-            GoldenScheme::Coloring => self
+            GoldenPlacement::Coloring => self
                 .coloring_directory
                 .get(&line)
                 .copied()
                 .unwrap_or_else(|| self.coloring_bank(line)),
-            GoldenScheme::ReNuca | GoldenScheme::ReNucaC2 => {
+            GoldenPlacement::ReNuca => {
                 let core = owner(line, self.n_banks);
                 let page = page_of_line(line);
                 let bit = line_index_in_page(line) as u32;
@@ -281,9 +230,9 @@ impl GoldenPolicy {
 
     /// The bank a new fill of `line` goes to (mirrors `fill_bank`).
     pub fn fill_bank(&mut self, line: u64, predicted_critical: bool) -> usize {
-        match self.scheme {
-            GoldenScheme::SNuca | GoldenScheme::Mac => self.snuca_bank(line),
-            GoldenScheme::Wec => {
+        match self.placement {
+            GoldenPlacement::SNuca => self.snuca_bank(line),
+            GoldenPlacement::Wec => {
                 let home = self.snuca_bank(line);
                 let coldest = Self::coldest_bank(&self.wec_writes);
                 if self.wec_writes[home] >= self.wec_writes[coldest] + GOLDEN_WEC_THRESHOLD {
@@ -292,22 +241,11 @@ impl GoldenPolicy {
                     home
                 }
             }
-            GoldenScheme::Coloring => self.coloring_bank(line),
-            GoldenScheme::RNuca => self.rnuca_bank(owner(line, self.n_banks), line),
-            GoldenScheme::Private => owner(line, self.n_banks),
-            GoldenScheme::Naive => {
-                // First strict minimum, scanning banks in order.
-                let mut best = 0;
-                let mut best_w = self.naive_writes[0];
-                for (b, &w) in self.naive_writes.iter().enumerate().skip(1) {
-                    if w < best_w {
-                        best = b;
-                        best_w = w;
-                    }
-                }
-                best
-            }
-            GoldenScheme::ReNuca | GoldenScheme::ReNucaC2 => {
+            GoldenPlacement::Coloring => self.coloring_bank(line),
+            GoldenPlacement::RNuca => self.rnuca_bank(owner(line, self.n_banks), line),
+            GoldenPlacement::Private => owner(line, self.n_banks),
+            GoldenPlacement::Naive => Self::coldest_bank(&self.naive_writes),
+            GoldenPlacement::ReNuca => {
                 let core = owner(line, self.n_banks);
                 if predicted_critical {
                     self.rnuca_bank(core, line)
@@ -320,19 +258,19 @@ impl GoldenPolicy {
 
     /// A fill of `line` landed in `bank` (mirrors `on_fill`).
     pub fn on_fill(&mut self, line: u64, predicted_critical: bool, bank: usize) {
-        match self.scheme {
-            GoldenScheme::Naive => {
+        match self.placement {
+            GoldenPlacement::Naive => {
                 self.naive_directory.insert(line, bank);
             }
-            GoldenScheme::Wec => {
+            GoldenPlacement::Wec => {
                 if bank != self.snuca_bank(line) {
                     self.wec_directory.insert(line, bank);
                 }
             }
-            GoldenScheme::Coloring => {
+            GoldenPlacement::Coloring => {
                 self.coloring_directory.insert(line, bank);
             }
-            GoldenScheme::ReNuca | GoldenScheme::ReNucaC2 => {
+            GoldenPlacement::ReNuca => {
                 let core = owner(line, self.n_banks);
                 let page = page_of_line(line);
                 let bit = line_index_in_page(line) as u32;
@@ -349,22 +287,22 @@ impl GoldenPolicy {
 
     /// A write (fill or writeback) landed in `bank` (mirrors `on_l3_write`).
     pub fn on_l3_write(&mut self, bank: usize) {
-        match self.scheme {
-            GoldenScheme::Naive => self.naive_writes[bank] += 1,
-            GoldenScheme::Wec => self.wec_writes[bank] += 1,
-            GoldenScheme::Coloring => self.coloring_writes += 1,
+        match self.placement {
+            GoldenPlacement::Naive => self.naive_writes[bank] += 1,
+            GoldenPlacement::Wec => self.wec_writes[bank] += 1,
+            GoldenPlacement::Coloring => self.coloring_writes += 1,
             _ => {}
         }
     }
 
     /// `line` was evicted from `bank` (mirrors `on_evict`).
     pub fn on_evict(&mut self, line: u64, bank: usize) {
-        match self.scheme {
-            GoldenScheme::Naive => {
+        match self.placement {
+            GoldenPlacement::Naive => {
                 let removed = self.naive_directory.remove(&line);
                 debug_assert_eq!(removed, Some(bank), "golden directory out of sync");
             }
-            GoldenScheme::Wec => match self.wec_directory.remove(&line) {
+            GoldenPlacement::Wec => match self.wec_directory.remove(&line) {
                 Some(recorded) => {
                     debug_assert_eq!(recorded, bank, "golden WEC directory out of sync")
                 }
@@ -374,11 +312,11 @@ impl GoldenPolicy {
                     "golden WEC: untracked eviction away from the home"
                 ),
             },
-            GoldenScheme::Coloring => {
+            GoldenPlacement::Coloring => {
                 let removed = self.coloring_directory.remove(&line);
                 debug_assert_eq!(removed, Some(bank), "golden Coloring directory out of sync");
             }
-            GoldenScheme::ReNuca | GoldenScheme::ReNucaC2 => {
+            GoldenPlacement::ReNuca => {
                 let core = owner(line, self.n_banks);
                 let page = page_of_line(line);
                 let bit = line_index_in_page(line) as u32;
@@ -396,16 +334,16 @@ mod tests {
 
     #[test]
     fn snuca_masks_pow2_and_mods_other_counts() {
-        let p4 = GoldenPolicy::new(GoldenScheme::SNuca, 2, 2);
+        let p4 = GoldenPolicy::new(GoldenPlacement::SNuca, 2, 2);
         assert_eq!(p4.snuca_bank(13), 13 & 3);
-        let p6 = GoldenPolicy::new(GoldenScheme::SNuca, 3, 2);
+        let p6 = GoldenPolicy::new(GoldenPlacement::SNuca, 3, 2);
         assert_eq!(p6.snuca_bank(13), 13 % 6);
     }
 
     #[test]
     fn rnuca_cluster_matches_reference_layout() {
         // 4×4 mesh: core 5 (tile 1,1) rotates over banks {5, 6, 9, 10}.
-        let p = GoldenPolicy::new(GoldenScheme::RNuca, 4, 4);
+        let p = GoldenPolicy::new(GoldenPlacement::RNuca, 4, 4);
         let mut seen = std::collections::BTreeSet::new();
         for line in 0..16u64 {
             seen.insert(p.rnuca_bank(5, line));
@@ -415,7 +353,7 @@ mod tests {
 
     #[test]
     fn renuca_routes_by_mbv_residency() {
-        let mut p = GoldenPolicy::new(GoldenScheme::ReNuca, 4, 4);
+        let mut p = GoldenPolicy::new(GoldenPlacement::ReNuca, 4, 4);
         let line = phys_addr(5, 0x7000) >> 6;
         let fill = p.fill_bank(line, true);
         p.on_fill(line, true, fill);
@@ -427,7 +365,7 @@ mod tests {
 
     #[test]
     fn wec_redirects_hot_homes_and_tracks_redirects() {
-        let mut p = GoldenPolicy::new(GoldenScheme::Wec, 2, 2);
+        let mut p = GoldenPolicy::new(GoldenPlacement::Wec, 2, 2);
         assert_eq!(p.fill_bank(5, false), 1, "cold: stay at the S-NUCA home");
         for _ in 0..GOLDEN_WEC_THRESHOLD {
             p.on_l3_write(1);
@@ -444,7 +382,7 @@ mod tests {
 
     #[test]
     fn coloring_rotates_and_pins_residents() {
-        let mut p = GoldenPolicy::new(GoldenScheme::Coloring, 2, 2);
+        let mut p = GoldenPolicy::new(GoldenPlacement::Coloring, 2, 2);
         let b = p.fill_bank(6, false);
         assert_eq!(b, 2);
         p.on_fill(6, false, b);
@@ -458,20 +396,8 @@ mod tests {
     }
 
     #[test]
-    fn mac_places_exactly_like_snuca() {
-        let mut mac = GoldenPolicy::new(GoldenScheme::Mac, 4, 4);
-        let mut snuca = GoldenPolicy::new(GoldenScheme::SNuca, 4, 4);
-        for line in [0u64, 17, 12345, 1 << 30] {
-            assert_eq!(mac.lookup_bank(line), snuca.lookup_bank(line));
-            assert_eq!(mac.fill_bank(line, true), snuca.fill_bank(line, true));
-        }
-        assert!(GoldenScheme::Mac.write_aware_replacement());
-        assert!(!GoldenScheme::SNuca.write_aware_replacement());
-    }
-
-    #[test]
     fn naive_levels_and_tracks_lines() {
-        let mut p = GoldenPolicy::new(GoldenScheme::Naive, 2, 2);
+        let mut p = GoldenPolicy::new(GoldenPlacement::Naive, 2, 2);
         for line in 0..100u64 {
             let b = p.fill_bank(line, false);
             p.on_fill(line, false, b);

@@ -16,6 +16,7 @@
 //! per-concern sub-streams so changing one knob does not reshuffle the
 //! others.
 
+use cmp_sim::config::MAX_CORES;
 use sim_rng::{splitmix64, SimRng};
 
 /// Bit layout of a packed op (low to high): 32 bits physical address,
@@ -181,38 +182,56 @@ pub fn trace_to_text(
     out
 }
 
-/// Parse a `renuca-trace-v1` text back into `(scheme, cols, rows, seed,
-/// ops)`. Returns `None` on any malformed line.
-pub fn parse_trace(text: &str) -> Option<(String, usize, usize, u64, Vec<TraceOp>)> {
+/// Parse a `renuca-trace-v1` text (as [`trace_to_text`] writes it, header
+/// fields in that order) back into `(scheme, cols, rows, seed, ops)`,
+/// resolving the header's scheme name with `scheme_of`. Every defect is an
+/// `Err` naming it: a malformed header or op line, a scheme `scheme_of`
+/// does not know, a mesh outside `1..=MAX_CORES` tiles, or an op whose
+/// core is not on the mesh.
+pub fn parse_trace<S>(
+    text: &str,
+    scheme_of: impl Fn(&str) -> Option<S>,
+) -> Result<(S, usize, usize, u64, Vec<TraceOp>), String> {
     let mut lines = text.lines();
-    let header = lines.next()?;
-    let mut parts = header.split_whitespace();
-    if parts.next()? != "renuca-trace-v1" {
-        return None;
-    }
-    let mut scheme = None;
-    let mut cols = None;
-    let mut rows = None;
-    let mut seed = None;
-    for kv in parts {
-        let (k, v) = kv.split_once('=')?;
-        match k {
-            "scheme" => scheme = Some(v.to_owned()),
-            "cols" => cols = v.parse().ok(),
-            "rows" => rows = v.parse().ok(),
-            "seed" => seed = v.parse().ok(),
-            _ => return None,
-        }
+    let header = lines.next().unwrap_or_default();
+    let fields: Vec<&str> = header.split_whitespace().collect();
+    let ["renuca-trace-v1", scheme, cols, rows, seed] = fields[..] else {
+        return Err(format!("not a renuca-trace-v1 header: {header:?}"));
+    };
+    let value = |field: &'static str, kv: &str| -> Result<u64, String> {
+        let v = kv.strip_prefix(field).and_then(|kv| kv.strip_prefix('='));
+        v.and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("bad header field {kv:?}, expected {field}=<number>"))
+    };
+    let (cols, rows, seed) = (
+        value("cols", cols)?,
+        value("rows", rows)?,
+        value("seed", seed)?,
+    );
+    let name = scheme
+        .strip_prefix("scheme=")
+        .ok_or_else(|| format!("bad header field {scheme:?}, expected scheme=<name>"))?;
+    let scheme = scheme_of(name).ok_or_else(|| format!("unknown scheme {name:?}"))?;
+    let tiles = cols.saturating_mul(rows);
+    if !(1..=MAX_CORES as u64).contains(&tiles) {
+        return Err(format!(
+            "mesh {cols}x{rows} is outside 1..={MAX_CORES} tiles"
+        ));
     }
     let mut ops = Vec::new();
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    for line in lines.map(str::trim).filter(|l| !l.is_empty()) {
+        let word = u64::from_str_radix(line, 16).map_err(|_| format!("bad op line {line:?}"))?;
+        let op = TraceOp::unpack(word);
+        if op.core as u64 >= tiles {
+            return Err(format!(
+                "op {} issues from core {} of a {cols}x{rows} mesh",
+                ops.len(),
+                op.core
+            ));
         }
-        ops.push(TraceOp::unpack(u64::from_str_radix(line, 16).ok()?));
+        ops.push(op);
     }
-    Some((scheme?, cols?, rows?, seed?, ops))
+    Ok((scheme, cols as usize, rows as usize, seed, ops))
 }
 
 #[cfg(test)]
@@ -249,12 +268,19 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// The scheme names these tests accept.
+    fn known(name: &str) -> Option<String> {
+        ["S-NUCA", "Re-NUCA"]
+            .contains(&name)
+            .then(|| name.to_owned())
+    }
+
     #[test]
     fn text_format_roundtrips() {
         let spec = TraceSpec::new(42, 2, 2, 50);
         let ops = generate(&spec);
         let text = trace_to_text("Re-NUCA", 2, 2, 42, &ops);
-        let (scheme, cols, rows, seed, parsed) = parse_trace(&text).unwrap();
+        let (scheme, cols, rows, seed, parsed) = parse_trace(&text, known).unwrap();
         assert_eq!(scheme, "Re-NUCA");
         assert_eq!((cols, rows, seed), (2, 2, 42));
         assert_eq!(parsed, ops);
@@ -262,8 +288,46 @@ mod tests {
 
     #[test]
     fn malformed_traces_are_rejected() {
-        assert!(parse_trace("bogus-header\n").is_none());
-        assert!(parse_trace("renuca-trace-v1 scheme=S-NUCA cols=2 rows=2 seed=1\nzz\n").is_none());
-        assert!(parse_trace("renuca-trace-v1 cols=2 rows=2 seed=1\n").is_none());
+        assert!(parse_trace("bogus-header\n", known).is_err());
+        assert!(parse_trace(
+            "renuca-trace-v1 scheme=S-NUCA cols=2 rows=2 seed=1\nzz\n",
+            known
+        )
+        .is_err());
+        assert!(parse_trace("renuca-trace-v1 cols=2 rows=2 seed=1\n", known).is_err());
+    }
+
+    #[test]
+    fn empty_or_oversized_meshes_are_rejected() {
+        for (cols, rows) in [(0, 2), (2, 0), (0, 0), (33, 1), (8, 5), (u64::MAX, 2)] {
+            let text = format!("renuca-trace-v1 scheme=S-NUCA cols={cols} rows={rows} seed=1\n");
+            let err = parse_trace(&text, known).unwrap_err();
+            assert!(err.contains("tiles"), "{cols}x{rows}: {err}");
+        }
+        let largest = "renuca-trace-v1 scheme=S-NUCA cols=8 rows=4 seed=1\n";
+        assert!(parse_trace(largest, known).is_ok());
+    }
+
+    #[test]
+    fn ops_from_cores_off_the_mesh_are_rejected() {
+        let op = |core| TraceOp {
+            core,
+            phys: 0x1000,
+            pc: 1,
+            is_store: false,
+            blocked: false,
+        };
+        let text = trace_to_text("S-NUCA", 2, 2, 1, &[op(3), op(5)]);
+        let err = parse_trace(&text, known).unwrap_err();
+        assert!(err.contains("core 5"), "{err}");
+        let on_mesh = trace_to_text("S-NUCA", 2, 2, 1, &[op(0), op(3)]);
+        assert_eq!(parse_trace(&on_mesh, known).unwrap().4.len(), 2);
+    }
+
+    #[test]
+    fn unknown_schemes_are_rejected() {
+        let text = "renuca-trace-v1 scheme=Bogus cols=2 rows=2 seed=1\n";
+        let err = parse_trace(text, known).unwrap_err();
+        assert!(err.contains("Bogus"), "{err}");
     }
 }

@@ -17,15 +17,10 @@ use sim_rng::SimRng;
 const OPS: usize = 6_000;
 
 fn replay(kind: ReplacementKind, sets: usize, assoc: usize, hash: bool, seed: u64) {
-    let prefer_dirty = match kind {
-        ReplacementKind::Lru => None,
-        ReplacementKind::WriteAware => Some(false),
-        ReplacementKind::DirtyFirst => Some(true),
-    };
     let lines = sets * assoc;
     let geo = CacheGeometry::symmetric((lines * 64) as u64, assoc, 1);
     let mut real = SetAssocCache::with_replacement(geo, hash, kind);
-    let mut gold = GoldenCache::with_preference(lines, assoc, hash, prefer_dirty);
+    let mut gold = GoldenCache::with_replacement(lines, assoc, hash, kind);
     let mut rng = SimRng::seed_from_u64(seed);
     let lead = rng.gen_range_usize(1..OPS / 4) as u32;
     let start = u32::MAX - 1 - lead;

@@ -27,7 +27,7 @@
 //! | [`mapping::ReNuca`] | §IV | the hybrid, criticality-gated mapping |
 //! | [`criticality::Cpt`] | §IV.B | the Criticality Predictor Table |
 //! | [`tlb::EnhancedTlb`] | §IV.C | TLB + per-page Mapping Bit Vector |
-//! | [`scheme`] | §V | one-stop factory for building any evaluated scheme |
+//! | [`scheme`] | §V | the evaluated schemes as placement × replacement × compression parts |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,8 +39,8 @@ pub mod tlb;
 
 pub use criticality::{Cpt, CptConfig};
 pub use mapping::{
-    Coloring, Mac, NaiveOracle, PrivateMap, RNuca, ReNuca, ReNucaC2, ReNucaTwoProbe, SNuca, Wec,
-    COLORING_EPOCH, WEC_THRESHOLD,
+    Coloring, NaiveOracle, PrivateMap, RNuca, ReNuca, ReNucaTwoProbe, SNuca, Wec, COLORING_EPOCH,
+    WEC_THRESHOLD,
 };
-pub use scheme::Scheme;
+pub use scheme::{Parts, Placement, Scheme};
 pub use tlb::EnhancedTlb;

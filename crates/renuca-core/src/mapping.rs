@@ -1,11 +1,11 @@
-//! The evaluated L3 placement policies: the paper's five schemes plus the
-//! three wear-management competitors from the related work (WEC, Coloring,
-//! MAC).
+//! The L3 placement policies: the paper's five plus the two placement-level
+//! wear-management competitors from the related work (WEC, Coloring).
+//! Schemes that differ only below placement (write-aware replacement,
+//! compression) are built from these by [`crate::scheme`].
 //!
 //! All policies implement [`cmp_sim::placement::LlcPlacement`]. Bank ids
 //! coincide with mesh tile ids (one bank per core tile, paper Table I).
 
-use cmp_sim::cache::ReplacementKind;
 use cmp_sim::placement::{AccessMeta, LlcPlacement};
 use cmp_sim::table::FixedTable;
 use cmp_sim::types::{line_index_in_page, owner_of_line, BankId, CoreId, Cycle};
@@ -608,72 +608,6 @@ impl LlcPlacement for ReNucaTwoProbe {
 }
 
 // ---------------------------------------------------------------------------
-// Re-NUCA-C2 (compressed ReRAM data array, L2C2-style — arXiv:2204.09504)
-// ---------------------------------------------------------------------------
-
-/// Re-NUCA placement over a *compressed* ReRAM data array (ROADMAP item 4:
-/// Escuin et al.'s L2C2). Placement decisions are bit-identical to
-/// [`ReNuca`] — compression rides *below* placement: each fill compacts the
-/// line to its content-model size class (1, 2 or 4 sub-blocks), only the
-/// written sub-blocks age, and an in-place write that outgrows its slot's
-/// allocation re-programs the line through an extra bank operation. All of
-/// that machinery lives in the substrate (`cmp_sim::hierarchy`), keyed off
-/// [`LlcPlacement::compression`]; this wrapper only carries the spec.
-pub struct ReNucaC2 {
-    inner: ReNuca,
-    spec: compress::CompressSpec,
-}
-
-impl ReNucaC2 {
-    /// Wrap a [`ReNuca`] policy with a compression spec.
-    pub fn new(inner: ReNuca, spec: compress::CompressSpec) -> Self {
-        ReNucaC2 { inner, spec }
-    }
-
-    /// The wrapped Re-NUCA policy (MBV/TLB inspection — the differential
-    /// harness compares the same state it compares for plain Re-NUCA).
-    pub fn renuca(&self) -> &ReNuca {
-        &self.inner
-    }
-
-    /// The bugged twin for the differential harness's mutation self-check:
-    /// flips the spec's `expand_on_equal` switch, so slots whose write
-    /// compresses to *exactly* the allocated class spuriously expand.
-    /// Never built by `Scheme::build_policy`.
-    pub fn bugged(mut self) -> Self {
-        self.spec.expand_on_equal = true;
-        self
-    }
-}
-
-impl LlcPlacement for ReNucaC2 {
-    fn name(&self) -> &'static str {
-        "Re-NUCA-C2"
-    }
-    fn lookup_bank(&mut self, meta: &AccessMeta) -> BankId {
-        self.inner.lookup_bank(meta)
-    }
-    fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
-        self.inner.fill_bank(meta)
-    }
-    fn on_fill(&mut self, meta: &AccessMeta, bank: BankId) {
-        self.inner.on_fill(meta, bank);
-    }
-    fn on_l3_write(&mut self, bank: BankId) {
-        self.inner.on_l3_write(bank);
-    }
-    fn on_evict(&mut self, line: u64, bank: BankId) {
-        self.inner.on_evict(line, bank);
-    }
-    fn compression(&self) -> Option<compress::CompressSpec> {
-        Some(self.spec)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // WEC (write-endurance-aware redirection, Mittal arXiv:1311.0041)
 // ---------------------------------------------------------------------------
 
@@ -921,66 +855,6 @@ impl LlcPlacement for Coloring {
     }
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MAC (write-aware replacement, Ruan et al. arXiv:1606.03248)
-// ---------------------------------------------------------------------------
-
-/// **MAC**: Ruan et al.'s multilevel PCM-aware replacement
-/// (arXiv:1606.03248) as a *replacement-policy* scheme composable with
-/// S-NUCA placement. Placement is plain address interleaving — identical to
-/// [`SNuca`] — but the L3 banks it drives run
-/// [`ReplacementKind::WriteAware`] victim selection: clean lines are
-/// evicted before dirty ones, so each dirty victim's inevitable ReRAM
-/// writeback is deferred as long as possible and total cell writes drop.
-/// The scheme itself is stateless; all the behaviour lives in the bank
-/// arrays via [`LlcPlacement::l3_replacement`].
-#[derive(Clone, Copy, Debug)]
-pub struct Mac {
-    snuca: SNuca,
-    /// Injected-bug switch for the mutation self-check: report the inverse
-    /// [`ReplacementKind::DirtyFirst`] policy to the hierarchy. Never set by
-    /// [`crate::Scheme::build_policy`].
-    bug_inverted_replacement: bool,
-}
-
-impl Mac {
-    /// MAC over `n_banks` banks.
-    pub fn new(n_banks: usize) -> Self {
-        Mac {
-            snuca: SNuca::new(n_banks),
-            bug_inverted_replacement: false,
-        }
-    }
-
-    /// The deliberately buggy twin (see `bug_inverted_replacement`); built
-    /// only by the differential harness's mutation self-check.
-    pub fn bugged(n_banks: usize) -> Self {
-        Mac {
-            snuca: SNuca::new(n_banks),
-            bug_inverted_replacement: true,
-        }
-    }
-}
-
-impl LlcPlacement for Mac {
-    fn name(&self) -> &'static str {
-        "MAC"
-    }
-    fn lookup_bank(&mut self, meta: &AccessMeta) -> BankId {
-        self.snuca.bank_of(meta.line)
-    }
-    fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
-        self.snuca.bank_of(meta.line)
-    }
-    fn l3_replacement(&self) -> ReplacementKind {
-        if self.bug_inverted_replacement {
-            ReplacementKind::DirtyFirst
-        } else {
-            ReplacementKind::WriteAware
-        }
     }
 }
 
@@ -1499,28 +1373,5 @@ mod tests {
             bad.on_l3_write(0);
         }
         assert_ne!(good.fill_bank(&m), bad.fill_bank(&m));
-    }
-
-    // --- MAC ---
-
-    #[test]
-    fn mac_places_like_snuca_but_swaps_replacement() {
-        let mut m = Mac::new(16);
-        let mut s = SNuca::new(16);
-        for line in [0u64, 17, 12345, 1 << 30] {
-            let acc = meta(line, true);
-            assert_eq!(m.lookup_bank(&acc), s.lookup_bank(&acc));
-            assert_eq!(m.fill_bank(&acc), s.fill_bank(&acc));
-        }
-        assert_eq!(m.l3_replacement(), ReplacementKind::WriteAware);
-        assert_eq!(
-            LlcPlacement::l3_replacement(&s),
-            ReplacementKind::Lru,
-            "placement-only schemes keep the default"
-        );
-        assert_eq!(
-            Mac::bugged(16).l3_replacement(),
-            ReplacementKind::DirtyFirst
-        );
     }
 }

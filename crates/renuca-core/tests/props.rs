@@ -3,11 +3,12 @@
 
 use sim_rng::SimRng;
 
+use cmp_sim::config::SystemConfig;
 use cmp_sim::placement::{AccessMeta, CriticalityPredictor, LlcAccessKind, LlcPlacement};
 use cmp_sim::types::{page_of_line, phys_addr};
 use renuca_core::{
-    Coloring, Cpt, CptConfig, EnhancedTlb, Mac, NaiveOracle, PrivateMap, RNuca, ReNuca, ReNucaC2,
-    SNuca, Scheme, Wec, COLORING_EPOCH,
+    Coloring, Cpt, CptConfig, EnhancedTlb, NaiveOracle, PrivateMap, RNuca, ReNuca, SNuca, Scheme,
+    Wec, COLORING_EPOCH,
 };
 
 const CASES: usize = 64;
@@ -192,21 +193,9 @@ fn all_policies_stay_in_range_on_any_core_count() {
     let mut rng = SimRng::seed_from_u64(0x4E0C_0007);
     for (cols, rows) in meshes {
         let n = cols * rows;
-        let mut policies: Vec<Box<dyn LlcPlacement>> = vec![
-            Box::new(SNuca::new(n)),
-            Box::new(RNuca::new(cols, rows)),
-            Box::new(PrivateMap::new(n)),
-            Box::new(NaiveOracle::new(n, 0)),
-            Box::new(ReNuca::new(cols, rows)),
-            Box::new(Wec::new(n)),
-            Box::new(Coloring::new(n)),
-            Box::new(Mac::new(n)),
-            Box::new(ReNucaC2::new(
-                ReNuca::new(cols, rows),
-                compress::CompressSpec::new(4, 0xC0DEC),
-            )),
-        ];
-        assert_eq!(policies.len(), Scheme::ALL.len(), "keep this list total");
+        let cfg = SystemConfig::mesh(cols, rows);
+        let mut policies: Vec<Box<dyn LlcPlacement>> =
+            Scheme::ALL.iter().map(|s| s.build_policy(&cfg)).collect();
         for case in 0..CASES {
             // Mix fully random lines with realistic in-machine addresses.
             let line = if case % 2 == 0 {

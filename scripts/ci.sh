@@ -4,20 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# default-members = [".", "crates/*"]: these select every workspace crate.
 echo "== tier-1: release build =="
 cargo build --release
-
-echo "== release binaries (member bins are not default targets of the root package) =="
-cargo build --release --workspace
 
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== workspace tests =="
-cargo test -q --workspace
-
 echo "== differential smoke: bounded seeded corpus vs the golden model =="
-# Fixed seeds, all nine placement policies, pow2 and non-pow2 meshes
+# Fixed seeds, all nine schemes, pow2 and non-pow2 meshes
 # (see TESTING.md), plus the per-scheme mutation self-checks. diffcheck
 # exits non-zero on any divergence and writes the ddmin-shrunk
 # reproducer under out/.

@@ -4,7 +4,7 @@
 //! renuca run   [--scheme S] [--workload N] [--warmup I] [--measure I]
 //!              [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]
 //! renuca apps                       # Table II style characterization
-//! renuca schemes [--workload N] ... # compare all five schemes on one mix
+//! renuca schemes [--workload N] ... # compare all nine schemes on one mix
 //! ```
 //!
 //! A thin, dependency-free argument parser: this binary exists so users can
@@ -15,9 +15,18 @@ use renuca::wear::lifetime_variation;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  renuca run     [--scheme snuca|rnuca|private|naive|renuca] [--workload 1..10]\n                 [--warmup N] [--measure N] [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca apps    [--measure N]\n  renuca schemes [--workload 1..10] [--warmup N] [--measure N]"
+        "usage:\n  renuca run     [--scheme snuca|rnuca|private|naive|renuca|wec|coloring|mac|renuca-c2]\n                 [--workload 1..10] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca apps    [--measure N]\n  renuca schemes [--workload 1..10] [--warmup N] [--measure N]"
     );
     std::process::exit(2)
+}
+
+/// The scheme a `--scheme` value names: any display name compared
+/// case-insensitively with `-` removed, so `S-NUCA`, `s-nuca` and `snuca`
+/// all select S-NUCA.
+fn scheme_arg(value: &str) -> Option<Scheme> {
+    let fold = |s: &str| s.replace('-', "").to_lowercase();
+    let want = fold(value);
+    Scheme::ALL.into_iter().find(|s| fold(s.name()) == want)
 }
 
 struct Args {
@@ -46,17 +55,11 @@ fn parse(args: &[String]) -> Args {
         };
         match a.as_str() {
             "--scheme" => {
-                out.scheme = match value("--scheme").to_lowercase().as_str() {
-                    "snuca" | "s-nuca" => Scheme::SNuca,
-                    "rnuca" | "r-nuca" => Scheme::RNuca,
-                    "private" => Scheme::Private,
-                    "naive" => Scheme::Naive,
-                    "renuca" | "re-nuca" => Scheme::ReNuca,
-                    other => {
-                        eprintln!("unknown scheme {other}");
-                        usage()
-                    }
-                }
+                let name = value("--scheme");
+                out.scheme = scheme_arg(&name).unwrap_or_else(|| {
+                    eprintln!("unknown scheme {name}");
+                    usage()
+                })
             }
             "--workload" => out.workload = value("--workload").parse().unwrap_or_else(|_| usage()),
             "--warmup" => out.budget.warmup = value("--warmup").parse().unwrap_or_else(|_| usage()),
@@ -142,5 +145,42 @@ fn main() {
             }
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scheme_arg_accepts_every_alias() {
+        for (alias, scheme) in [
+            ("snuca", Scheme::SNuca),
+            ("s-nuca", Scheme::SNuca),
+            ("S-NUCA", Scheme::SNuca),
+            ("rnuca", Scheme::RNuca),
+            ("r-nuca", Scheme::RNuca),
+            ("private", Scheme::Private),
+            ("naive", Scheme::Naive),
+            ("renuca", Scheme::ReNuca),
+            ("re-nuca", Scheme::ReNuca),
+            ("wec", Scheme::Wec),
+            ("coloring", Scheme::Coloring),
+            ("mac", Scheme::Mac),
+            ("re-nuca-c2", Scheme::ReNucaC2),
+            ("renucac2", Scheme::ReNucaC2),
+        ] {
+            assert_eq!(scheme_arg(alias), Some(scheme), "{alias}");
+        }
+        for s in Scheme::ALL {
+            assert_eq!(scheme_arg(s.name()), Some(s));
+        }
+    }
+
+    #[test]
+    fn scheme_arg_rejects_unknown_names() {
+        for bad in ["", "nuca", "re-nuca-c3", "s_nuca", "dnuca"] {
+            assert_eq!(scheme_arg(bad), None, "{bad:?}");
+        }
     }
 }
