@@ -1,27 +1,19 @@
-//! The in-tree benchmark harness plus shared helpers for bench targets.
-//!
-//! Two kinds of bench targets live in `benches/`:
+//! The in-tree benchmark harness for the targets in `benches/`:
 //!
 //! * `micro` — micro-benchmarks of the hot substrate structures (cache
-//!   arrays, CPT, mesh routing, DRAM timing, full-system throughput), run
-//!   on the [`bench()`]/[`bench_with_setup`] harness below;
-//! * `figN_*` / `tableN_*` — custom-harness targets that regenerate the
-//!   corresponding paper figure/table and print the same rows/series, each
-//!   wrapped in [`timed`] so it also emits a machine-readable JSON timing
-//!   line. Run an individual one with
-//!   `cargo bench -p bench --bench fig12_renuca_wearout`, or everything
-//!   with `cargo bench --workspace`.
+//!   arrays, CPT, mesh routing, DRAM timing, full-system throughput);
+//! * `campaign_overhead` — what the campaign scheduler's durability
+//!   machinery costs on top of running the same grid directly.
+//!
+//! Both run on the [`bench()`]/[`bench_with_setup`] harness below. Paper
+//! figures and tables are regenerated by the `experiments` binaries, not
+//! here (`cargo run --release -p experiments --bin all`).
 //!
 //! The harness is deliberately small and dependency-free (the workspace is
 //! hermetic — no criterion): a warmup phase sizes an iteration batch, then
 //! timed samples of that batch yield per-iteration min/mean/median/p95
 //! nanoseconds, reported as one JSON line per benchmark via `sim-stats`'s
 //! emitter. Set `RENUCA_BENCH_SAMPLES` to change the sample count.
-//!
-//! Figure targets default to a reduced instruction budget so a full
-//! `cargo bench --workspace` stays in the ~10-minute range on one CPU;
-//! export `RENUCA_MEASURE` / `RENUCA_WARMUP` (instructions per core) to
-//! regenerate at paper-quality budgets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,40 +21,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use experiments::Budget;
 use sim_stats::JsonObject;
-
-/// The reduced default budget for figure bench targets (overridable via
-/// `RENUCA_WARMUP` / `RENUCA_MEASURE`).
-pub fn bench_budget() -> Budget {
-    let env = Budget::from_env();
-    let default = Budget {
-        warmup: 150_000,
-        measure: 100_000,
-    };
-    Budget {
-        warmup: if std::env::var("RENUCA_WARMUP").is_ok() {
-            env.warmup
-        } else {
-            default.warmup
-        },
-        measure: if std::env::var("RENUCA_MEASURE").is_ok() {
-            env.measure
-        } else {
-            default.measure
-        },
-    }
-}
-
-/// Print a standard header so bench output is self-describing.
-pub fn header(what: &str) {
-    println!("=== {what} ===");
-    let b = bench_budget();
-    println!(
-        "(budget: warmup={} measure={} instructions/core; set RENUCA_MEASURE/RENUCA_WARMUP to rescale)\n",
-        b.warmup, b.measure
-    );
-}
 
 /// Per-iteration timing statistics of one micro-benchmark.
 #[derive(Clone, Debug)]
@@ -184,30 +143,9 @@ pub fn bench_with_setup<S, R>(
     summarize(name, 1, per_iter_ns)
 }
 
-/// Run a figure/table regeneration once, returning its result and printing
-/// a `kind: "figure"` JSON timing line.
-pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> R {
-    let t = Instant::now();
-    let out = f();
-    let elapsed = t.elapsed();
-    let mut o = JsonObject::new();
-    o.field_str("bench", name)
-        .field_str("kind", "figure")
-        .field_f64("elapsed_ms", elapsed.as_secs_f64() * 1e3);
-    println!("{}", o.finish());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_budget_has_sane_defaults() {
-        let b = bench_budget();
-        assert!(b.measure >= 20_000);
-        assert!(b.warmup >= 10_000);
-    }
 
     #[test]
     fn percentile_nearest_rank() {
@@ -237,12 +175,6 @@ mod tests {
             "{j}"
         );
         assert!(j.contains("\"median_ns\":5"));
-    }
-
-    #[test]
-    fn timed_passes_through_result() {
-        let v = timed("unit_test", || 40 + 2);
-        assert_eq!(v, 42);
     }
 
     #[test]

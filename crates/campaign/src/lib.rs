@@ -23,10 +23,7 @@
 //!
 //! The `campaign` binary wires these into `run | resume | status |
 //! verify`; ready-made specs for the paper's figures live in
-//! `campaigns/`. [`serve`] layers the long-running multi-tenant
-//! `campaignd` service (and its `campaign-client`) on top of the same
-//! journal and scheduler, speaking the `renuca-campaignd-v1` wire
-//! protocol documented in `docs/protocol.md`.
+//! `campaigns/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +32,6 @@ pub mod hashes;
 pub mod journal;
 pub mod report;
 pub mod scheduler;
-pub mod serve;
 pub mod spec;
 
 pub use journal::{Journal, Record};

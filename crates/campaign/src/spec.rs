@@ -149,7 +149,7 @@ impl CampaignSpec {
         let mut retries = 2u32;
         let mut backoff_ms = 100u64;
         let mut inject_fail = Vec::new();
-        let mut overrides: Vec<(String, String)> = Vec::new();
+        let mut overrides: Vec<(usize, &str, &str)> = Vec::new();
 
         for (n, line) in lines {
             let mut words = line.split_whitespace();
@@ -186,13 +186,20 @@ impl CampaignSpec {
                         .map(|w| {
                             w.parse::<f64>()
                                 .ok()
-                                .filter(|x| x.is_finite() && *x >= 0.0)
-                                .ok_or_else(|| err(&format!("bad threshold {w:?}")))
+                                .filter(|x| *x > 0.0 && *x <= 100.0)
+                                .ok_or_else(|| {
+                                    err(&format!("bad threshold {w:?} (percent in (0, 100])"))
+                                })
                         })
                         .collect::<Result<_, _>>()?;
                 }
                 "retries" => {
                     retries = parse_one(&rest).map_err(|e| err(&e))?;
+                    if retries == u32::MAX {
+                        return Err(err(&format!(
+                            "retries {retries} overflows the u32 attempt count"
+                        )));
+                    }
                 }
                 "backoff-ms" => {
                     backoff_ms = parse_one(&rest).map_err(|e| err(&e))?;
@@ -213,8 +220,7 @@ impl CampaignSpec {
                     if rest.len() != 2 {
                         return Err(err("set takes <field> <value>"));
                     }
-                    apply_override(&mut config, rest[0], rest[1]).map_err(|e| err(&e))?;
-                    overrides.push((rest[0].to_string(), rest[1].to_string()));
+                    overrides.push((n, rest[0], rest[1]));
                 }
                 other => return Err(err(&format!("unknown directive {other:?}"))),
             }
@@ -223,16 +229,24 @@ impl CampaignSpec {
         let name = name.ok_or("spec is missing a `name` line")?;
         let schemes = schemes.ok_or("spec is missing a `schemes` line")?;
         let workloads = workloads.ok_or("spec is missing a `workloads` line")?;
-        for (desc, v) in overrides {
-            config_desc.push_str(&format!(" {desc}={v}"));
+        // Overrides apply on top of the final `config` line, wherever they
+        // appear; each must leave a machine the simulator accepts.
+        for (n, field, value) in overrides {
+            apply_override(&mut config, field, value)
+                .and_then(|()| config.check())
+                .map_err(|e| format!("line {n}: set {field} {value}: {e}"))?;
+            config_desc.push_str(&format!(" {field}={value}"));
         }
-        config.validate();
+        let budget = match budget {
+            Some(b) => b,
+            None => Budget::from_env()?,
+        };
 
         Ok(CampaignSpec {
             name,
             config,
             config_desc,
-            budget: budget.unwrap_or_else(Budget::from_env),
+            budget,
             schemes,
             workloads,
             thresholds,
@@ -263,7 +277,8 @@ impl CampaignSpec {
         out
     }
 
-    /// Number of attempts a job gets before quarantine.
+    /// Number of attempts a job gets before quarantine (`parse` rejects
+    /// a `retries` count at which this would overflow).
     pub fn max_attempts(&self) -> u32 {
         self.retries + 1
     }
@@ -362,6 +377,14 @@ fn parse_schemes(rest: &[&str]) -> Result<Vec<Scheme>, String> {
 }
 
 fn parse_workloads(rest: &[&str]) -> Result<Vec<usize>, String> {
+    let out_of_range = |id: usize| {
+        format!(
+            "workload {id} out of range (1..={} or write-burst ids {}..={})",
+            workloads::N_WORKLOADS,
+            workloads::WBURST_ID_BASE + 1,
+            workloads::TRICKLE_ID
+        )
+    };
     let mut out = Vec::new();
     for w in rest {
         if let Some((a, b)) = w.split_once("..") {
@@ -369,6 +392,11 @@ fn parse_workloads(rest: &[&str]) -> Result<Vec<usize>, String> {
             let b: usize = b.parse().map_err(|_| format!("bad range end {b:?}"))?;
             if a == 0 || b < a {
                 return Err(format!("bad workload range {w:?}"));
+            }
+            // Bound the range before expanding it: `1..<u64::MAX>` must
+            // be an error, not an attempt to allocate the whole range.
+            if !workloads::is_workload_id(b) {
+                return Err(out_of_range(b));
             }
             out.extend(a..=b);
         } else {
@@ -381,12 +409,7 @@ fn parse_workloads(rest: &[&str]) -> Result<Vec<usize>, String> {
     }
     for id in &out {
         if !workloads::is_workload_id(*id) {
-            return Err(format!(
-                "workload {id} out of range (1..={} or write-burst ids {}..={})",
-                workloads::N_WORKLOADS,
-                workloads::WBURST_ID_BASE + 1,
-                workloads::TRICKLE_ID
-            ));
+            return Err(out_of_range(*id));
         }
     }
     if out.is_empty() {
@@ -512,6 +535,14 @@ retries 1
         assert_eq!(spec.config.rob_entries, 168);
         assert!(!spec.config.prefetch.enabled);
         assert!(spec.config_desc.contains("l2.size_bytes=131072"));
+        // An override applies on top of the `config` line even above it.
+        let spec = CampaignSpec::parse(
+            "renuca-campaign-v1\nname o\nset rob_entries 168\nconfig small 4\n\
+             schemes all\nworkloads 1\n",
+        )
+        .unwrap();
+        assert_eq!(spec.config.rob_entries, 168);
+        assert_eq!(spec.config.n_cores, 4);
 
         for bad in [
             "renuca-campaign-v1\nname o\nschemes all\nworkloads 1\nset l1.size 1\n",
@@ -537,8 +568,24 @@ retries 1
             "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nbudget warmup=1\n",
             "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nfrobnicate 7\n",
             "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nthresholds -1\n",
+            "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nthresholds 0\n",
+            "renuca-campaign-v1\nname x\nschemes all\nworkloads 1\nthresholds 101\n",
+            "renuca-campaign-v1\nname x\nschemes all\nworkloads 1..18446744073709551615\n",
         ] {
             assert!(CampaignSpec::parse(bad).is_err(), "should reject {bad:?}");
+        }
+        // An override that gives an invalid machine, or a `retries` count
+        // whose attempt count would wrap to zero, is an error naming its
+        // own line.
+        for bad in [
+            "set rob_entries 1",
+            "set l2.size_bytes 3",
+            "set l3_bank.size_bytes 0",
+            "retries 4294967295",
+        ] {
+            let spec = format!("renuca-campaign-v1\nname x\nschemes all\nworkloads 1\n{bad}\n");
+            let err = CampaignSpec::parse(&spec).unwrap_err();
+            assert!(err.starts_with("line 5: "), "{bad}: {err}");
         }
     }
 

@@ -58,13 +58,18 @@ impl CacheGeometry {
     /// Panics if the geometry does not divide into a whole power-of-two
     /// number of sets — indexing uses bit masks.
     pub fn sets(&self) -> usize {
-        let lines = self.size_bytes / LINE_BYTES;
-        let sets = lines as usize / self.assoc;
-        assert!(
-            sets > 0 && sets.is_power_of_two() && lines as usize % self.assoc == 0,
-            "cache geometry {self:?} must give a power-of-two number of sets"
-        );
-        sets
+        self.checked_sets().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CacheGeometry::sets`], with the geometry error as a value.
+    fn checked_sets(&self) -> Result<usize, String> {
+        let lines = (self.size_bytes / LINE_BYTES) as usize;
+        match lines.checked_div(self.assoc) {
+            Some(sets) if sets.is_power_of_two() && lines.is_multiple_of(self.assoc) => Ok(sets),
+            _ => Err(format!(
+                "cache geometry {self:?} must give a power-of-two number of sets"
+            )),
+        }
     }
 
     /// Total number of line slots.
@@ -479,55 +484,86 @@ impl SystemConfig {
     /// Validate internal consistency. Called by `System::new`.
     ///
     /// # Panics
-    /// Panics with a descriptive message on inconsistent configuration.
+    /// Panics with [`SystemConfig::check`]'s message on inconsistent
+    /// configuration.
     pub fn validate(&self) {
-        assert!(self.n_cores > 0, "need at least one core");
-        assert!(
-            self.n_cores <= MAX_CORES,
-            "{} cores exceed the {MAX_CORES}-core limit (u32 sharer masks)",
-            self.n_cores
-        );
-        assert_eq!(
-            self.n_cores, self.n_banks,
-            "the paper's NUCA keeps one bank per core"
-        );
-        assert_eq!(
-            self.noc.cols * self.noc.rows,
-            self.n_cores,
-            "mesh must have one tile per core"
-        );
-        assert!(self.rob_entries >= self.fetch_width);
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// Check internal consistency, returning the first violated rule as
+    /// an error message, so a configuration built from external input
+    /// (campaign `set` overrides) fails with a typed error, not a panic.
+    pub fn check(&self) -> Result<(), String> {
+        if self.n_cores == 0 {
+            return Err("need at least one core".into());
+        }
+        if self.n_cores > MAX_CORES {
+            return Err(format!(
+                "{} cores exceed the {MAX_CORES}-core limit (u32 sharer masks)",
+                self.n_cores
+            ));
+        }
+        if self.n_cores != self.n_banks {
+            return Err(format!(
+                "the paper's NUCA keeps one bank per core ({} cores, {} banks)",
+                self.n_cores, self.n_banks
+            ));
+        }
+        if self.noc.cols.checked_mul(self.noc.rows) != Some(self.n_cores) {
+            return Err(format!(
+                "mesh must have one tile per core ({}x{} mesh, {} cores)",
+                self.noc.cols, self.noc.rows, self.n_cores
+            ));
+        }
+        if self.rob_entries < self.fetch_width {
+            return Err(format!(
+                "rob_entries = {} must be at least fetch_width = {}",
+                self.rob_entries, self.fetch_width
+            ));
+        }
         // Bank counts need not be powers of two: every bank-selection path
         // (S-NUCA striping, owner decoding, DRAM channel hashing) either
-        // masks behind a pow2 check or falls back to modulo.
-        // Trigger the power-of-two set checks.
-        let _ = self.l1.sets();
-        let _ = self.l2.sets();
-        let _ = self.l3_bank.sets();
+        // masks behind a pow2 check or falls back to modulo. Set counts
+        // must be: indexing uses bit masks.
         for (name, g) in [("l1", self.l1), ("l2", self.l2), ("l3_bank", self.l3_bank)] {
-            assert!(
-                g.tag_latency <= g.read_latency,
-                "{name}: the tag check overlaps the data read on a hit, \
-                 so tag_latency must not exceed read_latency"
-            );
-            assert!(
-                g.read_latency <= g.write_latency,
-                "{name}: writes cannot be faster than reads \
-                 (symmetric geometries use equal latencies)"
-            );
+            g.checked_sets().map_err(|e| format!("{name}: {e}"))?;
+            if g.tag_latency > g.read_latency {
+                return Err(format!(
+                    "{name}: the tag check overlaps the data read on a hit, \
+                     so tag_latency must not exceed read_latency"
+                ));
+            }
+            if g.read_latency > g.write_latency {
+                return Err(format!(
+                    "{name}: writes cannot be faster than reads \
+                     (symmetric geometries use equal latencies)"
+                ));
+            }
         }
-        assert!(self.tlb_entries % self.tlb_assoc == 0);
-        assert!((self.tlb_entries / self.tlb_assoc).is_power_of_two());
+        if self.tlb_assoc == 0
+            || !self.tlb_entries.is_multiple_of(self.tlb_assoc)
+            || !(self.tlb_entries / self.tlb_assoc).is_power_of_two()
+        {
+            return Err(format!(
+                "{} TLB entries at {} ways must give a power-of-two number of sets",
+                self.tlb_entries, self.tlb_assoc
+            ));
+        }
         // The compression model splits a line into equal sub-blocks; a
         // count that does not divide the 64 B line would leave a ragged
         // tail sub-block the wear masks cannot address.
-        assert!(
-            self.l3_subblocks >= 1
-                && self.l3_subblocks as u64 <= LINE_BYTES
-                && LINE_BYTES % self.l3_subblocks as u64 == 0,
-            "l3_subblocks = {} must divide the {LINE_BYTES} B line size",
-            self.l3_subblocks
-        );
+        if self.l3_subblocks == 0
+            || self.l3_subblocks as u64 > LINE_BYTES
+            || !LINE_BYTES.is_multiple_of(self.l3_subblocks as u64)
+        {
+            return Err(format!(
+                "l3_subblocks = {} must divide the {LINE_BYTES} B line size",
+                self.l3_subblocks
+            ));
+        }
+        Ok(())
     }
 }
 

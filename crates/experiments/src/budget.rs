@@ -17,11 +17,39 @@ impl Budget {
     /// criticality mixes converge within a few hundred thousand
     /// instructions — which is what one CPU can sweep over 5 schemes × 10
     /// workloads × 4 configurations in minutes rather than days.
-    pub fn from_env() -> Self {
-        Budget {
-            warmup: env_u64("RENUCA_WARMUP", 500_000),
-            measure: env_u64("RENUCA_MEASURE", 300_000),
+    ///
+    /// An unset variable means the default. A set one must be a decimal
+    /// instruction count (positive for `RENUCA_MEASURE`); anything else is
+    /// an error naming the variable and its value, never a silent default.
+    pub fn from_env() -> Result<Self, String> {
+        let var = |name: &str| match std::env::var(name) {
+            Ok(v) => Ok(Some(v)),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(std::env::VarError::NotUnicode(v)) => Err(format!("{name}={v:?} is not UTF-8")),
+        };
+        Self::from_vars(
+            var("RENUCA_WARMUP")?.as_deref(),
+            var("RENUCA_MEASURE")?.as_deref(),
+        )
+    }
+
+    /// [`Budget::from_env`] over explicit `RENUCA_WARMUP` /
+    /// `RENUCA_MEASURE` values (`None` = unset).
+    fn from_vars(warmup: Option<&str>, measure: Option<&str>) -> Result<Self, String> {
+        let parse = |name: &str, value: Option<&str>, default: u64| match value {
+            None => Ok(default),
+            Some(v) => v.parse::<u64>().map_err(|_| {
+                format!("{name}={v:?} is not an instruction count (a decimal integer)")
+            }),
+        };
+        let budget = Budget {
+            warmup: parse("RENUCA_WARMUP", warmup, 500_000)?,
+            measure: parse("RENUCA_MEASURE", measure, 300_000)?,
+        };
+        if budget.measure == 0 {
+            return Err("RENUCA_MEASURE=\"0\": the measured window must be positive".into());
         }
+        Ok(budget)
     }
 
     /// A reduced budget for the multi-configuration sweeps (sensitivity
@@ -52,22 +80,35 @@ impl Budget {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_are_sane() {
-        let b = Budget::from_env();
+        let b = Budget::from_vars(None, None).unwrap();
         assert!(b.measure >= 20_000);
         assert!(b.warmup >= 1_000);
+        assert_eq!(
+            Budget::from_vars(Some("7"), Some("9")),
+            Ok(Budget {
+                warmup: 7,
+                measure: 9
+            })
+        );
+        // Malformed or zero values are errors naming the variable and the
+        // value, never a silent fall-back to the default.
+        for (warmup, measure, named) in [
+            (None, Some("abc"), "RENUCA_MEASURE=\"abc\""),
+            (None, Some("3e5"), "RENUCA_MEASURE=\"3e5\""),
+            (None, Some("0"), "RENUCA_MEASURE=\"0\""),
+            (None, Some(""), "RENUCA_MEASURE=\"\""),
+            (Some("-1"), None, "RENUCA_WARMUP=\"-1\""),
+            (Some("18446744073709551616"), None, "RENUCA_WARMUP="),
+        ] {
+            let err = Budget::from_vars(warmup, measure).unwrap_err();
+            assert!(err.contains(named), "{err}");
+        }
     }
 
     #[test]

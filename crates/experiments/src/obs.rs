@@ -80,9 +80,14 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
 /// the instruction budget (`RENUCA_WARMUP` / `RENUCA_MEASURE`) in one
 /// call. The campaign runner resolves the same pair per job — with
 /// [`StatsSink::to`] instead of the command line — so every job manifest
-/// goes through exactly this machinery.
+/// goes through exactly this machinery. A malformed budget variable
+/// prints the error and exits with status 2.
 pub fn standard_args() -> (StatsSink, Budget) {
-    (StatsSink::from_env_args(), Budget::from_env())
+    let budget = Budget::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
+    (StatsSink::from_env_args(), budget)
 }
 
 /// The default 16-core machine for the study-family binaries, honouring

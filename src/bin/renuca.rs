@@ -40,7 +40,10 @@ fn parse(args: &[String]) -> Args {
     let mut out = Args {
         scheme: Scheme::ReNuca,
         workload: 1,
-        budget: Budget::from_env(),
+        budget: Budget::from_env().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        }),
         cfg: SystemConfig::default(),
     };
     let mut it = args.iter();
