@@ -13,7 +13,8 @@
 //! hermetic — no criterion): a warmup phase sizes an iteration batch, then
 //! timed samples of that batch yield per-iteration min/mean/median/p95
 //! nanoseconds, reported as one JSON line per benchmark via `sim-stats`'s
-//! emitter. Set `RENUCA_BENCH_SAMPLES` to change the sample count.
+//! emitter. Set `RENUCA_BENCH_SAMPLES` (an integer of at least 2, default
+//! 30) to change the sample count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,12 +64,32 @@ impl BenchReport {
     }
 }
 
+/// The sample count from `RENUCA_BENCH_SAMPLES`. A malformed value prints
+/// an error naming the variable and exits with status 2.
 fn n_samples() -> usize {
-    std::env::var("RENUCA_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 2)
-        .unwrap_or(30)
+    let parsed = match std::env::var("RENUCA_BENCH_SAMPLES") {
+        Ok(v) => samples_from(Some(&v)),
+        Err(std::env::VarError::NotPresent) => samples_from(None),
+        Err(std::env::VarError::NotUnicode(v)) => {
+            Err(format!("RENUCA_BENCH_SAMPLES={v:?} is not UTF-8"))
+        }
+    };
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// Parse a `RENUCA_BENCH_SAMPLES` value (`None` = unset, 30 samples): a
+/// decimal count of at least 2, or an error naming the variable and value.
+fn samples_from(value: Option<&str>) -> Result<usize, String> {
+    let Some(v) = value else { return Ok(30) };
+    match v.parse::<usize>() {
+        Ok(n) if n >= 2 => Ok(n),
+        _ => Err(format!(
+            "RENUCA_BENCH_SAMPLES={v:?} is not a sample count (an integer of at least 2)"
+        )),
+    }
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
@@ -175,6 +196,20 @@ mod tests {
             "{j}"
         );
         assert!(j.contains("\"median_ns\":5"));
+    }
+
+    #[test]
+    fn sample_count_rejects_malformed_values() {
+        assert_eq!(samples_from(None), Ok(30));
+        assert_eq!(samples_from(Some("2")), Ok(2));
+        assert_eq!(samples_from(Some("100")), Ok(100));
+        for bad in ["abc", "1", "0", "", "-3", "2.5", " 5"] {
+            let err = samples_from(Some(bad)).unwrap_err();
+            assert!(
+                err.contains(&format!("RENUCA_BENCH_SAMPLES={bad:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

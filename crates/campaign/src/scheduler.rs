@@ -325,11 +325,10 @@ fn execute_one(spec: &CampaignSpec, dir: &Path, job: &Job, journal: &Mutex<Journ
                     .append(&record)
                     .expect("journal append");
                 if attempt < spec.max_attempts() {
-                    // Deterministic exponential backoff, capped at 10 s.
-                    let ms = spec
-                        .backoff_ms
-                        .saturating_mul(1 << (attempt - 1))
-                        .min(10_000);
+                    // Deterministic exponential backoff, capped at 10 s;
+                    // the doubling factor saturates once it passes 2^63.
+                    let factor = 1u64.checked_shl(attempt - 1).unwrap_or(u64::MAX);
+                    let ms = spec.backoff_ms.saturating_mul(factor).min(10_000);
                     std::thread::sleep(std::time::Duration::from_millis(ms));
                 }
             }

@@ -226,6 +226,22 @@ fn retries_recover_and_quarantine_reports() {
     let v = report::verify(&spec, &dir).unwrap();
     assert_eq!((v.manifests_checked, v.quarantined), (2, 2));
     fs::remove_dir_all(&dir).unwrap();
+
+    // More than 64 attempts: the backoff's doubling factor must saturate,
+    // not overflow its shift, so the job still ends in quarantine.
+    let spec_text = SPEC
+        .replace("schemes S-NUCA Re-NUCA", "schemes S-NUCA")
+        .replace("workloads 1 2", "workloads 1")
+        .replace("retries 1", "retries 70")
+        .replace("backoff-ms 1", "backoff-ms 0")
+        + "inject-fail 1 1000\n";
+    let spec = CampaignSpec::parse(&spec_text).unwrap();
+    let dir = tmp("quarantine-many");
+    let outcome = scheduler::run(&spec, &dir, opts(1)).unwrap();
+    assert_eq!((outcome.executed, outcome.quarantined), (0, 1));
+    let s = scheduler::status(&spec, &dir).unwrap();
+    assert_eq!((s.quarantined.len(), s.failed_attempts), (1, 71));
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Editing the spec under a live campaign is refused, not papered over.

@@ -237,7 +237,7 @@ impl CoreModel {
         pred: &mut dyn CriticalityPredictor,
         mem: &mut MemoryHierarchy,
     ) -> Cycle {
-        self.commit(now, pred, &mut mem.trace);
+        self.commit(now, pred);
         let dispatch_blocked = self.dispatch(now, src, pred, mem);
 
         if self.budget_done() && self.rob.is_empty() {
@@ -268,12 +268,7 @@ impl CoreModel {
     }
 
     /// In-order commit of completed instructions, plus head-stall tracking.
-    fn commit(
-        &mut self,
-        now: Cycle,
-        pred: &mut dyn CriticalityPredictor,
-        trace: &mut sim_stats::TraceBuffer,
-    ) {
+    fn commit(&mut self, now: Cycle, pred: &mut dyn CriticalityPredictor) {
         for _ in 0..self.commit_width {
             let Some(head) = self.rob.head() else { break };
             if head.complete_at > now {
@@ -293,11 +288,6 @@ impl CoreModel {
                         let pc = head.pc;
                         self.stats.loads_blocked_head.inc();
                         pred.on_rob_block(pc);
-                        trace.record(sim_stats::TraceEvent::RobBlock {
-                            cycle: now,
-                            core: self.id as u32,
-                            pc: pc as u64,
-                        });
                     }
                 }
                 break;

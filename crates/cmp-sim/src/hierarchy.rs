@@ -27,7 +27,7 @@ use crate::noc::Mesh;
 use crate::placement::{AccessMeta, LlcAccessKind, LlcPlacement};
 use crate::table::FixedTable;
 use crate::types::{page_of_line, BankId, CoreId, Cycle, Pc};
-use sim_stats::{Counter, TraceBuffer, TraceEvent};
+use sim_stats::Counter;
 use wear_model::WearTracker;
 
 /// Timing outcome of one core-side memory access.
@@ -229,10 +229,6 @@ pub struct MemoryHierarchy {
     per_core: Vec<PerCoreMemStats>,
     /// Global counters.
     pub stats: HierarchyStats,
-    /// Event trace. Disabled (zero-capacity, empty mask) by default so the
-    /// record calls on the hot paths reduce to one branch each; enable by
-    /// installing a configured [`TraceBuffer`] before running.
-    pub trace: TraceBuffer,
     /// Criticality recorded per resident L3 line (Figure 9 bookkeeping),
     /// enabled by `SystemConfig::track_block_criticality`. Bounded by the
     /// L3 capacity (entries are removed on eviction).
@@ -308,7 +304,6 @@ impl MemoryHierarchy {
             policy,
             per_core: vec![PerCoreMemStats::default(); cfg.n_cores],
             stats: HierarchyStats::default(),
-            trace: TraceBuffer::disabled(),
             // Criticality-tracker bound: one entry per resident L3 line,
             // plus one in-flight fill per bank (the fill is recorded
             // before its victim is evicted).
@@ -564,11 +559,6 @@ impl MemoryHierarchy {
             for holder in cores_of(self.dir.write(line, core)) {
                 self.l1[holder].invalidate(line);
                 self.l2[holder].invalidate(line);
-                self.trace.record(TraceEvent::Coherence {
-                    cycle: data_at_core,
-                    core: holder as u32,
-                    line,
-                });
                 self.mesh
                     .traverse(serving_bank, holder, self.ctrl_flits, data_at_core);
             }
@@ -602,11 +592,6 @@ impl MemoryHierarchy {
         self.stats.set_rotations.inc();
         let flushed = self.l3[bank].rotate_set_mapping();
         self.stats.rotation_flushes.add(flushed.len() as u64);
-        self.trace.record(TraceEvent::Remap {
-            cycle: now,
-            bank: bank as u32,
-            flushed: flushed.len() as u32,
-        });
         for ev in flushed {
             self.evict_l3_victim(ev.line, ev.dirty, bank, now);
         }
@@ -814,12 +799,6 @@ impl MemoryHierarchy {
         self.charge_l3_write(bank, slot, meta.line, true);
         self.stats.l3_fills.inc();
         self.stats.l3_writes.inc();
-        self.trace.record(TraceEvent::Fill {
-            cycle: now,
-            core: meta.core as u32,
-            bank: bank as u32,
-            line: meta.line,
-        });
         if !meta.predicted_critical {
             self.stats.l3_fills_noncritical.inc();
             self.stats.l3_writes_noncritical.inc();
@@ -844,11 +823,6 @@ impl MemoryHierarchy {
             let d2 = self.l2[holder].invalidate(victim).unwrap_or(false);
             dirty |= d1 || d2;
             self.stats.back_invalidations.inc();
-            self.trace.record(TraceEvent::Coherence {
-                cycle: now,
-                core: holder as u32,
-                line: victim,
-            });
             // Invalidation control message to the holder tile.
             self.mesh.traverse(bank, holder, self.ctrl_flits, now);
         }
@@ -929,12 +903,6 @@ impl MemoryHierarchy {
         let t_arrive = self.mesh.traverse(core, bank, self.data_flits, now);
         self.banks.write(bank, t_arrive);
         self.per_core[core].l2_writebacks += 1;
-        self.trace.record(TraceEvent::Writeback {
-            cycle: now,
-            core: core as u32,
-            bank: bank as u32,
-            line,
-        });
         match self.l3[bank].probe(line) {
             LookupResult::Hit { set, way } => {
                 self.l3[bank].mark_dirty(line);
@@ -999,7 +967,6 @@ impl MemoryHierarchy {
             .iter_mut()
             .for_each(|s| *s = PerCoreMemStats::default());
         self.stats = HierarchyStats::default();
-        self.trace.clear();
     }
 
     /// Statistics of one core's L1D.

@@ -3,8 +3,8 @@
 //! [`replay`] drives one seeded trace through `cmp_sim::MemoryHierarchy`
 //! and `golden::GoldenSystem` in lockstep and cross-checks, per access:
 //!
-//! * every placement event (fill / writeback → which bank), with the
-//!   timing-dependent `cycle` field ignored;
+//! * every placement event (fill / writeback → which bank), logged from
+//!   the policy hooks by a recording wrapper around the real policy;
 //! * the acting core's [`PerCoreMemStats`] counters;
 //! * the per-bank write histogram;
 //! * for Re-NUCA, the issue-time criticality prediction of twin CPTs.
@@ -42,13 +42,15 @@
 //! [`PerCoreMemStats`]: cmp_sim::hierarchy::PerCoreMemStats
 //! [`LlcPlacement::as_any`]: cmp_sim::placement::LlcPlacement::as_any
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 use cmp_sim::cache::ReplacementKind;
 use cmp_sim::config::SystemConfig;
 use cmp_sim::hierarchy::MemoryHierarchy;
-use cmp_sim::placement::{AccessMeta, CriticalityPredictor, LlcPlacement};
+use cmp_sim::placement::{AccessMeta, CriticalityPredictor, LlcAccessKind, LlcPlacement};
 use cmp_sim::types::{line_of, owner_of_line, page_of_line, BankId, Cycle};
 use golden::{
     generate, trace_to_text, GoldenCpt, GoldenEvent, GoldenEventKind, GoldenPlacement,
@@ -57,7 +59,7 @@ use golden::{
 use renuca_core::{
     Coloring, Cpt, CptConfig, NaiveOracle, Parts, Placement, ReNuca, Scheme, Wec, COLORING_EPOCH,
 };
-use sim_stats::{StatsRegistry, TraceBuffer, TraceCategory, TraceEvent};
+use sim_stats::StatsRegistry;
 
 use crate::pool::parallel_map_threads;
 
@@ -212,7 +214,7 @@ impl LlcPlacement for MutantPolicy {
         self.inner.secondary_bank(meta)
     }
 
-    fn l3_replacement(&self) -> cmp_sim::cache::ReplacementKind {
+    fn l3_replacement(&self) -> ReplacementKind {
         self.inner.l3_replacement()
     }
 
@@ -301,25 +303,98 @@ fn owner(line: u64, n: usize) -> usize {
     }
 }
 
-fn convert_event(ev: &TraceEvent) -> Option<GoldenEvent> {
-    match *ev {
-        TraceEvent::Fill {
-            core, bank, line, ..
-        } => Some(GoldenEvent {
+/// The placement events one op produced, shared between a [`Recorder`]
+/// inside the hierarchy and the harness that drains it after every op.
+type EventLog = Rc<RefCell<Vec<GoldenEvent>>>;
+
+/// The outermost policy wrapper of the harness: forwards every hook to the
+/// policy it wraps and logs the L3 writes the hierarchy reports through
+/// them. `on_fill(meta, bank)` is a fill; an `on_l3_write(bank)` that does
+/// not directly follow an `on_fill` is an L2 writeback into `bank`, of the
+/// line the last writeback-kind `lookup_bank` asked about.
+struct Recorder {
+    inner: Box<dyn LlcPlacement>,
+    log: EventLog,
+    /// `(core, line)` of the last writeback lookup.
+    writeback: (usize, u64),
+    after_fill: bool,
+}
+
+impl Recorder {
+    fn new(inner: Box<dyn LlcPlacement>) -> (Self, EventLog) {
+        let log = EventLog::default();
+        let rec = Recorder {
+            inner,
+            log: Rc::clone(&log),
+            writeback: (0, 0),
+            after_fill: false,
+        };
+        (rec, log)
+    }
+}
+
+impl LlcPlacement for Recorder {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn lookup_bank(&mut self, meta: &AccessMeta) -> BankId {
+        if meta.kind == LlcAccessKind::Writeback {
+            self.writeback = (meta.core, meta.line);
+        }
+        self.inner.lookup_bank(meta)
+    }
+
+    fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
+        self.inner.fill_bank(meta)
+    }
+
+    fn on_fill(&mut self, meta: &AccessMeta, bank: BankId) {
+        self.log.borrow_mut().push(GoldenEvent {
             kind: GoldenEventKind::Fill,
-            core: core as usize,
-            bank: bank as usize,
-            line,
-        }),
-        TraceEvent::Writeback {
-            core, bank, line, ..
-        } => Some(GoldenEvent {
-            kind: GoldenEventKind::Writeback,
-            core: core as usize,
-            bank: bank as usize,
-            line,
-        }),
-        _ => None,
+            core: meta.core,
+            bank,
+            line: meta.line,
+        });
+        self.after_fill = true;
+        self.inner.on_fill(meta, bank);
+    }
+
+    fn on_l3_write(&mut self, bank: BankId) {
+        if !std::mem::take(&mut self.after_fill) {
+            let (core, line) = self.writeback;
+            self.log.borrow_mut().push(GoldenEvent {
+                kind: GoldenEventKind::Writeback,
+                core,
+                bank,
+                line,
+            });
+        }
+        self.inner.on_l3_write(bank);
+    }
+
+    fn on_evict(&mut self, line: u64, bank: BankId) {
+        self.inner.on_evict(line, bank);
+    }
+
+    fn lookup_overhead(&self) -> Cycle {
+        self.inner.lookup_overhead()
+    }
+
+    fn secondary_bank(&mut self, meta: &AccessMeta) -> Option<BankId> {
+        self.inner.secondary_bank(meta)
+    }
+
+    fn l3_replacement(&self) -> ReplacementKind {
+        self.inner.l3_replacement()
+    }
+
+    fn compression(&self) -> Option<compress::CompressSpec> {
+        self.inner.compression()
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        self.inner.as_any()
     }
 }
 
@@ -345,10 +420,8 @@ fn run_diff(
     if mutate {
         policy = inject_bug(scheme, cfg, policy);
     }
-    let mut h = MemoryHierarchy::new(cfg, policy);
-    // Capture placement events per access; one op emits at most one fill
-    // plus one writeback, so a small buffer drained every op never wraps.
-    h.trace = TraceBuffer::with_categories(16, &[TraceCategory::Fill, TraceCategory::Writeback]);
+    let (recorder, events) = Recorder::new(policy);
+    let mut h = MemoryHierarchy::new(cfg, Box::new(recorder));
 
     let mut g = golden_system(&parts, cfg);
 
@@ -388,8 +461,7 @@ fn run_diff(
         } else {
             h.load(op.core, op.phys, op.pc, predicted, now);
         }
-        let real_events: Vec<GoldenEvent> = h.trace.iter().filter_map(convert_event).collect();
-        h.trace.clear();
+        let real_events = std::mem::take(&mut *events.borrow_mut());
 
         let golden_events = g.step(op.core, op.phys, predicted, op.is_store);
         if real_events != golden_events {
@@ -1211,6 +1283,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn recorder_keeps_policy_state_reachable() {
+        // The end-of-trace policy-state comparisons downcast through
+        // `as_any`; behind the recorder they must still find the policy.
+        let cfg = tiny_cfg(2, 2);
+        let reachable = |scheme: Scheme, is: fn(&dyn std::any::Any) -> bool| {
+            let (recorder, _) = Recorder::new(scheme.build_policy(&cfg));
+            let h = MemoryHierarchy::new(&cfg, Box::new(recorder));
+            let any = h.policy().as_any().expect("as_any forwarded");
+            assert!(is(any), "{} not reachable", scheme.name());
+        };
+        reachable(Scheme::ReNuca, |a| a.is::<ReNuca>());
+        reachable(Scheme::Naive, |a| a.is::<NaiveOracle>());
+        reachable(Scheme::Wec, |a| a.is::<Wec>());
+        reachable(Scheme::Coloring, |a| a.is::<Coloring>());
     }
 
     #[test]

@@ -96,12 +96,38 @@ pub fn standard_args() -> (StatsSink, Budget) {
 /// ([`SystemConfig::with_symmetric_llc`]). The symmetric mapping is
 /// cycle-exact and the config echo drops the asymmetric-only keys, so a
 /// run under the hatch — manifest included — is byte-identical to the
-/// pre-bank-service-model simulator (see DESIGN.md §12).
+/// pre-bank-service-model simulator (see DESIGN.md §12). Unset, `0` and
+/// `false` keep the asymmetric model; any other value prints an error
+/// naming the variable and exits with status 2.
 pub fn default_config() -> SystemConfig {
-    let cfg = SystemConfig::default();
-    match std::env::var("RENUCA_SYMMETRIC_LLC") {
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => cfg.with_symmetric_llc(),
-        _ => cfg,
+    let on = match std::env::var("RENUCA_SYMMETRIC_LLC") {
+        Ok(v) => symmetric_llc(Some(&v)),
+        Err(std::env::VarError::NotPresent) => symmetric_llc(None),
+        Err(std::env::VarError::NotUnicode(v)) => {
+            Err(format!("RENUCA_SYMMETRIC_LLC={v:?} is not UTF-8"))
+        }
+    };
+    match on {
+        Ok(true) => SystemConfig::default().with_symmetric_llc(),
+        Ok(false) => SystemConfig::default(),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// Whether a `RENUCA_SYMMETRIC_LLC` value (`None` = unset) turns the
+/// escape hatch on: `1`/`true` on, `0`/`false` or unset off (either case),
+/// anything else an error naming the variable and its value.
+fn symmetric_llc(value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None => Ok(false),
+        Some(v) if v == "1" || v.eq_ignore_ascii_case("true") => Ok(true),
+        Some(v) if v == "0" || v.eq_ignore_ascii_case("false") => Ok(false),
+        Some(v) => Err(format!(
+            "RENUCA_SYMMETRIC_LLC={v:?} is not a switch (use 1/true or 0/false)"
+        )),
     }
 }
 
@@ -443,6 +469,28 @@ mod tests {
             pos += at + needle.len();
         }
         assert!(json.starts_with(&format!("{{\"schema\":\"{MANIFEST_SCHEMA}\"")));
+    }
+
+    #[test]
+    fn symmetric_llc_switch_rejects_malformed_values() {
+        for (value, on) in [
+            (None, false),
+            (Some("1"), true),
+            (Some("true"), true),
+            (Some("TRUE"), true),
+            (Some("0"), false),
+            (Some("false"), false),
+            (Some("False"), false),
+        ] {
+            assert_eq!(symmetric_llc(value), Ok(on), "{value:?}");
+        }
+        for bad in ["yes", "2", "", " 1", "on"] {
+            let err = symmetric_llc(Some(bad)).unwrap_err();
+            assert!(
+                err.contains(&format!("RENUCA_SYMMETRIC_LLC={bad:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

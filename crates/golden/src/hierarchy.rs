@@ -33,9 +33,8 @@ pub enum GoldenEventKind {
     Writeback,
 }
 
-/// One placement-relevant event, comparable against the real hierarchy's
-/// `TraceEvent::Fill` / `TraceEvent::Writeback` with the timing-dependent
-/// `cycle` field ignored.
+/// One placement-relevant event, comparable against the fills and
+/// writebacks the real hierarchy reports to its placement policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GoldenEvent {
     /// Fill or writeback.

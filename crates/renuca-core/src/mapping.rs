@@ -206,7 +206,7 @@ impl LlcPlacement for PrivateMap {
 }
 
 // ---------------------------------------------------------------------------
-// Residency directory shared by Naive, WEC and Coloring
+// State shared by the directory-based schemes (Naive, WEC, Coloring)
 // ---------------------------------------------------------------------------
 
 /// Line → bank residency directory of the directory-based schemes. The
@@ -248,6 +248,55 @@ impl BankDirectory {
     }
 }
 
+/// Per-bank L3 write counters of the write-steered schemes (Naive, WEC),
+/// with the lowest-index argmin cached: counters only grow, so a write to
+/// any bank other than the coldest cannot move it, and the O(n_banks)
+/// rescan runs only when the coldest bank itself is written.
+#[derive(Clone, Debug)]
+struct BankWrites {
+    writes: Vec<u64>,
+    coldest: BankId,
+}
+
+impl BankWrites {
+    fn new(n_banks: usize) -> Self {
+        BankWrites {
+            writes: vec![0; n_banks],
+            coldest: 0,
+        }
+    }
+
+    fn counters(&self) -> &[u64] {
+        &self.writes
+    }
+
+    /// Lowest-index bank with the fewest writes.
+    #[inline]
+    fn coldest(&self) -> BankId {
+        debug_assert_eq!(
+            self.coldest,
+            self.scan_argmin(),
+            "cached argmin out of sync with write counters"
+        );
+        self.coldest
+    }
+
+    #[inline]
+    fn record(&mut self, bank: BankId) {
+        self.writes[bank] += 1;
+        if bank == self.coldest {
+            self.coldest = self.scan_argmin();
+        }
+    }
+
+    /// Full lowest-index argmin scan over the counters (`min_by_key`
+    /// returns the first of equal minima).
+    fn scan_argmin(&self) -> BankId {
+        let min = self.writes.iter().enumerate().min_by_key(|&(_, &w)| w);
+        min.map_or(0, |(bank, _)| bank)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Naive (perfect wear-leveling oracle)
 // ---------------------------------------------------------------------------
@@ -259,12 +308,7 @@ impl BankDirectory {
 /// paper uses it as an upper bound on leveling, not as a practical design.
 #[derive(Clone, Debug)]
 pub struct NaiveOracle {
-    writes: Vec<u64>,
-    /// Lowest-index argmin of `writes`, maintained incrementally: a write
-    /// to any other bank cannot change it (counters only grow), so the
-    /// O(n_banks) rescan runs only when the current minimum bank is
-    /// written — `fill_bank` itself becomes O(1).
-    min_bank: BankId,
+    writes: BankWrites,
     directory: BankDirectory,
     dir_latency: Cycle,
     fallback: SNuca,
@@ -284,8 +328,7 @@ impl NaiveOracle {
     /// with one in-flight fill per bank of slack).
     pub fn with_line_capacity(n_banks: usize, dir_latency: Cycle, max_lines: usize) -> Self {
         NaiveOracle {
-            writes: vec![0; n_banks],
-            min_bank: 0,
+            writes: BankWrites::new(n_banks),
             directory: BankDirectory::new(n_banks, max_lines),
             dir_latency,
             fallback: SNuca::new(n_banks),
@@ -299,30 +342,7 @@ impl NaiveOracle {
 
     /// Per-bank write counters (oracle state).
     pub fn write_counters(&self) -> &[u64] {
-        &self.writes
-    }
-
-    /// Lowest-index bank with the fewest writes (the cached argmin).
-    fn min_write_bank(&self) -> BankId {
-        debug_assert_eq!(
-            self.min_bank,
-            Self::scan_argmin(&self.writes),
-            "cached argmin out of sync with write counters"
-        );
-        self.min_bank
-    }
-
-    /// Full lowest-index argmin scan over the counters.
-    fn scan_argmin(writes: &[u64]) -> BankId {
-        let mut best = 0;
-        let mut best_w = writes[0];
-        for (b, &w) in writes.iter().enumerate().skip(1) {
-            if w < best_w {
-                best = b;
-                best_w = w;
-            }
-        }
-        best
+        self.writes.counters()
     }
 }
 
@@ -339,18 +359,13 @@ impl LlcPlacement for NaiveOracle {
             .unwrap_or_else(|| self.fallback.bank_of(meta.line))
     }
     fn fill_bank(&mut self, _meta: &AccessMeta) -> BankId {
-        self.min_write_bank()
+        self.writes.coldest()
     }
     fn on_fill(&mut self, meta: &AccessMeta, bank: BankId) {
         self.directory.insert(meta.line, bank);
     }
     fn on_l3_write(&mut self, bank: BankId) {
-        self.writes[bank] += 1;
-        // Incrementing any other bank leaves the minimum untouched; only a
-        // write to the argmin bank itself can move it.
-        if bank == self.min_bank {
-            self.min_bank = Self::scan_argmin(&self.writes);
-        }
+        self.writes.record(bank);
     }
     fn on_evict(&mut self, line: u64, bank: BankId) {
         let removed = self.directory.remove(line);
@@ -630,10 +645,7 @@ pub const WEC_THRESHOLD: u64 = 8;
 /// eviction).
 #[derive(Clone, Debug)]
 pub struct Wec {
-    writes: Vec<u64>,
-    /// Cached lowest-index argmin of `writes` (same incremental-maintenance
-    /// discipline as [`NaiveOracle`]).
-    min_bank: BankId,
+    writes: BankWrites,
     threshold: u64,
     /// Residency directory for *redirected* lines only: a line absent here
     /// is at its S-NUCA home.
@@ -658,8 +670,7 @@ impl Wec {
     /// in-flight fill per bank of slack).
     pub fn with_line_capacity(n_banks: usize, max_lines: usize) -> Self {
         Wec {
-            writes: vec![0; n_banks],
-            min_bank: 0,
+            writes: BankWrites::new(n_banks),
             threshold: WEC_THRESHOLD,
             directory: BankDirectory::new(n_banks, max_lines),
             snuca: SNuca::new(n_banks),
@@ -678,25 +689,12 @@ impl Wec {
 
     /// Per-bank write counters (inspection for the differential harness).
     pub fn write_counters(&self) -> &[u64] {
-        &self.writes
+        self.writes.counters()
     }
 
     /// Number of redirected lines currently tracked.
     pub fn directory_len(&self) -> usize {
         self.directory.len()
-    }
-
-    /// Full lowest-index argmin scan over the counters.
-    fn scan_argmin(writes: &[u64]) -> BankId {
-        let mut best = 0;
-        let mut best_w = writes[0];
-        for (b, &w) in writes.iter().enumerate().skip(1) {
-            if w < best_w {
-                best = b;
-                best_w = w;
-            }
-        }
-        best
     }
 }
 
@@ -710,17 +708,14 @@ impl LlcPlacement for Wec {
             .unwrap_or_else(|| self.snuca.bank_of(meta.line))
     }
     fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
-        debug_assert_eq!(
-            self.min_bank,
-            Self::scan_argmin(&self.writes),
-            "cached argmin out of sync with write counters"
-        );
         let home = self.snuca.bank_of(meta.line);
-        if self.writes[home] >= self.writes[self.min_bank] + self.threshold {
+        let coldest = self.writes.coldest();
+        let writes = self.writes.counters();
+        if writes[home] >= writes[coldest] + self.threshold {
             if self.bug_skewed_redirect {
-                (self.min_bank + 1) % self.writes.len()
+                (coldest + 1) % writes.len()
             } else {
-                self.min_bank
+                coldest
             }
         } else {
             home
@@ -734,10 +729,7 @@ impl LlcPlacement for Wec {
         }
     }
     fn on_l3_write(&mut self, bank: BankId) {
-        self.writes[bank] += 1;
-        if bank == self.min_bank {
-            self.min_bank = Self::scan_argmin(&self.writes);
-        }
+        self.writes.record(bank);
     }
     fn on_evict(&mut self, line: u64, bank: BankId) {
         match self.directory.remove(line) {
@@ -1318,7 +1310,7 @@ mod tests {
             w.on_l3_write(((x >> 33) % 5) as usize);
             let counters = w.write_counters();
             let expect = (0..5).min_by_key(|&b| (counters[b], b)).unwrap();
-            assert_eq!(w.min_bank, expect);
+            assert_eq!(w.writes.coldest(), expect);
         }
     }
 

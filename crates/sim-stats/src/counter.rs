@@ -94,67 +94,6 @@ impl core::ops::AddAssign<u64> for Counter {
     }
 }
 
-/// A counter paired with an elapsed-time denominator, yielding rates.
-///
-/// Used for write-rate extrapolation in the wear model: the tracker counts
-/// writes during the measured window and `RateCounter` turns that into
-/// events/cycle and events/second at a given clock frequency.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RateCounter {
-    events: Counter,
-    cycles: u64,
-}
-
-impl RateCounter {
-    /// New empty rate counter.
-    pub const fn new() -> Self {
-        RateCounter {
-            events: Counter::new(),
-            cycles: 0,
-        }
-    }
-
-    /// Record `n` events.
-    #[inline]
-    pub fn record(&mut self, n: u64) {
-        self.events.add(n);
-    }
-
-    /// Set the elapsed window length in cycles.
-    #[inline]
-    pub fn set_cycles(&mut self, cycles: u64) {
-        self.cycles = cycles;
-    }
-
-    /// Total events recorded.
-    #[inline]
-    pub fn events(&self) -> u64 {
-        self.events.get()
-    }
-
-    /// Window length in cycles.
-    #[inline]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Events per cycle (0.0 for an empty window).
-    #[inline]
-    pub fn per_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.events.as_f64() / self.cycles as f64
-        }
-    }
-
-    /// Events per second at clock frequency `freq_hz`.
-    #[inline]
-    pub fn per_second(&self, freq_hz: f64) -> f64 {
-        self.per_cycle() * freq_hz
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,22 +131,6 @@ mod tests {
         let mut c = Counter::from(9);
         c.reset();
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn rate_counter_rates() {
-        let mut r = RateCounter::new();
-        r.record(100);
-        r.set_cycles(50);
-        assert!((r.per_cycle() - 2.0).abs() < 1e-12);
-        assert!((r.per_second(2.4e9) - 4.8e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn rate_counter_empty_window() {
-        let r = RateCounter::new();
-        assert_eq!(r.per_cycle(), 0.0);
-        assert_eq!(r.per_second(2.4e9), 0.0);
     }
 
     #[test]

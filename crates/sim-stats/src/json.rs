@@ -266,6 +266,7 @@ impl JsonValue {
 /// nesting deeper than 128 levels (the emitter never produces either).
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -278,7 +279,11 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
+/// Recursive-descent parser state. `pos` only ever advances past ASCII
+/// bytes or whole characters, so it always sits on a char boundary of
+/// `text`.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -408,14 +413,7 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| format!("bad \\u at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u at byte {}", self.pos))?;
-                            self.pos += 4;
+                            let code = self.hex4()?;
                             // Surrogate pairs: the emitter never writes them
                             // (it only \u-escapes control characters), but
                             // accept well-formed pairs for completeness.
@@ -424,14 +422,7 @@ impl Parser<'_> {
                                     return Err(format!("lone surrogate at byte {}", self.pos));
                                 }
                                 self.pos += 2;
-                                let hex2 = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or_else(|| format!("bad \\u at byte {}", self.pos))?;
-                                let low = u32::from_str_radix(hex2, 16)
-                                    .map_err(|_| format!("bad \\u at byte {}", self.pos))?;
-                                self.pos += 4;
+                                let low = self.hex4()?;
                                 if !(0xDC00..0xE000).contains(&low) {
                                     return Err(format!(
                                         "invalid surrogate pair at byte {}",
@@ -455,16 +446,26 @@ impl Parser<'_> {
                     return Err(format!("raw control char in string at byte {}", self.pos))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe via char_indices logic).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one whole character (`pos` is on a char
+                    // boundary, see `Parser`).
+                    let c = self.text[self.pos..].chars().next().expect("not at end");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape, as a code unit.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| format!("bad \\u at byte {}", self.pos))?;
+        let code = u32::from_str_radix(hex, 16).expect("four hex digits");
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
@@ -617,6 +618,9 @@ mod tests {
             "{\"a\":1}x",
             "\"bad \\q escape\"",
             "nan",
+            // `\u` takes exactly four hex digits: no sign, no short form.
+            "\"\\u+041\"",
+            "\"\\u41\"",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }

@@ -3,10 +3,9 @@
 //! This crate is deliberately free of any simulator-specific concepts: it
 //! provides the counters, histograms, summary mathematics (arithmetic,
 //! harmonic and geometric means, min/max, coefficient of variation), a
-//! hand-rolled stable-key-order JSON emitter and matching parser, a
-//! fixed-capacity typed event trace ([`trace`]), and the plain-text
-//! table/bar-chart rendering that the experiment harness uses to print
-//! paper-style figures and tables.
+//! hand-rolled stable-key-order JSON emitter and matching parser, and the
+//! plain-text table/bar-chart rendering that the experiment harness uses to
+//! print paper-style figures and tables.
 //!
 //! Everything here is `#![forbid(unsafe_code)]` and allocation-conscious:
 //! counters are plain integers, histograms use fixed log2 bucketing, and the
@@ -21,9 +20,8 @@ pub mod json;
 pub mod registry;
 pub mod render;
 pub mod summary;
-pub mod trace;
 
-pub use counter::{Counter, RateCounter};
+pub use counter::Counter;
 pub use histogram::Histogram;
 pub use json::{JsonObject, JsonValue};
 pub use registry::{StatValue, StatsRegistry};
@@ -31,4 +29,3 @@ pub use render::{bar_chart, grouped_series, Table};
 pub use summary::{
     amean, cv, gmean, hmean, max_f64, min_f64, normalize_to, percent_change, stdev, Summary,
 };
-pub use trace::{TraceBuffer, TraceCategory, TraceEvent, TRACE_ALL};

@@ -96,11 +96,11 @@ impl Counters {
     }
 }
 
-/// Add `n` to a counter, panicking instead of wrapping. The caller holds
+/// Add one to a counter, panicking instead of wrapping. The caller holds
 /// the array exclusively (see [`Counters::unique`]).
 #[inline]
-fn bump(counter: &AtomicU32, n: u32) {
-    match counter.load(Ordering::Relaxed).checked_add(n) {
+fn bump(counter: &AtomicU32) {
+    match counter.load(Ordering::Relaxed).checked_add(1) {
         Some(v) => counter.store(v, Ordering::Relaxed),
         None => counter_overflow(),
     }
@@ -181,14 +181,14 @@ impl WearTracker {
     pub fn record_write(&mut self, bank: usize, slot: usize) {
         debug_assert!(bank < self.nbanks, "bank {bank} out of range");
         debug_assert!(slot < self.slots_per_bank, "slot {slot} out of range");
-        bump(&self.writes.unique()[bank * self.slots_per_bank + slot], 1);
+        bump(&self.writes.unique()[bank * self.slots_per_bank + slot]);
         self.bank_totals[bank] += 1;
         if self.sb_per_slot != 0 {
             // Uncompressed full-line write: every cell of the slot ages.
             let base = (bank * self.slots_per_bank + slot) * self.sb_per_slot;
             let cells = &self.subblock_writes.unique()[base..base + self.sb_per_slot];
             for (k, cell) in cells.iter().enumerate() {
-                bump(cell, 1);
+                bump(cell);
                 self.sb_position_totals[k] += 1;
             }
             self.sb_bank_totals[bank] += self.sb_per_slot as u64;
@@ -216,14 +216,14 @@ impl WearTracker {
             "mask {mask:#x} exceeds {} sub-blocks",
             self.sb_per_slot
         );
-        bump(&self.writes.unique()[bank * self.slots_per_bank + slot], 1);
+        bump(&self.writes.unique()[bank * self.slots_per_bank + slot]);
         self.bank_totals[bank] += 1;
         let base = (bank * self.slots_per_bank + slot) * self.sb_per_slot;
         let cells = self.subblock_writes.unique();
         let mut m = mask;
         while m != 0 {
             let k = m.trailing_zeros() as usize;
-            bump(&cells[base + k], 1);
+            bump(&cells[base + k]);
             self.sb_position_totals[k] += 1;
             m &= m - 1;
         }
@@ -420,48 +420,6 @@ impl WearTracker {
         self.sb_position_totals.iter_mut().for_each(|w| *w = 0);
     }
 
-    /// Merge another tracker of identical geometry into this one.
-    ///
-    /// # Panics
-    /// Panics on geometry mismatch, or if a merged slot or cell counter
-    /// would pass `u32::MAX`.
-    pub fn merge(&mut self, other: &WearTracker) {
-        assert_eq!(self.nbanks, other.nbanks, "bank count mismatch");
-        assert_eq!(
-            self.slots_per_bank, other.slots_per_bank,
-            "slot count mismatch"
-        );
-        assert_eq!(self.sb_per_slot, other.sb_per_slot, "sub-block mismatch");
-        for (a, b) in self.writes.unique().iter().zip(other.writes.values(..)) {
-            bump(a, b);
-        }
-        for (a, b) in self.bank_totals.iter_mut().zip(other.bank_totals.iter()) {
-            *a += b;
-        }
-        for (a, b) in self
-            .subblock_writes
-            .unique()
-            .iter()
-            .zip(other.subblock_writes.values(..))
-        {
-            bump(a, b);
-        }
-        for (a, b) in self
-            .sb_bank_totals
-            .iter_mut()
-            .zip(other.sb_bank_totals.iter())
-        {
-            *a += b;
-        }
-        for (a, b) in self
-            .sb_position_totals
-            .iter_mut()
-            .zip(other.sb_position_totals.iter())
-        {
-            *a += b;
-        }
-    }
-
     /// Register the wear picture under dotted paths: `<prefix>.total_writes`,
     /// then per bank `<prefix>.bank[i].writes`,
     /// `<prefix>.bank[i].max_slot_writes` and
@@ -605,27 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let mut a = WearTracker::new(2, 2);
-        let mut b = WearTracker::new(2, 2);
-        a.record_write(0, 0);
-        b.record_write(0, 0);
-        b.record_write(1, 1);
-        a.merge(&b);
-        assert_eq!(a.slot_writes(0, 0), 2);
-        assert_eq!(a.bank_writes(1), 1);
-        assert_eq!(a.total_writes(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatch")]
-    fn merge_rejects_geometry_mismatch() {
-        let mut a = WearTracker::new(2, 2);
-        let b = WearTracker::new(2, 3);
-        a.merge(&b);
-    }
-
-    #[test]
     fn subblock_writes_age_only_masked_cells() {
         let mut t = WearTracker::with_subblocks(2, 2, 4);
         t.record_subblock_write(0, 1, 0b0011); // cells 0,1
@@ -680,12 +617,10 @@ mod tests {
     }
 
     #[test]
-    fn subblock_counters_survive_reset_and_merge() {
+    fn subblock_counters_clear_on_reset() {
         let mut a = WearTracker::with_subblocks(1, 2, 2);
-        let mut b = WearTracker::with_subblocks(1, 2, 2);
         a.record_subblock_write(0, 0, 0b01);
-        b.record_subblock_write(0, 0, 0b11);
-        a.merge(&b);
+        a.record_subblock_write(0, 0, 0b11);
         assert_eq!(a.subblock_slot_sum(0, 0), 3);
         assert_eq!(a.subblock_total_writes(), 3);
         a.reset();
@@ -727,34 +662,6 @@ mod tests {
         let mut t = WearTracker::with_subblocks(1, 2, 4);
         t.subblock_writes.set(2, u32::MAX);
         t.record_subblock_write(0, 0, 0b0100);
-    }
-
-    #[test]
-    #[should_panic(expected = "wear counter overflow")]
-    fn merge_slot_overflow_panics() {
-        let mut a = WearTracker::new(1, 2);
-        let mut b = WearTracker::new(1, 2);
-        a.writes.set(0, u32::MAX);
-        b.record_write(0, 0);
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "wear counter overflow")]
-    fn merge_cell_overflow_panics() {
-        let mut a = WearTracker::with_subblocks(1, 2, 2);
-        let mut b = WearTracker::with_subblocks(1, 2, 2);
-        a.subblock_writes.set(1, u32::MAX - 2);
-        b.subblock_writes.set(1, 3);
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "sub-block mismatch")]
-    fn merge_rejects_subblock_mismatch() {
-        let mut a = WearTracker::with_subblocks(1, 2, 2);
-        let b = WearTracker::new(1, 2);
-        a.merge(&b);
     }
 
     /// Every slot and cell count of `t`, in index order.
@@ -823,15 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_after_clone_leaves_other_handle_unchanged() {
-        check_write_leaves_other_handle(|t| {
-            let other = t.clone();
-            t.merge(&other);
-            assert_eq!(t.total_writes(), 6);
-        });
-    }
-
-    #[test]
     fn sole_handle_writes_in_place() {
         let (mut t, c) = written_pair();
         drop(c);
@@ -840,7 +738,6 @@ mod tests {
         let cells = Arc::as_ptr(&t.subblock_writes.0);
         t.record_write(0, 0);
         t.record_subblock_write(0, 0, 0b0001);
-        t.merge(&WearTracker::with_subblocks(2, 4, 4));
         t.reset();
         assert_eq!(Arc::as_ptr(&t.writes.0), slots);
         assert_eq!(Arc::as_ptr(&t.subblock_writes.0), cells);
@@ -864,16 +761,5 @@ mod tests {
         let c = t.clone();
         assert!(t.shares_counters_with(&c));
         t.record_subblock_write(0, 1, 0b10);
-    }
-
-    #[test]
-    #[should_panic(expected = "wear counter overflow")]
-    fn merge_overflow_panics_through_a_shared_handle() {
-        let mut t = WearTracker::new(1, 2);
-        t.writes.set(0, u32::MAX - 1);
-        t.record_write(0, 0);
-        let c = t.clone();
-        // `c` shares `t`'s array, which holds u32::MAX at slot 0.
-        t.merge(&c);
     }
 }

@@ -18,6 +18,25 @@ echo "== differential smoke: bounded seeded corpus vs the golden model =="
 # reproducer under out/.
 ./target/release/diffcheck --quick --out out
 
+echo "== e2e benchmark correctness gate: seed 0 against expected.txt =="
+# The frozen end-to-end benchmark (e2e-bench/) is its own workspace, so
+# the tier-1 build above never compiles it. One untraced rep at seed 0
+# checks every point's output fingerprint against e2e-bench/expected.txt;
+# its last line must say "correct":true. The bench refuses to run while
+# any RENUCA_* variable is set (e.g. RENUCA_SKIP_PERF_GUARD below), so
+# all of them are unset for this step.
+E2E_UNSET=()
+for var in $(compgen -e); do
+    case "$var" in RENUCA_*) E2E_UNSET+=(-u "$var") ;; esac
+done
+E2E_LAST="$(env ${E2E_UNSET[@]+"${E2E_UNSET[@]}"} cargo run --release --quiet --offline \
+    --manifest-path e2e-bench/Cargo.toml -- --reps 1 --trace 0 | tail -n 1)"
+if ! printf '%s\n' "$E2E_LAST" | grep -q '"correct":true'; then
+    echo "e2e correctness gate FAILED: $(printf '%s' "$E2E_LAST" | head -c 400)"
+    exit 1
+fi
+echo "e2e correctness gate OK"
+
 echo "== examples =="
 cargo build --examples
 
