@@ -3,8 +3,8 @@
 //!
 //! Each experiment is a pure function from a configuration + instruction
 //! budget to a typed result struct, plus a formatter that prints the same
-//! rows/series the paper plots. The binaries in `src/bin/` and the bench
-//! targets in the `bench` crate are thin wrappers.
+//! rows/series the paper plots. The binaries in `src/bin/` are thin
+//! wrappers.
 //!
 //! | paper artifact | module | binary |
 //! |---|---|---|

@@ -263,12 +263,6 @@ impl Manifest {
         &mut self.stats
     }
 
-    /// Replace the stats registry wholesale (used when a full
-    /// `SimResult::registry()` snapshot is available).
-    pub fn set_stats(&mut self, reg: StatsRegistry) {
-        self.stats = reg;
-    }
-
     /// Set the unit tag of the wear heatmap (default `"years"`).
     pub fn set_wear_unit(&mut self, unit: &str) {
         self.wear_unit = unit.to_string();

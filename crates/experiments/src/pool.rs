@@ -16,29 +16,40 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Worker threads to use: `RENUCA_THREADS` when set to a positive integer,
-/// otherwise the machine's available parallelism (at least 1). An invalid
-/// `RENUCA_THREADS` is reported on stderr before falling back, so a
-/// misconfigured run (`RENUCA_THREADS=all`, `=0`, stray whitespace…) is
-/// visible instead of silently using every core.
+/// Worker threads to use: `RENUCA_THREADS` when set, otherwise the
+/// machine's available parallelism (at least 1). A set `RENUCA_THREADS`
+/// must be a positive integer (surrounding whitespace is fine); anything
+/// else prints an error naming the variable and its value and exits with
+/// status 2, like a malformed `RENUCA_WARMUP`.
 pub fn default_threads() -> usize {
-    match std::env::var("RENUCA_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => eprintln!(
-                "warning: RENUCA_THREADS={v:?} is not a positive integer; \
-                 falling back to available parallelism"
-            ),
-        },
-        Err(std::env::VarError::NotPresent) => {}
-        Err(e) => eprintln!(
-            "warning: RENUCA_THREADS is unreadable ({e}); \
-             falling back to available parallelism"
-        ),
+    let value = match std::env::var("RENUCA_THREADS") {
+        Ok(v) => threads(Some(&v)),
+        Err(std::env::VarError::NotPresent) => threads(None),
+        Err(std::env::VarError::NotUnicode(v)) => Err(format!("RENUCA_THREADS={v:?} is not UTF-8")),
+    };
+    match value {
+        Ok(Some(n)) => n,
+        Ok(None) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+}
+
+/// The worker count a `RENUCA_THREADS` value (`None` = unset) asks for:
+/// `None` when unset, the count when it is a positive integer, else an
+/// error naming the variable and its value.
+fn threads(value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(v) = value else { return Ok(None) };
+    match v.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "RENUCA_THREADS={v:?} is not a thread count (a positive integer)"
+        )),
+    }
 }
 
 /// Lock a mutex whether or not it is poisoned. The pool catches worker
@@ -147,15 +158,21 @@ mod tests {
     }
 
     #[test]
-    fn invalid_renuca_threads_falls_back() {
-        // One test owns the env var (parallel test threads share it).
-        for bad in ["all", "0", "-3", "4x"] {
-            std::env::set_var("RENUCA_THREADS", bad);
-            assert!(default_threads() >= 1, "RENUCA_THREADS={bad}");
+    fn renuca_threads_is_a_positive_integer_or_an_error() {
+        assert_eq!(threads(None), Ok(None));
+        assert_eq!(threads(Some("4")), Ok(Some(4)));
+        assert_eq!(
+            threads(Some(" 3 ")),
+            Ok(Some(3)),
+            "surrounding whitespace is fine"
+        );
+        for bad in ["all", "0", "-3", "4x", "", " "] {
+            let err = threads(Some(bad)).expect_err(bad);
+            assert!(
+                err.contains(&format!("RENUCA_THREADS={bad:?}")),
+                "error must name the variable and value: {err}"
+            );
         }
-        std::env::set_var("RENUCA_THREADS", " 3 ");
-        assert_eq!(default_threads(), 3, "surrounding whitespace is fine");
-        std::env::remove_var("RENUCA_THREADS");
     }
 
     #[test]

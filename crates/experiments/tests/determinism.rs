@@ -1,9 +1,9 @@
 //! Determinism regression: a figure run must produce a byte-identical
 //! `renuca-manifest-v1` regardless of the worker-pool width. The check
-//! runs the real `fig3` binary in subprocesses (one per thread count) so
-//! the in-process pool tests that mutate `RENUCA_THREADS` cannot interfere
-//! and the comparison covers the whole pipeline: workload models, all five
-//! schemes, stats registry and manifest serialization.
+//! runs the real `fig3` binary in subprocesses (one per thread count, each
+//! with its own `RENUCA_THREADS`) so the comparison covers the whole
+//! pipeline: workload models, all five schemes, stats registry and
+//! manifest serialization.
 
 use std::path::PathBuf;
 use std::process::Command;

@@ -31,18 +31,27 @@
 # checkout (a git worktree, removed on exit), both target directories, one
 # log per run and summary.txt. The e2e runs themselves write their JSON
 # documents to out/bench/. No RENUCA_* variable may be set (e2e refuses).
+#
+# Exit status: 2 for bad usage (PAIRS not a positive integer, WORKLOAD not
+# a workload of BENCHMARK.json); 1, after the summary, when any run exited
+# non-zero or any metric has no complete pair; 0 otherwise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+usage() { sed -n '10,16p' "$0" >&2; exit 2; }
 PAIRS=10
 WORKLOAD=scheme-zoo
 while getopts n:w: opt; do
     case "$opt" in
     n) PAIRS="$OPTARG" ;;
     w) WORKLOAD="$OPTARG" ;;
-    *) sed -n '10,16p' "$0" >&2; exit 2 ;;
+    *) usage ;;
     esac
 done
+[[ "$PAIRS" =~ ^[1-9][0-9]*$ ]] || { echo "-n $PAIRS: not a positive integer" >&2; usage; }
+WORKLOADS="$(sed -nE 's/.*\{"name": *"([^"]+)", *"why".*/\1/p' BENCHMARK.json)"
+grep -qxF -- "$WORKLOAD" <<<"$WORKLOADS" ||
+    { echo "-w $WORKLOAD: not a workload of BENCHMARK.json (${WORKLOADS//$'\n'/ })" >&2; usage; }
 SECS="$(sed -nE 's/.*"run_seconds": *([0-9]+).*/\1/p' BENCHMARK.json)"
 shift $((OPTIND - 1))
 BASE_SHA="$(git rev-parse --verify "${1:-HEAD~1}^{commit}")"
@@ -66,6 +75,8 @@ echo "building base $(git rev-parse --short "$BASE_SHA") and the working tree"
 build "$WT" base
 build "$PWD" head
 
+RUN_FAILS=0
+STATUS=0
 for i in $(seq 1 "$PAIRS"); do
     if ((i % 2)); then order="base head"; else order="head base"; fi
     for side in $order; do
@@ -73,6 +84,7 @@ for i in $(seq 1 "$PAIRS"); do
         if ! "$OUT/$side-e2e" --workload "$WORKLOAD" --seed 1 --seconds "$SECS" \
             --trace 0 >"$log" 2>&1; then
             echo "pair $i: $side run exited non-zero (see $log)" >&2
+            RUN_FAILS=$((RUN_FAILS + 1))
         fi
         echo "pair $i/$PAIRS: $side done"
     done
@@ -156,7 +168,7 @@ END {
             bv[++nb] = b; hv[++nh] = h
             if ((better[name] == "higher") ? h > b : h < b) wins++
         }
-        if (nb == 0) { printf "%-14s no complete pairs\n", name; continue }
+        if (nb == 0) { printf "%-14s no complete pairs\n", name; incomplete = 1; continue }
         bootstrap(nb)
         ci = sprintf("[%+.2f%%, %+.2f%%]", 100 * ci_lo, 100 * ci_hi)
         summarize(bv, nb); bmed = med; biqr = q3 - q1
@@ -167,4 +179,10 @@ END {
             hmed, hiqr, wins, pairs, ci, verdict
     }
     printf "failed points: base %d, head %d\n", fb, fh
-}' - "$OUT/values.txt" | tee "$OUT/summary.txt"
+    exit incomplete
+}' - "$OUT/values.txt" | tee "$OUT/summary.txt" || STATUS=1
+if ((RUN_FAILS)); then
+    echo "$RUN_FAILS of $((2 * PAIRS)) runs exited non-zero" >&2
+    STATUS=1
+fi
+exit "$STATUS"

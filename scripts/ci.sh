@@ -23,8 +23,8 @@ echo "== e2e benchmark correctness gate: seed 0 against expected.txt =="
 # the tier-1 build above never compiles it. One untraced rep at seed 0
 # checks every point's output fingerprint against e2e-bench/expected.txt;
 # its last line must say "correct":true. The bench refuses to run while
-# any RENUCA_* variable is set (e.g. RENUCA_SKIP_PERF_GUARD below), so
-# all of them are unset for this step.
+# any RENUCA_* variable is set, so all of them are unset for this step
+# and the speed gate below.
 E2E_UNSET=()
 for var in $(compgen -e); do
     case "$var" in RENUCA_*) E2E_UNSET+=(-u "$var") ;; esac
@@ -36,6 +36,49 @@ if ! printf '%s\n' "$E2E_LAST" | grep -q '"correct":true'; then
     exit 1
 fi
 echo "e2e correctness gate OK"
+
+echo "== e2e speed gate: same-window A/B of scheme-zoo against the parent =="
+# scripts/bench_ab.sh builds the base revision and this tree and runs 5
+# alternating pairs of the scheme-zoo workload (all nine schemes). The
+# base is the revision this tree changes: HEAD when the tree has
+# uncommitted changes, else HEAD~1. Measuring both sides in the same
+# window leaves no committed, host-bound baseline to go stale.
+#
+# A run-time metric fails when the tree wins at most 1 of the 5 pairs AND
+# its median is more than 10 % worse than the base's. 10 % is half of the
+# 20 % slowdown the gate must catch, and above the worst per-run spread
+# (7.6 %) of e2e-bench/README.md's noise study, so noise alone does not
+# reach it. The win count keeps one slow window from failing the gate.
+if [ -n "$(git status --porcelain)" ]; then AB_BASE=HEAD; else AB_BASE=HEAD~1; fi
+if ! git rev-parse --quiet --verify "$AB_BASE^{commit}" >/dev/null; then
+    echo "e2e speed gate FAILED: cannot resolve base $AB_BASE (shallow clone?)"
+    exit 1
+fi
+if ! env ${E2E_UNSET[@]+"${E2E_UNSET[@]}"} scripts/bench_ab.sh -n 5 -w scheme-zoo "$AB_BASE"; then
+    echo "e2e speed gate FAILED: the A/B did not complete (see out/ab/runs/)"
+    exit 1
+fi
+if ! awk '
+    BEGIN { better["sim_mips"] = "higher"; better["warmup_mips"] = "higher"; better["pass_s"] = "lower" }
+    $1 in better && $6 ~ /^[0-9]+\/[0-9]+$/ {
+        seen[$1] = 1; split($6, w, "/")
+        worse = (better[$1] == "higher") ? ($2 - $4) / $2 : ($4 - $2) / $2
+        if (w[1] <= 1 && worse > 0.10) {
+            printf "%s: %d/%d wins, median %.1f %% worse\n", $1, w[1], w[2], 100 * worse
+            bad = 1
+        }
+    }
+    /^failed points:/ { fb = $4 + 0; fh = $6 + 0; pts = 1 }
+    END {
+        for (m in better) if (!(m in seen)) { print m ": missing from the summary"; bad = 1 }
+        if (!pts) { print "failed-points line missing"; bad = 1 }
+        else if (fh > fb) { printf "head fails %d points, base %d\n", fh, fb; bad = 1 }
+        exit bad
+    }' out/ab/summary.txt; then
+    echo "e2e speed gate FAILED (out/ab/summary.txt)"
+    exit 1
+fi
+echo "e2e speed gate OK"
 
 echo "== examples =="
 cargo build --examples
@@ -176,69 +219,6 @@ for s in Re-NUCA Re-NUCA-C2 S-NUCA WEC Coloring MAC; do
     fi
 done
 echo "head-to-head smoke OK ($(wc -c < "$CAMP_TMP/h2h-a/report.json") byte report)"
-
-echo "== bench targets compile =="
-cargo build --benches --release --workspace
-
-echo "== bench smoke: short run emits well-formed JSON lines =="
-BENCH_OUT="$(RENUCA_BENCH_SAMPLES=2 cargo bench -p bench --bench micro 2>/dev/null \
-    | grep '^{"bench"')"
-BENCH_N="$(printf '%s\n' "$BENCH_OUT" | wc -l)"
-BENCH_BAD="$(printf '%s\n' "$BENCH_OUT" | grep -cvE \
-    '^\{"bench":"[^"]+","kind":"micro","samples":[0-9]+,"iters_per_sample":[0-9]+,"min_ns":[0-9.eE+-]+,"mean_ns":[0-9.eE+-]+,"median_ns":[0-9.eE+-]+,"p95_ns":[0-9.eE+-]+\}$' \
-    || true)"
-if [ "$BENCH_N" -lt 10 ] || [ "$BENCH_BAD" -ne 0 ]; then
-    echo "bench smoke FAILED: $BENCH_N lines, $BENCH_BAD malformed"
-    printf '%s\n' "$BENCH_OUT"
-    exit 1
-fi
-echo "bench smoke OK ($BENCH_N benches)"
-
-echo "== perf guard: end-to-end benches vs committed baseline =="
-# The end-to-end system benches — plain Re-NUCA and the compressed
-# Re-NUCA-C2 variant — must stay within 25% of the committed baseline
-# (BENCH_5.json, regenerated via scripts/bench_baseline.sh).
-# min_ns is the stablest statistic under scheduler noise, but host-to-host
-# wall-time still varies; set RENUCA_SKIP_PERF_GUARD=1 when running CI on
-# a machine the baseline was not recorded on.
-if [ "${RENUCA_SKIP_PERF_GUARD:-0}" = "1" ]; then
-    echo "perf guard SKIPPED (RENUCA_SKIP_PERF_GUARD=1)"
-elif [ ! -f BENCH_5.json ]; then
-    echo "perf guard SKIPPED (no BENCH_5.json baseline)"
-else
-    for GUARD_BENCH in system/16core_renuca_10k_instr \
-                       system/16core_renucac2_10k_instr; do
-        BASE_MIN="$(grep -o "{\"bench\":\"$GUARD_BENCH\"[^}]*}" BENCH_5.json \
-            | grep -o '"min_ns":[0-9.eE+-]*' | head -1 | cut -d: -f2)"
-        LIVE_MIN="$(printf '%s\n' "$BENCH_OUT" \
-            | grep -o "{\"bench\":\"$GUARD_BENCH\"[^}]*}" \
-            | grep -o '"min_ns":[0-9.eE+-]*' | head -1 | cut -d: -f2)"
-        if [ -z "$BASE_MIN" ] || [ -z "$LIVE_MIN" ]; then
-            echo "perf guard FAILED: could not extract $GUARD_BENCH min_ns"
-            exit 1
-        fi
-        if ! awk -v live="$LIVE_MIN" -v base="$BASE_MIN" \
-            'BEGIN { exit !(live <= base * 1.25) }'; then
-            echo "perf guard FAILED: $GUARD_BENCH min ${LIVE_MIN}ns > 1.25x baseline ${BASE_MIN}ns"
-            exit 1
-        fi
-        echo "perf guard OK ($GUARD_BENCH min ${LIVE_MIN}ns vs baseline ${BASE_MIN}ns)"
-    done
-fi
-
-echo "== bench smoke: campaign scheduler overhead =="
-CAMPB_OUT="$(RENUCA_BENCH_SAMPLES=2 cargo bench -p bench --bench campaign_overhead 2>/dev/null \
-    | grep '^{"bench"')"
-CAMPB_N="$(printf '%s\n' "$CAMPB_OUT" | wc -l)"
-CAMPB_BAD="$(printf '%s\n' "$CAMPB_OUT" | grep -cvE \
-    '^\{"bench":"campaign/[^"]+","kind":"micro","samples":[0-9]+,"iters_per_sample":[0-9]+,"min_ns":[0-9.eE+-]+,"mean_ns":[0-9.eE+-]+,"median_ns":[0-9.eE+-]+,"p95_ns":[0-9.eE+-]+\}$' \
-    || true)"
-if [ "$CAMPB_N" -lt 4 ] || [ "$CAMPB_BAD" -ne 0 ]; then
-    echo "campaign bench smoke FAILED: $CAMPB_N lines, $CAMPB_BAD malformed"
-    printf '%s\n' "$CAMPB_OUT"
-    exit 1
-fi
-echo "campaign bench smoke OK ($CAMPB_N benches)"
 
 echo "== formatting =="
 cargo fmt --check
