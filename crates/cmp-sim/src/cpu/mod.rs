@@ -22,8 +22,9 @@
 
 pub mod rob;
 
+use crate::feed::BlockSupply;
 use crate::hierarchy::MemoryHierarchy;
-use crate::instr::{Instr, InstrSource};
+use crate::instr::Instr;
 use crate::placement::CriticalityPredictor;
 use crate::tlb::Tlb;
 use crate::types::{line_of, page_of, phys_addr, CoreId, Cycle};
@@ -164,11 +165,10 @@ pub struct CoreModel {
     /// Instruction budget for the current measurement (dispatch stops when
     /// `dispatched` reaches it).
     budget: u64,
-    /// An instruction fetched but not yet dispatched (MSHR stall).
-    pending: Option<Instr>,
-    /// Single-cycle ALU instructions already drawn from the source (via
-    /// [`InstrSource::next_alu_run`]) and awaiting dispatch.
-    alu_run: u32,
+    /// Instructions drawn from the stream; `block[cursor]` dispatches
+    /// next. An MSHR stall leaves the cursor where it is.
+    block: Vec<Instr>,
+    cursor: usize,
     /// Cycle the core finished its budget (ROB drained), if it has.
     finished_at: Option<Cycle>,
     /// Execution statistics.
@@ -188,8 +188,8 @@ impl CoreModel {
             mshrs: Vec::with_capacity(cfg.mshrs_per_core),
             dtlb: Tlb::new(cfg.tlb_entries, cfg.tlb_assoc, cfg.page_walk_latency),
             budget: 0,
-            pending: None,
-            alu_run: 0,
+            block: Vec::with_capacity(crate::feed::block_len(cfg.n_cores)),
+            cursor: 0,
             finished_at: None,
             stats: CoreStats::default(),
         }
@@ -228,12 +228,13 @@ impl CoreModel {
         self.dtlb.reset_stats();
     }
 
-    /// Advance this core by one cycle at time `now`. Returns the next cycle
+    /// Advance this core by one cycle at time `now`, refilling its block
+    /// of instructions from `src` when it runs out. Returns the next cycle
     /// at which the core needs attention (`Cycle::MAX` when done).
     pub fn step(
         &mut self,
         now: Cycle,
-        src: &mut dyn InstrSource,
+        src: &mut dyn BlockSupply,
         pred: &mut dyn CriticalityPredictor,
         mem: &mut MemoryHierarchy,
     ) -> Cycle {
@@ -312,61 +313,22 @@ impl CoreModel {
     fn dispatch(
         &mut self,
         now: Cycle,
-        src: &mut dyn InstrSource,
+        src: &mut dyn BlockSupply,
         pred: &mut dyn CriticalityPredictor,
         mem: &mut MemoryHierarchy,
     ) -> bool {
         // Free completed MSHRs.
         self.mshrs.retain(|m| m.complete_at > now);
 
-        /// Longest ALU run requested from the source in one call. Runs are
-        /// drawn eagerly but dispatched under the same width/ROB/budget
-        /// limits as unbatched instructions, so the bound only caps how far
-        /// ahead of dispatch the source stream is materialized.
-        const ALU_RUN_MAX: u32 = 1024;
-
         for _ in 0..self.fetch_width {
             if self.rob.is_full() || self.budget_done() {
                 return false;
             }
-            // Fast path: single-cycle ALU instructions from a batched run
-            // dispatch without a source call or `Instr` round-trip. The
-            // ROB entry is identical to the `Instr::Alu { latency: 1 }`
-            // arm below.
-            if self.alu_run > 0 {
-                self.alu_run -= 1;
-                self.rob.push(RobEntry {
-                    complete_at: now + 1,
-                    pc: 0,
-                    is_load: false,
-                    blocked_head: false,
-                    predicted_critical: false,
-                });
-                self.stats.dispatched.inc();
-                continue;
+            if self.cursor == self.block.len() {
+                src.refill(&mut self.block);
+                self.cursor = 0;
             }
-            let instr = match self.pending.take() {
-                Some(i) => i,
-                None => {
-                    let run = src.next_alu_run(ALU_RUN_MAX);
-                    if run > 0 {
-                        // First instruction of the run fills this slot; the
-                        // rest wait in `alu_run` for later slots/cycles.
-                        self.alu_run = run - 1;
-                        self.rob.push(RobEntry {
-                            complete_at: now + 1,
-                            pc: 0,
-                            is_load: false,
-                            blocked_head: false,
-                            predicted_critical: false,
-                        });
-                        self.stats.dispatched.inc();
-                        continue;
-                    }
-                    src.next_instr()
-                }
-            };
-            match instr {
+            match self.block[self.cursor] {
                 Instr::Alu { latency } => {
                     self.rob.push(RobEntry {
                         complete_at: now + latency.max(1) as Cycle,
@@ -375,7 +337,6 @@ impl CoreModel {
                         blocked_head: false,
                         predicted_critical: false,
                     });
-                    self.stats.dispatched.inc();
                 }
                 Instr::Store { vaddr, pc } => {
                     let phys = phys_addr(self.id, vaddr);
@@ -391,41 +352,37 @@ impl CoreModel {
                         blocked_head: false,
                         predicted_critical: false,
                     });
-                    self.stats.dispatched.inc();
                     self.stats.stores.inc();
                 }
                 Instr::Load { vaddr, pc } => {
                     let phys = phys_addr(self.id, vaddr);
                     let line = line_of(phys);
                     // Coalesce onto an outstanding miss for the same line.
-                    if let Some(m) = self.mshrs.iter().find(|m| m.line == line) {
-                        let critical = pred.predict(pc);
-                        self.rob.push(RobEntry {
-                            complete_at: m.complete_at,
-                            pc,
-                            is_load: true,
-                            blocked_head: false,
-                            predicted_critical: critical,
-                        });
-                        self.stats.dispatched.inc();
-                        self.stats.loads.inc();
-                        continue;
-                    }
+                    let coalesced = self
+                        .mshrs
+                        .iter()
+                        .find(|m| m.line == line)
+                        .map(|m| m.complete_at);
                     // A new L1 miss needs an MSHR; stall dispatch if the
                     // file is full (bounded memory-level parallelism). The
                     // L1 probe is pure, so it only runs in the full case.
-                    if self.mshrs.len() >= self.mshr_cap && !mem.l1_contains(self.id, line) {
-                        self.pending = Some(instr);
+                    if coalesced.is_none()
+                        && self.mshrs.len() >= self.mshr_cap
+                        && !mem.l1_contains(self.id, line)
+                    {
                         self.stats.mshr_stall_cycles.inc();
                         return true;
                     }
                     let critical = pred.predict(pc);
-                    let tlb = self.dtlb.access(page_of(phys), |_| ());
-                    let out = mem.load(self.id, phys, pc, critical, now + tlb.latency);
-                    let complete_at = now + tlb.latency + out.latency;
-                    if !out.l1_hit {
-                        self.mshrs.push(Mshr { line, complete_at });
-                    }
+                    let complete_at = coalesced.unwrap_or_else(|| {
+                        let tlb = self.dtlb.access(page_of(phys), |_| ());
+                        let out = mem.load(self.id, phys, pc, critical, now + tlb.latency);
+                        let complete_at = now + tlb.latency + out.latency;
+                        if !out.l1_hit {
+                            self.mshrs.push(Mshr { line, complete_at });
+                        }
+                        complete_at
+                    });
                     self.rob.push(RobEntry {
                         complete_at,
                         pc,
@@ -433,10 +390,11 @@ impl CoreModel {
                         blocked_head: false,
                         predicted_critical: critical,
                     });
-                    self.stats.dispatched.inc();
                     self.stats.loads.inc();
                 }
             }
+            self.stats.dispatched.inc();
+            self.cursor += 1;
         }
         false
     }
@@ -447,7 +405,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::hierarchy::MemoryHierarchy;
-    use crate::instr::CyclicSource;
+    use crate::instr::{CyclicSource, InstrSource};
     use crate::placement::{AccessMeta, LlcPlacement, NeverCritical};
     use crate::types::Pc;
 

@@ -121,6 +121,26 @@ impl EventWheel {
         }
     }
 
+    /// Whether `cycle` comes strictly before every pending event. Exact
+    /// when the wheel is empty or `cycle` falls in the current one-cycle
+    /// window (the L0 bitmap answers it); `false` beyond that window,
+    /// where finding the earliest event would cost a search. `cycle` must
+    /// not precede the window.
+    pub fn before_all(&self, cycle: Cycle) -> bool {
+        if self.len == 0 {
+            return true;
+        }
+        let Some(off) = cycle.checked_sub(self.l0_base).filter(|&o| o < L1_GRAIN) else {
+            return false;
+        };
+        // Every L1 and far event lies past the window, so only the L0
+        // slots at or before `cycle` can hold an earlier one.
+        let slot = off as usize;
+        let (word, bit) = (slot / 64, slot % 64);
+        let up_to_bit = u64::MAX >> (63 - bit);
+        self.l0_bits[..word].iter().all(|&w| w == 0) && self.l0_bits[word] & up_to_bit == 0
+    }
+
     /// Remove the earliest pending batch: every event due at the single
     /// earliest occupied cycle, appended to `out` in ascending payload
     /// order. Returns that cycle, or `None` when the wheel is empty.
@@ -246,6 +266,27 @@ mod tests {
     }
 
     #[test]
+    fn before_all_is_exact_inside_the_window() {
+        let mut w = EventWheel::new(0);
+        assert!(w.before_all(1 << 40), "an empty wheel has nothing earlier");
+        w.schedule(10, 0);
+        w.schedule(200, 1);
+        w.schedule(300, 2);
+        assert!(w.before_all(9));
+        assert!(!w.before_all(10), "a tie is not before");
+        assert!(!w.before_all(11));
+        let mut batch = Vec::new();
+        assert_eq!(w.pop_due(&mut batch), Some(10));
+        // 200 sits in the second bitmap word.
+        assert!(w.before_all(199));
+        assert!(!w.before_all(200));
+        assert_eq!(w.pop_due(&mut batch), Some(200));
+        // 300 is in L1; past the one-cycle window the answer is `false`.
+        assert!(w.before_all(255));
+        assert!(!w.before_all(256));
+    }
+
+    #[test]
     fn starts_at_nonzero_offset() {
         // Wheels opened mid-simulation (warm-up boundary) must accept
         // unaligned start cycles.
@@ -290,6 +331,13 @@ mod tests {
                 };
                 w.schedule(now + delay, id);
                 heap.push(Reverse((now + delay, id)));
+            }
+            // `before_all` never claims a cycle that is not earlier than
+            // every pending event.
+            let probe = now + 1 + (x >> 20) % 300;
+            if w.before_all(probe) {
+                let Reverse((first, _)) = *heap.peek().expect("events pending");
+                assert!(probe < first, "before_all({probe}) with {first} pending");
             }
             batch.clear();
         }

@@ -1,5 +1,6 @@
 //! The instruction stream interface between workloads and cores.
 
+use crate::feed::BlockSupply;
 use crate::types::Pc;
 
 /// One dynamic instruction produced by a workload model.
@@ -49,16 +50,19 @@ impl Instr {
 /// Implementors are the synthetic application models in the `workloads`
 /// crate; tests use small closures/arrays. The stream must be infinite —
 /// the instruction *budget* is enforced by the core model, not the source.
-pub trait InstrSource {
+///
+/// Every source is a [`BlockSupply`] through [`fill`](Self::fill), so a
+/// core can dispatch straight from it.
+pub trait InstrSource: BlockSupply {
     /// Produce the next dynamic instruction.
     fn next_instr(&mut self) -> Instr;
 
     /// Consume a run of up to `max` consecutive single-cycle ALU
     /// instructions in one call, returning the run length (possibly 0).
     ///
-    /// This is the batched fast path for the dominant instruction class:
-    /// the core dispatches the `n` returned instructions as `Alu
-    /// { latency: 1 }` without a per-instruction virtual call. The stream
+    /// This is the batched path for the dominant instruction class: the
+    /// default [`fill`](Self::fill) writes the `n` returned instructions
+    /// as `Alu { latency: 1 }` without a call per instruction. The stream
     /// is unchanged — the source must buffer the first non-run instruction
     /// it drew past the run's end and return it from the next
     /// [`next_instr`](Self::next_instr) call. The default implementation
@@ -66,6 +70,40 @@ pub trait InstrSource {
     fn next_alu_run(&mut self, max: u32) -> u32 {
         let _ = max;
         0
+    }
+
+    /// Write the next `block.len()` instructions of the stream into
+    /// `block` and return how many were written: all of them, as the
+    /// stream is infinite.
+    ///
+    /// Cores dispatch from blocks filled this way. The default builds the
+    /// block from [`next_alu_run`](Self::next_alu_run) and
+    /// [`next_instr`](Self::next_instr) calls, so a source that wraps
+    /// another sees the calls a per-instruction consumer would make.
+    fn fill(&mut self, block: &mut [Instr]) -> usize {
+        let mut n = 0;
+        while n < block.len() {
+            let max = u32::try_from(block.len() - n).unwrap_or(u32::MAX);
+            let run = (self.next_alu_run(max) as usize).min(block.len() - n);
+            block[n..n + run].fill(Instr::Alu { latency: 1 });
+            n += run;
+            if n < block.len() {
+                block[n] = self.next_instr();
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// A copy of this source, positioned at the stream's current point,
+    /// that another thread can own.
+    ///
+    /// [`System::new`](crate::system::System::new) hands such copies to a
+    /// generator thread that fills the cores' blocks while the simulating
+    /// thread simulates; see [`feed`](crate::feed). The default `None`
+    /// keeps this source's stream on the simulating thread.
+    fn fork(&self) -> Option<Box<dyn InstrSource + Send>> {
+        None
     }
 
     /// Short label for reports ("mcf", "streamL", …).
@@ -120,6 +158,10 @@ impl InstrSource for CyclicSource {
 
     fn label(&self) -> &str {
         &self.name
+    }
+
+    fn fork(&self) -> Option<Box<dyn InstrSource + Send>> {
+        Some(Box::new(self.clone()))
     }
 }
 

@@ -29,6 +29,8 @@
 //!   consumes), MSHR-limited memory-level parallelism,
 //! * [`event`] — the hierarchical timing wheel that drives the
 //!   event-driven system loop,
+//! * [`feed`] — instruction supply: the blocks cores dispatch from,
+//!   filled inline or on a generator thread,
 //! * [`hierarchy`] — the glue: L1 → L2 → NUCA L3 → DRAM access paths with a
 //!   pluggable L3 placement policy,
 //! * [`system`] — the full 16-core simulation loop and results.
@@ -49,6 +51,7 @@ pub mod config;
 pub mod cpu;
 pub mod dram;
 pub mod event;
+pub mod feed;
 pub mod hierarchy;
 pub mod instr;
 pub mod noc;

@@ -3,6 +3,7 @@
 
 use crate::config::SystemConfig;
 use crate::cpu::{CoreModel, CoreStats};
+use crate::feed::Feed;
 use crate::hierarchy::{BankCompressStats, HierarchyStats, MemoryHierarchy, PerCoreMemStats};
 use crate::instr::InstrSource;
 use crate::placement::{CriticalityPredictor, LlcPlacement, NeverCritical, PredictorStats};
@@ -180,7 +181,7 @@ impl SimResult {
 pub struct System {
     cfg: SystemConfig,
     cores: Vec<CoreModel>,
-    sources: Vec<Box<dyn InstrSource>>,
+    feed: Feed,
     predictors: Vec<Box<dyn CriticalityPredictor>>,
     /// The shared memory system (public for inspection).
     pub mem: MemoryHierarchy,
@@ -204,6 +205,12 @@ impl System {
     /// core; `predictors` one criticality predictor per core (use
     /// [`System::never_critical`] for schemes without criticality logic).
     ///
+    /// When every source [forks](InstrSource::fork) and the host has more
+    /// than one CPU, a generator thread fills the cores' instruction
+    /// blocks from the forked copies (see [`feed`](crate::feed)); it is
+    /// joined when the system drops. Otherwise the sources fill the
+    /// blocks on the calling thread. Both give identical results.
+    ///
     /// # Panics
     /// Panics when the source/predictor counts do not match `cfg.n_cores`.
     pub fn new(
@@ -221,7 +228,7 @@ impl System {
         assert_eq!(predictors.len(), cfg.n_cores, "one predictor per core");
         System {
             cores: (0..cfg.n_cores).map(|i| CoreModel::new(i, &cfg)).collect(),
-            sources,
+            feed: Feed::new(sources),
             predictors,
             mem: MemoryHierarchy::new(&cfg, policy),
             cfg,
@@ -247,6 +254,12 @@ impl System {
         self.now
     }
 
+    /// Whether a generator thread fills the cores' instruction blocks
+    /// (see [`System::new`]).
+    pub fn threaded(&self) -> bool {
+        self.feed.threaded()
+    }
+
     /// Run every core for `instr_per_core` further instructions; returns
     /// when the last core drains.
     ///
@@ -255,7 +268,9 @@ impl System {
     /// the popped cycle are stepped. Cores due at the same cycle step in
     /// ascending core-id order — the same deterministic order the
     /// poll-everything loop used, so the two advance schemes execute
-    /// identically.
+    /// identically. A lone core whose next wake comes before every queued
+    /// event steps again at once, without the round trip through the
+    /// wheel: no other core can act in between, so the order is the same.
     ///
     /// # Panics
     /// Panics if time fails to advance between event batches (a
@@ -274,41 +289,53 @@ impl System {
         }
         let mut due: Vec<u32> = Vec::with_capacity(self.cores.len());
         let mut first = true;
-        while let Some(cycle) = wheel.pop_due(&mut due) {
-            // Time must advance: the first batch fires at the current
-            // cycle, every later one strictly after it. A wheel handing
-            // back the past (or the present, twice) would silently corrupt
-            // timing, so this stays on in release builds.
-            assert!(
-                if first {
-                    cycle >= self.now
-                } else {
-                    cycle > self.now
-                },
-                "event time must advance: wheel popped cycle {cycle} at now={}",
-                self.now
-            );
-            first = false;
-            self.now = cycle;
-            assert!(
-                self.now < bound,
-                "simulation exceeded {bound} cycles for {instr_per_core} instructions/core — livelock?"
-            );
-            // Every resource reservation a step makes starts at or after the
-            // dispatch cycle, and `now` is monotone — so the hierarchy's
-            // busy calendars can drop everything ending before this point.
-            self.mem.set_time_floor(self.now);
-            for &i in &due {
-                let i = i as usize;
-                let nxt = self.cores[i].step(
-                    self.now,
-                    self.sources[i].as_mut(),
-                    self.predictors[i].as_mut(),
-                    &mut self.mem,
+        while let Some(mut cycle) = wheel.pop_due(&mut due) {
+            loop {
+                // Time must advance: the first batch fires at the current
+                // cycle, every later one strictly after it. A wheel handing
+                // back the past (or the present, twice) would silently
+                // corrupt timing, so this stays on in release builds.
+                assert!(
+                    if first {
+                        cycle >= self.now
+                    } else {
+                        cycle > self.now
+                    },
+                    "event time must advance: wheel popped cycle {cycle} at now={}",
+                    self.now
                 );
-                if nxt != Cycle::MAX {
-                    assert!(nxt > self.now, "core {i} scheduled a non-future wake {nxt}");
-                    wheel.schedule(nxt, i as u32);
+                first = false;
+                self.now = cycle;
+                assert!(
+                    self.now < bound,
+                    "simulation exceeded {bound} cycles for {instr_per_core} instructions/core — livelock?"
+                );
+                // Every resource reservation a step makes starts at or after
+                // the dispatch cycle, and `now` is monotone — so the
+                // hierarchy's busy calendars can drop everything ending
+                // before this point.
+                self.mem.set_time_floor(self.now);
+                let mut again = None;
+                for &i in &due {
+                    let i = i as usize;
+                    let nxt = self.cores[i].step(
+                        self.now,
+                        self.feed.core(i),
+                        self.predictors[i].as_mut(),
+                        &mut self.mem,
+                    );
+                    if nxt != Cycle::MAX {
+                        assert!(nxt > self.now, "core {i} scheduled a non-future wake {nxt}");
+                        if due.len() == 1 && wheel.before_all(nxt) {
+                            again = Some(nxt);
+                        } else {
+                            wheel.schedule(nxt, i as u32);
+                        }
+                    }
+                }
+                match again {
+                    Some(next) => cycle = next,
+                    None => break,
                 }
             }
             due.clear();
@@ -336,7 +363,7 @@ impl System {
         let pf = self.mem.prefetcher_enabled();
         self.mem.set_prefetcher_enabled(false);
         for core in 0..self.cores.len() {
-            for (start, bytes) in self.sources[core].warm_ranges() {
+            for (start, bytes) in self.feed.source(core).warm_ranges() {
                 let first = line_of(start);
                 let last = line_of(start + bytes.saturating_sub(1));
                 for line in first..=last {
@@ -369,7 +396,7 @@ impl System {
                     .max(1);
                 let kinstr = cs.committed.get() as f64 / 1000.0;
                 CoreResult {
-                    label: self.sources[i].label().to_owned(),
+                    label: self.feed.source(i).label().to_owned(),
                     committed: cs.committed.get(),
                     cycles,
                     ipc: cs.committed.get() as f64 / cycles as f64,

@@ -6,6 +6,8 @@ use cmp_sim::instr::{CyclicSource, Instr, InstrSource};
 use cmp_sim::placement::{AccessMeta, CriticalityPredictor, LlcPlacement};
 use cmp_sim::system::System;
 use cmp_sim::types::{BankId, Pc};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Address-interleaved static placement (local S-NUCA stand-in).
 struct Striped {
@@ -217,4 +219,127 @@ fn tlb_walks_charged_on_page_crossings() {
         many_pages > one_page,
         "page-crossing stream ({many_pages}) must pay walks vs ({one_page})"
     );
+}
+
+/// Whether this host gives `System::new` a generator thread.
+fn host_threads() -> bool {
+    std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+}
+
+/// An ALU stream that panics once `fill` has handed out `left`
+/// instructions, and counts its instances' drops in `drops`.
+#[derive(Clone)]
+struct Faulty {
+    left: u64,
+    drops: Arc<AtomicUsize>,
+}
+
+impl Drop for Faulty {
+    fn drop(&mut self) {
+        self.drops.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+impl InstrSource for Faulty {
+    fn next_instr(&mut self) -> Instr {
+        Instr::Alu { latency: 1 }
+    }
+
+    fn fill(&mut self, block: &mut [Instr]) -> usize {
+        let n = block.len() as u64;
+        assert!(self.left >= n, "faulty source ran dry");
+        self.left -= n;
+        block.fill(Instr::Alu { latency: 1 });
+        block.len()
+    }
+
+    fn fork(&self) -> Option<Box<dyn InstrSource + Send>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+fn faulty_system(left: u64) -> (System, Arc<AtomicUsize>) {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let sources = (0..4)
+        .map(|_| {
+            Box::new(Faulty {
+                left,
+                drops: Arc::clone(&drops),
+            }) as Box<dyn InstrSource>
+        })
+        .collect();
+    let sys = sys_with(SystemConfig::small(4), sources);
+    assert_eq!(sys.threaded(), host_threads());
+    (sys, drops)
+}
+
+#[test]
+#[should_panic(expected = "faulty source ran dry")]
+fn generator_panic_reaches_run_with_its_message() {
+    // Generous for the first blocks, dry long before 1 M instructions.
+    let (mut sys, _) = faulty_system(50_000);
+    sys.run(1_000_000);
+}
+
+#[test]
+fn dropping_a_warmed_system_joins_its_generator() {
+    let (mut sys, drops) = faulty_system(u64::MAX);
+    let threaded = sys.threaded();
+    sys.warmup(5_000);
+    drop(sys);
+    // The four sources, plus the generator thread's four forked copies,
+    // which it drops as it exits: only a join makes them count by now.
+    let copies = if threaded { 4 } else { 0 };
+    assert_eq!(drops.load(Ordering::SeqCst), 4 + copies);
+}
+
+/// Forwards to a `CyclicSource` without `fork`, forcing inline filling.
+struct Inline(CyclicSource);
+
+impl InstrSource for Inline {
+    fn next_instr(&mut self) -> Instr {
+        self.0.next_instr()
+    }
+    fn label(&self) -> &str {
+        self.0.label()
+    }
+}
+
+#[test]
+fn threaded_and_inline_supply_give_identical_runs() {
+    let mix = |core: u64| -> CyclicSource {
+        let mut v: Vec<Instr> = (0..3000u64)
+            .map(|i| Instr::Load {
+                vaddr: (core << 24) | ((i * 7919 % 3000) * 64),
+                pc: (i % 13) as Pc,
+            })
+            .collect();
+        v.extend((0..500u64).map(|i| Instr::Store {
+            vaddr: (core << 24) | (i * 128),
+            pc: 40,
+        }));
+        v.extend((0..9).map(|l| Instr::Alu { latency: 1 + l % 3 }));
+        CyclicSource::new("mix", v)
+    };
+    let cfg = SystemConfig::small(4);
+    let mut threaded = sys_with(
+        cfg,
+        (0..4)
+            .map(|c| Box::new(mix(c)) as Box<dyn InstrSource>)
+            .collect(),
+    );
+    let mut inline = sys_with(
+        cfg,
+        (0..4)
+            .map(|c| Box::new(Inline(mix(c))) as Box<dyn InstrSource>)
+            .collect(),
+    );
+    assert_eq!(threaded.threaded(), host_threads());
+    assert!(!inline.threaded());
+    let a = threaded.run_measured(3_000, 20_000).registry().dump();
+    let b = inline.run_measured(3_000, 20_000).registry().dump();
+    for (a, b) in a.lines().zip(b.lines()) {
+        assert_eq!(a, b, "first differing registry line");
+    }
+    assert_eq!(a.len(), b.len());
 }

@@ -3,10 +3,16 @@
 //! runs the real `fig3` binary in subprocesses (one per thread count, each
 //! with its own `RENUCA_THREADS`) so the comparison covers the whole
 //! pipeline: workload models, all five schemes, stats registry and
-//! manifest serialization.
+//! manifest serialization. A second check holds the instruction supply to
+//! the same standard: a generator thread and inline filling must give the
+//! same registry.
 
 use std::path::PathBuf;
 use std::process::Command;
+
+use cmp_sim::{Instr, InstrSource, System, SystemConfig};
+use renuca_core::{CptConfig, Scheme};
+use workloads::workload_mix;
 
 fn run_fig3(threads: &str, out: &PathBuf) {
     let status = Command::new(env!("CARGO_BIN_EXE_fig3"))
@@ -50,4 +56,58 @@ fn fig3_manifest_is_identical_across_pool_widths() {
             b.len()
         );
     }
+}
+
+/// Forwards every call but `fork`, so `System::new` fills this source's
+/// blocks on the simulating thread.
+struct Inline(Box<dyn InstrSource>);
+
+impl InstrSource for Inline {
+    fn next_instr(&mut self) -> Instr {
+        self.0.next_instr()
+    }
+    fn next_alu_run(&mut self, max: u32) -> u32 {
+        self.0.next_alu_run(max)
+    }
+    fn fill(&mut self, block: &mut [Instr]) -> usize {
+        self.0.fill(block)
+    }
+    fn label(&self) -> &str {
+        self.0.label()
+    }
+    fn warm_ranges(&self) -> Vec<(u64, u64)> {
+        self.0.warm_ranges()
+    }
+}
+
+#[test]
+fn generator_thread_and_inline_supply_dump_identical_registries() {
+    let run = |inline: bool| {
+        let cfg = SystemConfig::default();
+        assert_eq!(cfg.n_cores, 16);
+        let mut sources = workload_mix(3, cfg.n_cores).build_sources();
+        if inline {
+            sources = sources
+                .into_iter()
+                .map(|s| Box::new(Inline(s)) as Box<dyn InstrSource>)
+                .collect();
+        }
+        let scheme = Scheme::ReNuca;
+        let mut sys = System::new(
+            cfg,
+            scheme.build_policy(&cfg),
+            sources,
+            scheme.build_predictors(&cfg, CptConfig::default()),
+        );
+        let host_threads = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        assert_eq!(sys.threaded(), host_threads && !inline);
+        sys.prewarm();
+        sys.run_measured(20_000, 30_000).registry().dump()
+    };
+    let threaded = run(false);
+    let inline = run(true);
+    for (a, b) in threaded.lines().zip(inline.lines()) {
+        assert_eq!(a, b, "first differing registry line");
+    }
+    assert_eq!(threaded.len(), inline.len());
 }

@@ -97,7 +97,9 @@ impl Thresholds {
     }
 }
 
-/// A deterministic synthetic application.
+/// A deterministic synthetic application. A clone continues the stream
+/// from the same point.
+#[derive(Clone)]
 pub struct AppModel {
     spec: AppSpec,
     rng: SimRng,
@@ -301,6 +303,27 @@ impl InstrSource for AppModel {
         n
     }
 
+    fn fill(&mut self, block: &mut [Instr]) -> usize {
+        let mut slots = block.iter_mut();
+        if let Some(i) = self.peeked.take() {
+            match slots.next() {
+                Some(slot) => *slot = i,
+                None => {
+                    self.peeked = Some(i);
+                    return 0;
+                }
+            }
+        }
+        for slot in slots {
+            *slot = self.draw();
+        }
+        block.len()
+    }
+
+    fn fork(&self) -> Option<Box<dyn InstrSource + Send>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn label(&self) -> &str {
         self.spec.name
     }
@@ -418,6 +441,97 @@ mod tests {
             }
             for (i, want) in got.into_iter().enumerate() {
                 assert_eq!(plain.next_instr(), want, "{}: instr {i}", spec.name);
+            }
+        }
+    }
+
+    /// Forwards only the per-instruction calls, so its `fill` is the
+    /// trait's default (the path a wrapping shim takes).
+    struct PerInstr(AppModel);
+    impl InstrSource for PerInstr {
+        fn next_instr(&mut self) -> Instr {
+            self.0.next_instr()
+        }
+        fn next_alu_run(&mut self, max: u32) -> u32 {
+            self.0.next_alu_run(max)
+        }
+    }
+
+    /// Consume `src` with a seeded mix of `fill` at block length `len`,
+    /// `next_alu_run` and `next_instr` calls until `n` instructions are out.
+    fn mixed_consumer(src: &mut dyn InstrSource, len: usize, n: usize) -> Vec<Instr> {
+        let mut rng = SimRng::seed_from_u64(len as u64);
+        let mut block = vec![Instr::Alu { latency: 0 }; len];
+        let mut got = Vec::with_capacity(n + len);
+        while got.len() < n {
+            match rng.next_u64() % 3 {
+                0 => {
+                    assert_eq!(src.fill(&mut block), len);
+                    got.extend_from_slice(&block);
+                }
+                1 => {
+                    let run = src.next_alu_run(5) as usize;
+                    got.extend(std::iter::repeat_n(Instr::Alu { latency: 1 }, run));
+                }
+                _ => got.push(src.next_instr()),
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn fill_preserves_stream() {
+        // Blocks of 1, 7 and 256 instructions, drawn between ALU runs and
+        // single instructions, through the model's own `fill` and through
+        // the trait's default: both yield the plain `next_instr` stream.
+        for spec in &SPEC_TABLE {
+            for len in [1, 7, 256] {
+                let mut plain = AppModel::new(*spec, 7);
+                let own = mixed_consumer(&mut AppModel::new(*spec, 7), len, 20_000);
+                let default = mixed_consumer(&mut PerInstr(AppModel::new(*spec, 7)), len, 20_000);
+                assert_eq!(own, default, "{}: block {len}", spec.name);
+                for (i, want) in own.into_iter().enumerate() {
+                    assert_eq!(
+                        plain.next_instr(),
+                        want,
+                        "{}: block {len}, instr {i}",
+                        spec.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_of_an_empty_block_keeps_the_peeked_instruction() {
+        let spec = *app_by_name("povray").unwrap();
+        let mut plain = AppModel::new(spec, 3);
+        let mut m = AppModel::new(spec, 3);
+        let run = m.next_alu_run(u32::MAX);
+        assert_eq!(m.fill(&mut []), 0);
+        for _ in 0..run {
+            assert_eq!(plain.next_instr(), Instr::Alu { latency: 1 });
+        }
+        assert_eq!(plain.next_instr(), m.next_instr());
+    }
+
+    #[test]
+    fn fork_continues_the_stream() {
+        for spec in &SPEC_TABLE {
+            let mut m = AppModel::new(*spec, 9);
+            for _ in 0..1_000 {
+                m.next_instr();
+            }
+            // Leave an instruction peeked past the run's end.
+            m.next_alu_run(3);
+            let mut copy = m.fork().expect("models fork");
+            for i in 0..5_000 {
+                assert_eq!(
+                    copy.next_instr(),
+                    m.next_instr(),
+                    "{}: instr {i}",
+                    spec.name
+                );
             }
         }
     }
