@@ -377,14 +377,8 @@ fn parse_schemes(rest: &[&str]) -> Result<Vec<Scheme>, String> {
 }
 
 fn parse_workloads(rest: &[&str]) -> Result<Vec<usize>, String> {
-    let out_of_range = |id: usize| {
-        format!(
-            "workload {id} out of range (1..={} or write-burst ids {}..={})",
-            workloads::N_WORKLOADS,
-            workloads::WBURST_ID_BASE + 1,
-            workloads::TRICKLE_ID
-        )
-    };
+    let out_of_range =
+        |id: usize| format!("workload {id} out of range ({})", workloads::workload_ids());
     let mut out = Vec::new();
     for w in rest {
         if let Some((a, b)) = w.split_once("..") {

@@ -42,8 +42,9 @@ use crate::reserve::{gc, reserve, Calendar};
 use crate::types::{BankId, Cycle};
 use sim_stats::{Counter, Histogram, StatsRegistry};
 
-/// Reservations older than this many cycles behind the observed time
-/// horizon are garbage-collected (same slack as [`crate::dram`]).
+/// Reservations older than this many cycles behind the newest observed
+/// request time are garbage-collected (same slack as [`crate::dram`]).
+/// This drops live reservations too (see [`crate::reserve`]).
 const GC_SLACK: Cycle = 100_000;
 
 /// Operation class for occupancy and transition accounting. Fills count
@@ -152,8 +153,8 @@ pub struct LlcBanks {
     occupancy: bool,
     /// Reservations strictly before this time can never be contended again.
     floor: Cycle,
-    /// Largest `now` observed; advances the amortized GC horizon for
-    /// callers that never push a floor (direct hierarchy use in tests).
+    /// Largest `now` observed; drives the amortized slack-horizon GC for
+    /// every caller, floored or not.
     max_now: Cycle,
     last_gc: Cycle,
 }

@@ -15,7 +15,8 @@ use crate::reserve::{gc, reserve, Calendar};
 use crate::types::Cycle;
 use sim_stats::Counter;
 
-/// Reservations older than this below the newest arrival are dropped.
+/// Reservations older than this below the newest arrival are dropped;
+/// not proof that they are dead (see [`crate::reserve`]).
 const GC_SLACK: Cycle = 100_000;
 
 /// Decomposed DRAM coordinates of a line address.
@@ -133,8 +134,8 @@ impl Dram {
     /// Promise that no future [`Dram::access`] will arrive before `now`.
     /// Bank and bus calendars drop reservations ending at or before the
     /// floor inline, keeping them down to the live in-flight set. Callers
-    /// that cannot make the promise simply never call this; the
-    /// slack-horizon GC in `access` still bounds calendar growth.
+    /// that cannot make the promise simply never call this. The
+    /// slack-horizon GC in `access` runs either way.
     pub fn set_floor(&mut self, now: Cycle) {
         self.floor = self.floor.max(now);
     }

@@ -27,8 +27,6 @@
 //! * [`cpu`] — a trace-driven out-of-order core: ROB with in-order commit,
 //!   head-of-ROB stall detection (the signal the criticality predictor
 //!   consumes), MSHR-limited memory-level parallelism,
-//! * [`event`] — the hierarchical timing wheel that drives the
-//!   event-driven system loop,
 //! * [`feed`] — instruction supply: the blocks cores dispatch from,
 //!   filled inline or on a generator thread,
 //! * [`hierarchy`] — the glue: L1 → L2 → NUCA L3 → DRAM access paths with a
@@ -50,7 +48,6 @@ pub mod coherence;
 pub mod config;
 pub mod cpu;
 pub mod dram;
-pub mod event;
 pub mod feed;
 pub mod hierarchy;
 pub mod instr;

@@ -23,9 +23,8 @@ use crate::types::Cycle;
 use sim_stats::Counter;
 
 /// Reservations ending this many cycles before the newest observed arrival
-/// time are dropped: no future reservation can start earlier, because every
-/// `traverse(now)` argument is at least the (monotone) dispatch cycle of
-/// the access that triggered it, and path latencies are far below this.
+/// time are dropped. Some `traverse` calls arrive far ahead of the time
+/// floor, so this drops live link reservations too (see [`crate::reserve`]).
 const GC_SLACK: Cycle = 100_000;
 
 /// Mesh tile coordinate.
@@ -83,7 +82,7 @@ pub struct Mesh {
     last_gc: Cycle,
     /// Monotone lower bound on all future `traverse` times (simulation
     /// time, fed by [`Mesh::set_floor`]); lets `reserve` drop dead
-    /// intervals inline instead of waiting for the slack-horizon GC.
+    /// intervals inline. The slack-horizon sweep runs as well.
     floor: Cycle,
     /// Traffic counters.
     pub stats: NocStats,

@@ -8,6 +8,8 @@ use crate::hierarchy::{BankCompressStats, HierarchyStats, MemoryHierarchy, PerCo
 use crate::instr::InstrSource;
 use crate::placement::{CriticalityPredictor, LlcPlacement, NeverCritical, PredictorStats};
 use crate::types::{CoreId, Cycle};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use wear_model::WearTracker;
 
 /// Per-core results of a measured run.
@@ -263,19 +265,19 @@ impl System {
     /// Run every core for `instr_per_core` further instructions; returns
     /// when the last core drains.
     ///
-    /// Event-driven: cores register their next wake cycle in an
-    /// [`EventWheel`](crate::event::EventWheel) and only the cores due at
-    /// the popped cycle are stepped. Cores due at the same cycle step in
-    /// ascending core-id order — the same deterministic order the
-    /// poll-everything loop used, so the two advance schemes execute
-    /// identically. A lone core whose next wake comes before every queued
-    /// event steps again at once, without the round trip through the
-    /// wheel: no other core can act in between, so the order is the same.
+    /// Event-driven: a min-heap holds one `(wake cycle, core id)` entry per
+    /// live core, and only the top core steps. Tuple order steps cores due
+    /// at the same cycle in ascending core-id order — the same
+    /// deterministic order the poll-everything loop used, so the two
+    /// advance schemes execute identically. Time advances (and the
+    /// hierarchy's calendars are floored) only when the top's cycle is
+    /// past `now`; a core whose next wake is still the earliest stays on
+    /// top and steps again at once.
     ///
     /// # Panics
-    /// Panics if time fails to advance between event batches (a
-    /// non-advancing event queue means a substrate bug; this is checked
-    /// in release builds too), or if the system livelocks, after a
+    /// Panics if time goes backwards or a step returns a wake that is not
+    /// strictly in the future (either means a substrate bug; both are
+    /// checked in release builds too), or if the system livelocks, after a
     /// generous cycle bound of `10_000 × instr_per_core + 1_000_000`
     /// cycles from the start, saturating at `u64::MAX`.
     pub fn run(&mut self, instr_per_core: u64) {
@@ -283,62 +285,46 @@ impl System {
         for c in &mut self.cores {
             c.add_budget(instr_per_core);
         }
-        let mut wheel = crate::event::EventWheel::new(self.now);
-        for i in 0..self.cores.len() {
-            wheel.schedule(self.now, i as u32);
-        }
-        let mut due: Vec<u32> = Vec::with_capacity(self.cores.len());
-        let mut first = true;
-        while let Some(mut cycle) = wheel.pop_due(&mut due) {
-            loop {
-                // Time must advance: the first batch fires at the current
-                // cycle, every later one strictly after it. A wheel handing
-                // back the past (or the present, twice) would silently
-                // corrupt timing, so this stays on in release builds.
+        let mut wakes: BinaryHeap<Reverse<(Cycle, u32)>> = (0..self.cores.len() as u32)
+            .map(|i| Reverse((self.now, i)))
+            .collect();
+        // Every resource reservation a step makes starts at or after the
+        // dispatch cycle, and `now` is monotone — so the hierarchy's busy
+        // calendars can drop everything ending before this point.
+        self.mem.set_time_floor(self.now);
+        while let Some(mut top) = wakes.peek_mut() {
+            let Reverse((cycle, i)) = *top;
+            if cycle != self.now {
+                // A heap handing back the past would silently corrupt
+                // timing, so this stays on in release builds.
                 assert!(
-                    if first {
-                        cycle >= self.now
-                    } else {
-                        cycle > self.now
-                    },
-                    "event time must advance: wheel popped cycle {cycle} at now={}",
+                    cycle > self.now,
+                    "event time must advance: cycle {cycle} at now={}",
                     self.now
                 );
-                first = false;
                 self.now = cycle;
                 assert!(
                     self.now < bound,
                     "simulation exceeded {bound} cycles for {instr_per_core} instructions/core — livelock?"
                 );
-                // Every resource reservation a step makes starts at or after
-                // the dispatch cycle, and `now` is monotone — so the
-                // hierarchy's busy calendars can drop everything ending
-                // before this point.
                 self.mem.set_time_floor(self.now);
-                let mut again = None;
-                for &i in &due {
-                    let i = i as usize;
-                    let nxt = self.cores[i].step(
-                        self.now,
-                        self.feed.core(i),
-                        self.predictors[i].as_mut(),
-                        &mut self.mem,
-                    );
-                    if nxt != Cycle::MAX {
-                        assert!(nxt > self.now, "core {i} scheduled a non-future wake {nxt}");
-                        if due.len() == 1 && wheel.before_all(nxt) {
-                            again = Some(nxt);
-                        } else {
-                            wheel.schedule(nxt, i as u32);
-                        }
-                    }
-                }
-                match again {
-                    Some(next) => cycle = next,
-                    None => break,
-                }
             }
-            due.clear();
+            let core = i as usize;
+            let nxt = self.cores[core].step(
+                self.now,
+                self.feed.core(core),
+                self.predictors[core].as_mut(),
+                &mut self.mem,
+            );
+            if nxt == Cycle::MAX {
+                PeekMut::pop(top);
+            } else {
+                assert!(
+                    nxt > self.now,
+                    "core {core} scheduled a non-future wake {nxt}"
+                );
+                *top = Reverse((nxt, i));
+            }
         }
     }
 
@@ -605,6 +591,51 @@ mod tests {
         let t1 = sys.now();
         sys.run(100);
         assert!(sys.now() > t1);
+    }
+
+    /// Per-core drain cycles and bank 0's read queueing when cores 1 and 2
+    /// (tiles (1,0) and (0,1), both one hop from bank 0 on the 2×2 mesh)
+    /// each read one L3-resident line of bank 0 in cycle 0, core 1 at
+    /// `vaddr_1` and core 2 at `vaddr_2`. Cores 0 and 3 run ALU work.
+    fn same_cycle_reads(vaddr_1: u64, vaddr_2: u64) -> (Vec<Cycle>, u64) {
+        let alu = || -> Box<dyn InstrSource> {
+            Box::new(CyclicSource::new("alu", vec![Instr::Alu { latency: 1 }]))
+        };
+        let reader = |vaddr: u64| -> Box<dyn InstrSource> {
+            Box::new(CyclicSource::new(
+                "reader",
+                vec![Instr::Load { vaddr, pc: 3 }, Instr::Alu { latency: 1 }],
+            ))
+        };
+        let mut sys = build(4, vec![alu(), reader(vaddr_1), reader(vaddr_2), alu()]);
+        // Install both lines in the L3 only through core 0 (whose tile
+        // holds bank 0), so neither reader finds it in its own L1 or L2.
+        for (core, vaddr) in [(1, vaddr_1), (2, vaddr_2)] {
+            let phys = crate::types::phys_addr(core, vaddr);
+            assert_eq!(crate::types::line_of(phys) & 3, 0, "bank 0 under Striped");
+            sys.mem.prewarm_fill(0, phys);
+        }
+        sys.mem.reset_stats();
+        sys.run(64);
+        let r = sys.result();
+        let cycles = r.per_core.iter().map(|c| c.cycles).collect();
+        (cycles, r.bank_service[0].queue_cycles.get())
+    }
+
+    #[test]
+    fn same_cycle_steps_run_in_ascending_core_id_order() {
+        // Two equidistant cores contend for one bank in the same cycle:
+        // the lower core id steps first and gets the bank, the other
+        // queues one read behind it.
+        let (ab, queued) = same_cycle_reads(0, 256);
+        assert!(queued > 0, "the two reads must contend for bank 0");
+        assert!(ab[1] < ab[2], "core 1 must be served first: {ab:?}");
+        assert_eq!(ab[2] - ab[1], queued, "core 2 waits one read behind core 1");
+        // Swapping the streams swaps which stream wins, not which core:
+        // the outcome follows the core id alone.
+        let (ba, queued_ba) = same_cycle_reads(256, 0);
+        assert_eq!(ba, ab, "the winner is the lower core id, whatever it runs");
+        assert_eq!(queued_ba, queued);
     }
 
     #[test]

@@ -394,12 +394,6 @@ pub struct ReNucaStats {
     pub lookups_rnuca: u64,
     /// Lookups routed by an MBV bit of 0 (S-NUCA side).
     pub lookups_snuca: u64,
-    /// Lookups whose MBV word came from the resolved-route cache (no
-    /// enhanced-TLB probe). Simulator-internal; no hardware analogue.
-    pub route_hits: u64,
-    /// Lookups that missed the route cache and faulted the page's MBV in
-    /// through the enhanced TLB.
-    pub route_misses: u64,
 }
 
 /// **Re-NUCA** (paper §IV): the hybrid mapping.
@@ -415,40 +409,12 @@ pub struct ReNucaStats {
 /// * **Evict**: the line's MBV bit is reset to 0.
 ///
 /// A line's mapping never changes while it is resident (no migration).
-///
-/// # Resolved-route cache
-///
-/// `lookup_bank` is the hottest call in the simulator: every L2 miss takes
-/// it, and the straightforward path re-walks the enhanced TLB's set/LRU
-/// machinery on each call. The route cache short-circuits that walk with a
-/// per-core page → MBV-word table mirroring exactly the pages currently
-/// TLB-resident. Because routes are a pure function of the MBV word, the
-/// cache stays coherent with a *precise* invalidation set:
-///
-/// * **MBV bit flip** (`on_fill` / `on_evict` → `set_mbv_bit`): the cached
-///   word is updated in place. These are the only MBV mutation points.
-/// * **TLB eviction**: [`EnhancedTlb::fault_in_reported`] names the evicted
-///   page and its route entry is dropped, preserving the invariant
-///   "route entry present ⇒ page TLB-resident".
-/// * **CPT threshold crossings** need *no* invalidation: criticality only
-///   influences where *future fills* go (`fill_bank`); a resolved route
-///   depends on the MBV alone, and residency — not prediction — routes.
-///
-/// The cache is simulator-internal (hardware reads the MBV for free with
-/// the translation, §IV.C); it must never change a routing decision, only
-/// how fast the simulator computes it. Cache hits skip the TLB's LRU
-/// touch, so enhanced-TLB hit/miss *statistics* differ from the uncached
-/// path — MBV contents, placement decisions and placement statistics do
-/// not, which is what the differential harness checks.
 pub struct ReNuca {
     snuca: SNuca,
     rnuca: RNuca,
     n_cores: usize,
     /// Per-core enhanced TLBs holding the Mapping Bit Vectors.
     tlbs: Vec<EnhancedTlb>,
-    /// Per-core resolved-route cache: page → MBV word, mirroring the
-    /// TLB-resident pages (bounded by the TLB entry count).
-    route: Vec<FixedTable<u64>>,
     /// Placement statistics.
     pub renuca_stats: ReNucaStats,
 }
@@ -475,26 +441,7 @@ impl ReNuca {
             tlbs: (0..n_cores)
                 .map(|_| EnhancedTlb::new(tlb_entries, tlb_assoc))
                 .collect(),
-            // One route entry per TLB-resident page, so the TLB entry
-            // count bounds the table (+1 slack for the insert-then-remove
-            // window inside a single lookup).
-            route: (0..n_cores)
-                .map(|_| FixedTable::with_capacity(tlb_entries, tlb_entries + 1))
-                .collect(),
             renuca_stats: ReNucaStats::default(),
-        }
-    }
-
-    /// Mirror an MBV bit update into the resolved-route cache, if the page
-    /// has a cached route. Keeps cached words bit-exact with the TLB.
-    #[inline]
-    fn route_update(&mut self, core: CoreId, page: u64, bit: u32, value: bool) {
-        if let Some(word) = self.route[core].get_mut(page) {
-            if value {
-                *word |= 1u64 << bit;
-            } else {
-                *word &= !(1u64 << bit);
-            }
         }
     }
 
@@ -520,19 +467,7 @@ impl LlcPlacement for ReNuca {
 
     fn lookup_bank(&mut self, meta: &AccessMeta) -> BankId {
         let (core, page, bit) = self.locate(meta.line);
-        let mbv = if let Some(&word) = self.route[core].get(page) {
-            self.renuca_stats.route_hits += 1;
-            word
-        } else {
-            self.renuca_stats.route_misses += 1;
-            let (word, evicted) = self.tlbs[core].fault_in_reported(page);
-            if let Some(out) = evicted {
-                self.route[core].remove(out);
-            }
-            self.route[core].insert(page, word);
-            word
-        };
-        if (mbv >> bit) & 1 == 1 {
+        if self.tlbs[core].mbv_bit(page, bit) {
             self.renuca_stats.lookups_rnuca += 1;
             self.rnuca.bank_of(core, meta.line)
         } else {
@@ -558,13 +493,11 @@ impl LlcPlacement for ReNuca {
             self.renuca_stats.noncritical_fills += 1;
         }
         self.tlbs[core].set_mbv_bit(page, bit, meta.predicted_critical);
-        self.route_update(core, page, bit, meta.predicted_critical);
     }
 
     fn on_evict(&mut self, line: u64, _bank: BankId) {
         let (core, page, bit) = self.locate(line);
         self.tlbs[core].set_mbv_bit(page, bit, false);
-        self.route_update(core, page, bit, false);
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -1132,80 +1065,6 @@ mod tests {
             let expect = (0..7).min_by_key(|&b| (w[b], b)).unwrap();
             assert_eq!(n.fill_bank(&meta(x % 1000, false)), expect);
         }
-    }
-
-    #[test]
-    fn route_cache_matches_fresh_tlb_routing() {
-        use cmp_sim::types::page_of_line;
-
-        // Seeded property test for the resolved-route cache: a tiny
-        // 4-entry enhanced TLB under a random lookup/fill/evict storm over
-        // 64 pages churns residency constantly; every lookup must match
-        // the route computed fresh from the authoritative MBV word
-        // (`EnhancedTlb::mbv` is a pure read — it cannot be served by the
-        // route cache).
-        fn lcg(x: &mut u64) -> u64 {
-            *x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *x >> 11
-        }
-
-        let mut r = ReNuca::with_tlb_geometry(4, 4, 4, 2);
-        let snuca = SNuca::new(16);
-        let rnuca = RNuca::new(4, 4);
-        let space = 64u64 * 64; // line numbers spanning 64 pages
-        let mut resident: Vec<(u64, BankId)> = Vec::new();
-        let mut x: u64 = 0x1234_5678_9ABC_DEF1;
-        let check = |r: &mut ReNuca, line: u64| {
-            let core = owner(line, 16);
-            let page = page_of_line(line);
-            let bit = line_index_in_page(line) as u32;
-            let expect = if (r.tlb(core).mbv(page) >> bit) & 1 == 1 {
-                rnuca.bank_of(core, line)
-            } else {
-                snuca.bank_of(line)
-            };
-            assert_eq!(
-                r.lookup_bank(&meta(line, false)),
-                expect,
-                "route diverged for line {line:#x} (core {core}, page {page:#x}, bit {bit})"
-            );
-        };
-
-        for _ in 0..20_000 {
-            match lcg(&mut x) % 8 {
-                0..=4 => check(&mut r, lcg(&mut x) % space),
-                5 | 6 => {
-                    let m = meta(lcg(&mut x) % space, lcg(&mut x) % 2 == 0);
-                    let b = r.fill_bank(&m);
-                    r.on_fill(&m, b);
-                    resident.push((m.line, b));
-                }
-                _ => {
-                    if !resident.is_empty() {
-                        let (line, b) =
-                            resident.swap_remove((lcg(&mut x) as usize) % resident.len());
-                        r.on_evict(line, b);
-                    }
-                }
-            }
-        }
-        // Exhaustive final sweep: every line in the space routes correctly.
-        for line in 0..space {
-            check(&mut r, line);
-        }
-
-        let s = r.renuca_stats;
-        assert!(s.route_hits > 0, "stress must exercise cache hits");
-        assert!(s.route_misses > 0, "stress must exercise cache misses");
-        assert_eq!(
-            s.route_hits + s.route_misses,
-            s.lookups_rnuca + s.lookups_snuca,
-            "every lookup is either a route hit or a route miss"
-        );
-        let churned = (0..16).any(|c| r.tlb(c).stats().evictions.get() > 0);
-        assert!(churned, "TLBs must have evicted during the stress");
     }
 
     #[test]

@@ -106,35 +106,23 @@ impl EnhancedTlb {
         self.backing.len()
     }
 
-    /// Ensure `page` is TLB-resident and return its MBV together with the
-    /// page (if any) the TLB evicted to make room.
-    ///
-    /// The evicted-page report exists for the resolved-route cache in
-    /// [`ReNuca`](crate::mapping::ReNuca): route entries are only valid for
-    /// TLB-resident pages, so every residency loss must be visible to the
-    /// caller. All TLB refills go through this method — `set_mbv_bit` only
-    /// mutates payloads in place and never changes residency.
-    pub fn fault_in_reported(&mut self, page: u64) -> (u64, Option<u64>) {
+    /// Ensure `page` is TLB-resident and return its MBV. A refill reloads
+    /// the vector from the backing store; the entry it evicts parks its
+    /// vector there unless it is all zero.
+    fn fault_in(&mut self, page: u64) -> u64 {
         if let Some(&mbv) = self.tlb.payload(page) {
             // Touch for LRU.
             self.tlb.access(page, |_| unreachable!("resident"));
-            return (mbv, None);
+            return mbv;
         }
         let refill = self.backing.remove(page).unwrap_or(0);
         let acc = self.tlb.access(page, |_| refill);
-        let mut evicted = None;
         if let Some((evicted_page, mbv)) = acc.evicted {
             if mbv != 0 {
                 self.backing.insert(evicted_page, mbv);
             }
-            evicted = Some(evicted_page);
         }
-        (refill, evicted)
-    }
-
-    /// Ensure `page` is TLB-resident and return its MBV.
-    fn fault_in(&mut self, page: u64) -> u64 {
-        self.fault_in_reported(page).0
+        refill
     }
 }
 
@@ -217,16 +205,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_in_reports_evicted_page() {
+    fn fault_in_restores_the_evicted_mbv() {
         // 2-entry direct-mapped TLB: pages 0 and 2 conflict.
         let mut t = EnhancedTlb::new(2, 1);
-        assert_eq!(t.fault_in_reported(0), (0, None));
+        assert_eq!(t.fault_in(0), 0);
         t.set_mbv_bit(0, 5, true);
-        assert_eq!(t.fault_in_reported(2), (0, Some(0)));
+        assert_eq!(t.fault_in(2), 0);
+        assert_eq!(t.mbv(0), 1 << 5, "evicted vector parked");
         // Faulting page 0 back evicts page 2 and restores the stored MBV.
-        assert_eq!(t.fault_in_reported(0), (1 << 5, Some(2)));
-        // A hit reports no eviction.
-        assert_eq!(t.fault_in_reported(0), (1 << 5, None));
+        assert_eq!(t.fault_in(0), 1 << 5);
+        assert_eq!(t.backing_len(), 0);
+        // A hit returns the resident vector.
+        assert_eq!(t.fault_in(0), 1 << 5);
     }
 
     #[test]

@@ -337,14 +337,13 @@ fn coloring_directory_exactness() {
     }
 }
 
-/// The competitor policies are deterministic and route-cache safe: two
-/// independently built instances driven by the same seeded schedule make
-/// identical bank choices at every step (fresh-instance oracle, in the
-/// style of the fresh-TLB comparisons), and looking the same line up
-/// twice in a row returns the same bank — the resolved-route cache may
-/// replay any lookup result it captured.
+/// The competitor policies are deterministic: two independently built
+/// instances driven by the same seeded schedule make identical bank
+/// choices at every step (fresh-instance oracle, in the style of the
+/// fresh-TLB comparisons), and looking the same line up twice in a row
+/// returns the same bank.
 #[test]
-fn competitor_policies_are_deterministic_and_route_cache_safe() {
+fn competitor_policies_are_deterministic() {
     let meshes = [(1usize, 1usize), (3, 1), (3, 2), (4, 3)];
     for (cols, rows) in meshes {
         let cfg = cmp_sim::config::SystemConfig::mesh(cols, rows);
@@ -389,7 +388,7 @@ fn competitor_policies_are_deterministic_and_route_cache_safe() {
                 assert_eq!(
                     first,
                     a.lookup_bank(&m),
-                    "{}: repeated lookup must be stable for the route cache",
+                    "{}: repeated lookup must be stable",
                     scheme.name()
                 );
                 assert_eq!(

@@ -37,7 +37,7 @@ pub mod model;
 pub mod spec;
 pub mod wburst;
 
-pub use mixes::{is_workload_id, workload_mix, WorkloadMix, N_WORKLOADS};
+pub use mixes::{is_workload_id, workload_ids, workload_mix, WorkloadMix, N_WORKLOADS};
 pub use model::AppModel;
 pub use spec::{app_by_name, AppSpec, WriteIntensity, SPEC_TABLE};
 pub use wburst::{N_WBURST, TRICKLE_ID, WBURST_ID_BASE, WBURST_TABLE};

@@ -26,6 +26,15 @@ pub fn is_workload_id(id: usize) -> bool {
     (1..=N_WORKLOADS).contains(&id) || wburst_level(id).is_some() || id == TRICKLE_ID
 }
 
+/// The valid workload ids as text for error messages:
+/// `1..=10 or write-burst ids 101..=105`.
+pub fn workload_ids() -> String {
+    format!(
+        "1..={N_WORKLOADS} or write-burst ids {}..={TRICKLE_ID}",
+        WBURST_ID_BASE + 1
+    )
+}
+
 /// One 16-core multiprogrammed workload.
 #[derive(Clone, Debug)]
 pub struct WorkloadMix {
@@ -106,9 +115,8 @@ pub fn workload_mix(id: usize, n_cores: usize) -> WorkloadMix {
     }
     assert!(
         (1..=N_WORKLOADS).contains(&id),
-        "workload id must be 1..={N_WORKLOADS} or a write-burst id \
-         ({}..={TRICKLE_ID}), got {id}",
-        WBURST_ID_BASE + 1
+        "workload id must be {}, got {id}",
+        workload_ids()
     );
     let mut rng = SimRng::seed_from_u64(0xC0FFEE ^ (id as u64).wrapping_mul(0x9E3779B97F4A7C15));
 

@@ -80,8 +80,18 @@ if ! awk '
 fi
 echo "e2e speed gate OK"
 
-echo "== examples =="
-cargo build --examples
+echo "== examples: build and run every example =="
+# The examples are the public-API drivers of System::run; running them
+# (a few seconds together) catches a panic that a build alone cannot.
+cargo build --release --examples
+for src in examples/*.rs; do
+    ex="$(basename "$src" .rs)"
+    if ! ./target/release/examples/"$ex" >/dev/null; then
+        echo "examples FAILED: $ex exited non-zero"
+        exit 1
+    fi
+done
+echo "examples OK"
 
 echo "== rustdoc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

@@ -12,6 +12,7 @@
 
 use renuca::prelude::*;
 use renuca::wear::lifetime_variation;
+use renuca::workloads::{is_workload_id, workload_ids};
 
 fn usage() -> ! {
     eprintln!(
@@ -64,7 +65,18 @@ fn parse(args: &[String]) -> Args {
                     usage()
                 })
             }
-            "--workload" => out.workload = value("--workload").parse().unwrap_or_else(|_| usage()),
+            "--workload" => {
+                let id = value("--workload");
+                // Any id `workload_mix` builds; it panics on the rest.
+                out.workload = id
+                    .parse()
+                    .ok()
+                    .filter(|&n| is_workload_id(n))
+                    .unwrap_or_else(|| {
+                        eprintln!("unknown workload {id} (valid ids: {})", workload_ids());
+                        std::process::exit(2)
+                    })
+            }
             "--warmup" => out.budget.warmup = value("--warmup").parse().unwrap_or_else(|_| usage()),
             "--measure" => {
                 out.budget.measure = value("--measure").parse().unwrap_or_else(|_| usage())
