@@ -104,13 +104,6 @@ pub struct DramConfig {
     pub t_burst: u64,
 }
 
-impl DramConfig {
-    /// Total DRAM banks across all channels and ranks.
-    pub fn total_banks(&self) -> usize {
-        self.channels * self.ranks * self.banks_per_rank
-    }
-}
-
 impl Default for DramConfig {
     fn default() -> Self {
         DramConfig {
@@ -700,7 +693,8 @@ mod tests {
 
     #[test]
     fn dram_total_banks() {
-        assert_eq!(DramConfig::default().total_banks(), 64);
+        let d = DramConfig::default();
+        assert_eq!(d.channels * d.ranks * d.banks_per_rank, 64);
     }
 
     #[test]

@@ -311,7 +311,12 @@ impl MemoryHierarchy {
                 let bound = cfg.n_banks * cfg.l3_bank.lines() + cfg.n_banks;
                 FixedTable::with_capacity(bound.min(4096), bound)
             }),
-            prefetch_cfg: cfg.prefetch,
+            // An empty stream table leaves nothing to train: no streams
+            // means no prefetcher.
+            prefetch_cfg: PrefetchConfig {
+                enabled: cfg.prefetch.enabled && cfg.prefetch.streams > 0,
+                ..cfg.prefetch
+            },
             streams: vec![vec![StreamEntry::default(); cfg.prefetch.streams]; cfg.n_cores],
             stream_clock: 0,
             rotation_writes: cfg.intra_bank_rotation_writes,
@@ -355,11 +360,6 @@ impl MemoryHierarchy {
         self.mesh.set_floor(now);
         self.dram.set_floor(now);
         self.banks.set_floor(now);
-    }
-
-    /// L3 occupancy across all banks (test/diagnostic helper).
-    pub fn l3_occupancy(&self) -> usize {
-        self.l3.iter().map(|b| b.occupancy()).sum()
     }
 
     /// Whether `line` is present in L3 bank `bank` (invariant checks).
@@ -511,41 +511,15 @@ impl MemoryHierarchy {
         let t_req = self
             .mesh
             .traverse(core, bank, self.ctrl_flits, now + latency);
-
-        // The bank that ends up sourcing the data (primary hit bank,
-        // secondary-probe hit bank, or the fill bank on a miss): reply and
-        // invalidation traffic must originate here, not at the primary
-        // lookup bank.
-        let mut serving_bank = bank;
-        let data_at_core = if let LookupResult::Hit { .. } = self.l3[bank].access(line, false) {
+        // Reply and invalidation traffic originate at the bank that sources
+        // the data, not necessarily at the lookup bank.
+        let (serving_bank, t_data, hit) = self.l3_fetch(&meta, bank, t_req);
+        if hit {
             self.per_core[core].l3_hits += 1;
-            // Hit: the SRAM tag check overlaps the data-array read; the
-            // read queues behind any in-flight bank operation.
-            let t_data = self.banks.read(bank, t_req);
-            self.mesh.traverse(bank, core, self.data_flits, t_data)
-        } else if let Some(hit_at) = self.probe_secondary(&meta, line, t_req) {
-            // A residency-state-free policy found the line at its second
-            // candidate bank after a full serialized extra probe.
-            self.per_core[core].l3_hits += 1;
-            serving_bank = hit_at.0;
-            self.mesh
-                .traverse(hit_at.0, core, self.data_flits, hit_at.1)
-        } else {
-            // L3 miss: fetch from DRAM, fill at the policy's fill bank.
-            // The miss is known after the tag check alone — no data-array
-            // operation happens at the lookup bank.
-            self.per_core[core].l3_misses += 1;
-            let fill_bank = self.policy.fill_bank(&meta);
-            serving_bank = fill_bank;
-            let mc = self.mc_tiles[self.dram.coord_of(line).channel];
-            let t_mc = self
-                .mesh
-                .traverse(bank, mc, self.ctrl_flits, t_req + self.l3_tag_latency);
-            let t_dram = self.dram.access(line, false, t_mc);
-            let t_fill = self.mesh.traverse(mc, fill_bank, self.data_flits, t_dram);
-            self.fill_l3(&meta, fill_bank, t_fill);
-            self.mesh.traverse(fill_bank, core, self.data_flits, t_fill)
-        };
+        }
+        let data_at_core = self
+            .mesh
+            .traverse(serving_bank, core, self.data_flits, t_data);
 
         // Coherence: grant the line to this core's private caches. A store
         // invalidates every other sharer's private copy; their dirty data
@@ -576,6 +550,43 @@ impl MemoryHierarchy {
             latency: data_at_core - now,
             l1_hit: false,
         }
+    }
+
+    /// The L3 route of a request that left the private caches and reached
+    /// lookup bank `bank` at `t_req`: a hit there, else the serialized
+    /// second probe of a two-probe policy, else a DRAM fetch filled at the
+    /// policy's fill bank. Demand requests and prefetches both take it.
+    /// Returns the bank that sources the data, when the data leaves it,
+    /// and whether the L3 hit.
+    fn l3_fetch(&mut self, meta: &AccessMeta, bank: BankId, t_req: Cycle) -> (BankId, Cycle, bool) {
+        let line = meta.line;
+        if let LookupResult::Hit { .. } = self.l3[bank].access(line, false) {
+            // Hit: the SRAM tag check overlaps the data-array read; the
+            // read queues behind any in-flight bank operation.
+            return (bank, self.banks.read(bank, t_req), true);
+        }
+        // The miss is known after the tag check alone — no data-array
+        // operation happens at the lookup bank.
+        let t_miss = t_req + self.l3_tag_latency;
+        if let Some(second) = self.policy.secondary_bank(meta).filter(|&b| b != bank) {
+            // A residency-state-free policy forwards a serialized probe to
+            // its second candidate bank.
+            self.stats.secondary_probes.inc();
+            let t_fwd = self.mesh.traverse(bank, second, self.ctrl_flits, t_miss);
+            if let LookupResult::Hit { .. } = self.l3[second].access(line, false) {
+                self.stats.secondary_hits.inc();
+                return (second, self.banks.read(second, t_fwd), true);
+            }
+        }
+        // L3 miss: fetch from DRAM, fill at the policy's fill bank.
+        self.per_core[meta.core].l3_misses += 1;
+        let fill_bank = self.policy.fill_bank(meta);
+        let mc = self.mc_tiles[self.dram.coord_of(line).channel];
+        let t_mc = self.mesh.traverse(bank, mc, self.ctrl_flits, t_miss);
+        let t_dram = self.dram.access(line, false, t_mc);
+        let t_fill = self.mesh.traverse(mc, fill_bank, self.data_flits, t_dram);
+        self.fill_l3(meta, fill_bank, t_fill);
+        (fill_bank, t_fill, false)
     }
 
     /// Count a write into `bank` against its rotation budget and rotate
@@ -622,18 +633,6 @@ impl MemoryHierarchy {
         }
         self.dir.read(line, core);
         self.fill_l2_l1(core, line, false, 0);
-    }
-
-    /// Temporarily enable/disable the stride prefetchers (used by
-    /// checkpoint-style prewarming, whose linear sweep would otherwise
-    /// train every stream table and triple the prewarm cost for nothing).
-    pub fn set_prefetcher_enabled(&mut self, on: bool) {
-        self.prefetch_cfg.enabled = on && self.prefetch_cfg.streams > 0;
-    }
-
-    /// Whether the stride prefetchers are active.
-    pub fn prefetcher_enabled(&self) -> bool {
-        self.prefetch_cfg.enabled
     }
 
     /// Stride detection + confidence-gated prefetch issue (see
@@ -706,74 +705,19 @@ impl MemoryHierarchy {
         };
         let bank = self.policy.lookup_bank(&meta);
         let t_req = self.mesh.traverse(core, bank, self.ctrl_flits, now);
-        let (data_bank, t_data) =
-            if let LookupResult::Hit { .. } = self.l3[bank].access(line, false) {
-                self.stats.prefetch_l3_hits.inc();
-                (bank, self.banks.read(bank, t_req))
-            } else {
-                // Count the memory fetch against the core's MPKI: a prefetch
-                // fill replaces the demand miss it hides.
-                self.per_core[core].l3_misses += 1;
-                self.stats.prefetch_fills.inc();
-                let fill_bank = self.policy.fill_bank(&meta);
-                let mc = self.mc_tiles[self.dram.coord_of(line).channel];
-                let t_mc =
-                    self.mesh
-                        .traverse(bank, mc, self.ctrl_flits, t_req + self.l3_tag_latency);
-                let t_dram = self.dram.access(line, false, t_mc);
-                let t_fill = self.mesh.traverse(mc, fill_bank, self.data_flits, t_dram);
-                self.fill_l3(&meta, fill_bank, t_fill);
-                (fill_bank, t_fill)
-            };
-        let t_at_core = self.mesh.traverse(data_bank, core, self.data_flits, t_data);
-        self.dir.read(line, core);
-        self.fill_l2_only(core, line, t_at_core);
-    }
-
-    /// Install a prefetched line into the L2 (not the L1), handling the
-    /// victim like any L2 fill.
-    fn fill_l2_only(&mut self, core: CoreId, line: u64, now: Cycle) {
-        if self.l2[core].contains(line) {
-            return;
-        }
-        let out = self.l2[core].fill(line, false);
-        if let Some(ev) = out.evicted {
-            let l1_dirty = self.l1[core].invalidate(ev.line).unwrap_or(false);
-            self.dir.evict(ev.line, core);
-            if ev.dirty || l1_dirty {
-                self.writeback_to_l3(core, ev.line, now);
-            }
-        }
-    }
-
-    /// Probe the policy's secondary candidate bank (MBV-less two-probe
-    /// lookup). Returns `(bank, data_ready_time)` on a hit there.
-    fn probe_secondary(
-        &mut self,
-        meta: &AccessMeta,
-        line: u64,
-        t_primary_miss: Cycle,
-    ) -> Option<(BankId, Cycle)> {
-        let second = self.policy.secondary_bank(meta)?;
-        let primary = self.policy.lookup_bank(meta);
-        if second == primary {
-            return None;
-        }
-        self.stats.secondary_probes.inc();
-        // Serialized: the miss at the primary (a tag check) is known
-        // before the forwarded probe departs.
-        let t_fwd = self.mesh.traverse(
-            primary,
-            second,
-            self.ctrl_flits,
-            t_primary_miss + self.l3_tag_latency,
-        );
-        if let LookupResult::Hit { .. } = self.l3[second].access(line, false) {
-            self.stats.secondary_hits.inc();
-            Some((second, self.banks.read(second, t_fwd)))
+        let (serving_bank, t_data, hit) = self.l3_fetch(&meta, bank, t_req);
+        if hit {
+            self.stats.prefetch_l3_hits.inc();
         } else {
-            None
+            // The memory fetch counts against the core's MPKI (`l3_fetch`
+            // charged it): a prefetch fill replaces the demand miss it hides.
+            self.stats.prefetch_fills.inc();
         }
+        let t_at_core = self
+            .mesh
+            .traverse(serving_bank, core, self.data_flits, t_data);
+        self.dir.read(line, core);
+        self.fill_l2(core, line, t_at_core);
     }
 
     /// Install a line into one L3 bank, charging wear and handling the
@@ -838,20 +782,27 @@ impl MemoryHierarchy {
         self.policy.on_evict(victim, bank);
     }
 
+    /// Install a line into a core's L2 (a prefetch stops here), handling
+    /// inclusion and the dirty writeback of the victim.
+    fn fill_l2(&mut self, core: CoreId, line: u64, now: Cycle) {
+        if self.l2[core].contains(line) {
+            return;
+        }
+        let out = self.l2[core].fill(line, false);
+        if let Some(ev) = out.evicted {
+            // Inclusion: the L2 victim's L1 copy must go too.
+            let l1_dirty = self.l1[core].invalidate(ev.line).unwrap_or(false);
+            self.dir.evict(ev.line, core);
+            if ev.dirty || l1_dirty {
+                self.writeback_to_l3(core, ev.line, now);
+            }
+        }
+    }
+
     /// Install a line into a core's L2 and L1 after the data returned,
     /// handling inclusion and dirty writebacks of victims.
     fn fill_l2_l1(&mut self, core: CoreId, line: u64, is_store: bool, now: Cycle) {
-        if !self.l2[core].contains(line) {
-            let out = self.l2[core].fill(line, false);
-            if let Some(ev) = out.evicted {
-                // Inclusion: the L2 victim's L1 copy must go too.
-                let l1_dirty = self.l1[core].invalidate(ev.line).unwrap_or(false);
-                self.dir.evict(ev.line, core);
-                if ev.dirty || l1_dirty {
-                    self.writeback_to_l3(core, ev.line, now);
-                }
-            }
-        }
+        self.fill_l2(core, line, now);
         match self.l1[core].probe(line) {
             LookupResult::Hit { .. } => {
                 // Already present (e.g. race between coalesced accesses):
@@ -1278,6 +1229,52 @@ mod tests {
         );
         // And the holder really was invalidated.
         assert!(!h.l1_contains(3, crate::types::line_of(phys)));
+    }
+
+    /// A two-probe policy whose fills go to the secondary bank only when
+    /// critical, like the MBV-less Re-NUCA ablation.
+    struct CriticalAtSecondary;
+    impl LlcPlacement for CriticalAtSecondary {
+        fn name(&self) -> &'static str {
+            "critical-at-secondary"
+        }
+        fn lookup_bank(&mut self, _m: &AccessMeta) -> BankId {
+            0
+        }
+        fn fill_bank(&mut self, m: &AccessMeta) -> BankId {
+            if m.predicted_critical {
+                3
+            } else {
+                0
+            }
+        }
+        fn secondary_bank(&mut self, _m: &AccessMeta) -> Option<BankId> {
+            Some(3)
+        }
+    }
+
+    #[test]
+    fn prefetch_probes_the_secondary_bank() {
+        // A critical load fills at bank 3. Once the core's private copies
+        // are gone, a (non-critical) prefetch of the same line must find
+        // it there, not fill a second copy at bank 0.
+        let cfg = SystemConfig::small(4);
+        let mut h = MemoryHierarchy::new(&cfg, Box::new(CriticalAtSecondary));
+        let phys = phys_addr(1, 0x7000);
+        let line = crate::types::line_of(phys);
+        h.load(1, phys, 1, true, 0);
+        assert!(h.l3_bank_contains(3, line));
+        h.l1[1].invalidate(line);
+        h.l2[1].invalidate(line);
+        h.dir.evict(line, 1);
+
+        h.prefetch_line(1, line, 50_000);
+        assert_eq!(h.stats.prefetch_l3_hits.get(), 1);
+        assert_eq!(h.stats.prefetch_fills.get(), 0);
+        assert_eq!(h.stats.secondary_hits.get(), 1);
+        assert!(!h.l3_bank_contains(0, line), "prefetch duplicated the line");
+        assert!(h.l2[1].contains(line), "prefetch installs into the L2");
+        assert!(!h.l1_contains(1, line), "prefetch stops at the L2");
     }
 
     #[test]

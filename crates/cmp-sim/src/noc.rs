@@ -212,12 +212,6 @@ impl Mesh {
         t
     }
 
-    /// Uncontended latency of a `flits`-flit message over `hops` hops
-    /// (for analytical checks).
-    pub fn ideal_latency(&self, hops: u64) -> u64 {
-        hops * self.cfg.hop_cycles
-    }
-
     /// Reset statistics and link state (warm-up boundary).
     pub fn reset_stats(&mut self) {
         self.stats = NocStats::default();

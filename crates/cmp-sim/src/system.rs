@@ -346,8 +346,6 @@ impl System {
     /// by the warm-up reset.
     pub fn prewarm(&mut self) {
         use crate::types::{line_of, phys_addr, LINE_BYTES};
-        let pf = self.mem.prefetcher_enabled();
-        self.mem.set_prefetcher_enabled(false);
         for core in 0..self.cores.len() {
             for (start, bytes) in self.feed.source(core).warm_ranges() {
                 let first = line_of(start);
@@ -358,7 +356,6 @@ impl System {
                 }
             }
         }
-        self.mem.set_prefetcher_enabled(pf);
         self.mem.reset_stats();
     }
 

@@ -95,11 +95,6 @@ impl<V: Default> FixedTable<V> {
         self.len == 0
     }
 
-    /// The hard entry bound.
-    pub fn capacity_bound(&self) -> usize {
-        self.max_entries
-    }
-
     /// Home slot of a key.
     #[inline]
     fn slot_of(&self, key: u64) -> usize {

@@ -28,14 +28,18 @@ impl Budget {
             Err(std::env::VarError::NotUnicode(v)) => Err(format!("{name}={v:?} is not UTF-8")),
         };
         Self::from_vars(
-            var("RENUCA_WARMUP")?.as_deref(),
-            var("RENUCA_MEASURE")?.as_deref(),
+            ("RENUCA_WARMUP", var("RENUCA_WARMUP")?.as_deref()),
+            ("RENUCA_MEASURE", var("RENUCA_MEASURE")?.as_deref()),
         )
     }
 
-    /// [`Budget::from_env`] over explicit `RENUCA_WARMUP` /
-    /// `RENUCA_MEASURE` values (`None` = unset).
-    fn from_vars(warmup: Option<&str>, measure: Option<&str>) -> Result<Self, String> {
+    /// [`Budget::from_env`]'s rules over explicit warm-up and measure
+    /// values (`None` = the default), each paired with the name of the
+    /// variable or flag it came from, which an error names.
+    pub fn from_vars(
+        (warmup_name, warmup): (&str, Option<&str>),
+        (measure_name, measure): (&str, Option<&str>),
+    ) -> Result<Self, String> {
         let parse = |name: &str, value: Option<&str>, default: u64| match value {
             None => Ok(default),
             Some(v) => v.parse::<u64>().map_err(|_| {
@@ -43,11 +47,13 @@ impl Budget {
             }),
         };
         let budget = Budget {
-            warmup: parse("RENUCA_WARMUP", warmup, 500_000)?,
-            measure: parse("RENUCA_MEASURE", measure, 300_000)?,
+            warmup: parse(warmup_name, warmup, 500_000)?,
+            measure: parse(measure_name, measure, 300_000)?,
         };
         if budget.measure == 0 {
-            return Err("RENUCA_MEASURE=\"0\": the measured window must be positive".into());
+            return Err(format!(
+                "{measure_name}=\"0\": the measured window must be positive"
+            ));
         }
         Ok(budget)
     }
@@ -86,11 +92,14 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let b = Budget::from_vars(None, None).unwrap();
+        let vars = |warmup, measure| {
+            Budget::from_vars(("RENUCA_WARMUP", warmup), ("RENUCA_MEASURE", measure))
+        };
+        let b = vars(None, None).unwrap();
         assert!(b.measure >= 20_000);
         assert!(b.warmup >= 1_000);
         assert_eq!(
-            Budget::from_vars(Some("7"), Some("9")),
+            vars(Some("7"), Some("9")),
             Ok(Budget {
                 warmup: 7,
                 measure: 9
@@ -106,7 +115,7 @@ mod tests {
             (Some("-1"), None, "RENUCA_WARMUP=\"-1\""),
             (Some("18446744073709551616"), None, "RENUCA_WARMUP="),
         ] {
-            let err = Budget::from_vars(warmup, measure).unwrap_err();
+            let err = vars(warmup, measure).unwrap_err();
             assert!(err.contains(named), "{err}");
         }
     }

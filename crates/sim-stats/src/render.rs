@@ -50,11 +50,6 @@ impl Table {
         self.row(&cells);
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns and a separator under the header.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -161,7 +156,7 @@ mod tests {
         assert!(s.contains("libquantum"));
         // Header separator exists.
         assert!(s.lines().nth(1).unwrap().starts_with('-'));
-        assert_eq!(t.n_rows(), 2);
+        assert_eq!(s.lines().count(), 4, "header, separator, two rows");
     }
 
     #[test]

@@ -103,14 +103,6 @@ impl LifetimeModel {
             .map(|b| self.bank_lifetime_years(tracker, b, window_cycles))
             .collect()
     }
-
-    /// The minimum bank lifetime of this run — when the first bank (and
-    /// therefore the first chunk of cache capacity) is lost.
-    pub fn min_bank_lifetime(&self, tracker: &WearTracker, window_cycles: u64) -> f64 {
-        self.all_bank_lifetimes(tracker, window_cycles)
-            .into_iter()
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -191,15 +183,6 @@ mod tests {
         let lm = maxslot.bank_lifetime_years(&t, 0, 1_000_000_000);
         assert!(lm < lu);
         assert!((lu / lm - 16.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn min_bank_lifetime_finds_worst() {
-        let t = tracker_with_writes(&[10, 1000, 100], 8);
-        let m = LifetimeModel::default();
-        let all = m.all_bank_lifetimes(&t, 1_000_000);
-        let min = m.min_bank_lifetime(&t, 1_000_000);
-        assert_eq!(min, all[1]);
     }
 
     #[test]

@@ -316,20 +316,6 @@ impl WearTracker {
         self.writes.get(bank * self.slots_per_bank + slot) as u64
     }
 
-    /// Index of the bank with the fewest total writes (ties -> lowest id).
-    /// This is the Naive oracle's placement rule.
-    pub fn min_write_bank(&self) -> usize {
-        let mut best = 0;
-        let mut best_w = self.bank_totals[0];
-        for (b, &w) in self.bank_totals.iter().enumerate().skip(1) {
-            if w < best_w {
-                best = b;
-                best_w = w;
-            }
-        }
-        best
-    }
-
     /// Coefficient of variation (stdev / mean) of the per-set write totals
     /// over every set of every bank, with `assoc` ways per set (slot index
     /// = `set * assoc + way`). This is the *inter-set* write variation the
@@ -491,18 +477,6 @@ mod tests {
         assert_eq!(t.max_slot_writes(0), 2);
         assert_eq!(t.total_writes(), 3);
         assert_eq!(t.bank_totals(), &[2, 1]);
-    }
-
-    #[test]
-    fn min_write_bank_prefers_lowest_id_on_tie() {
-        let mut t = WearTracker::new(3, 2);
-        assert_eq!(t.min_write_bank(), 0);
-        t.record_write(0, 0);
-        assert_eq!(t.min_write_bank(), 1);
-        t.record_write(1, 0);
-        t.record_write(2, 0);
-        // all equal again -> bank 0
-        assert_eq!(t.min_write_bank(), 0);
     }
 
     #[test]

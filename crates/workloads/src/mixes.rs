@@ -141,29 +141,21 @@ pub fn workload_mix(id: usize, n_cores: usize) -> WorkloadMix {
     WorkloadMix { id, apps }
 }
 
-/// All ten workloads for `n_cores` cores.
-pub fn all_workloads(n_cores: usize) -> Vec<WorkloadMix> {
-    (1..=N_WORKLOADS)
-        .map(|id| workload_mix(id, n_cores))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn ten_workloads_of_16() {
-        let wls = all_workloads(16);
-        assert_eq!(wls.len(), 10);
-        for wl in &wls {
+        assert_eq!(N_WORKLOADS, 10);
+        for wl in (1..=N_WORKLOADS).map(|id| workload_mix(id, 16)) {
             assert_eq!(wl.apps.len(), 16);
         }
     }
 
     #[test]
     fn every_workload_mixes_high_with_low_or_medium() {
-        for wl in all_workloads(16) {
+        for wl in (1..=N_WORKLOADS).map(|id| workload_mix(id, 16)) {
             let (h, m, l) = wl.intensity_mix();
             assert!(h >= 2, "{}: needs ≥2 high apps, has {h}", wl.name());
             assert!(

@@ -37,6 +37,15 @@ if ! printf '%s\n' "$E2E_LAST" | grep -q '"correct":true'; then
 fi
 echo "e2e correctness gate OK"
 
+echo "== e2e benchmark tests: the shim, report and smoke tests of e2e-bench/ =="
+# They compile against the crates' trait surface (the shim wraps every
+# LlcPlacement hook, the two-probe one included), and the tier-1 tests
+# above never build them, so a hierarchy or trait change could break them
+# unseen.
+env ${E2E_UNSET[@]+"${E2E_UNSET[@]}"} cargo test --release --offline \
+    --manifest-path e2e-bench/Cargo.toml
+echo "e2e benchmark tests OK"
+
 echo "== e2e speed gate: same-window A/B of scheme-zoo against the parent =="
 # scripts/bench_ab.sh builds the base revision and this tree and runs 5
 # alternating pairs of the scheme-zoo workload (all nine schemes). The

@@ -16,7 +16,7 @@ use renuca::workloads::{is_workload_id, workload_ids};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  renuca run     [--scheme snuca|rnuca|private|naive|renuca|wec|coloring|mac|renuca-c2]\n                 [--workload 1..10] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca apps    [--measure N]\n  renuca schemes [--workload 1..10] [--warmup N] [--measure N]"
+        "usage:\n  renuca run     [--scheme snuca|rnuca|private|naive|renuca|wec|coloring|mac|renuca-c2]\n                 [--workload 1..10|101..105] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca apps    [--measure N]\n  renuca schemes [--workload 1..10|101..105] [--warmup N] [--measure N]"
     );
     std::process::exit(2)
 }
@@ -37,16 +37,20 @@ struct Args {
     cfg: SystemConfig,
 }
 
+/// Report a malformed input and exit 2.
+fn fail(e: String) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2)
+}
+
 fn parse(args: &[String]) -> Args {
     let mut out = Args {
         scheme: Scheme::ReNuca,
         workload: 1,
-        budget: Budget::from_env().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        }),
+        budget: Budget::from_env().unwrap_or_else(|e| fail(e)),
         cfg: SystemConfig::default(),
     };
+    let (mut warmup, mut measure) = (None, None);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |name: &str| -> String {
@@ -77,10 +81,8 @@ fn parse(args: &[String]) -> Args {
                         std::process::exit(2)
                     })
             }
-            "--warmup" => out.budget.warmup = value("--warmup").parse().unwrap_or_else(|_| usage()),
-            "--measure" => {
-                out.budget.measure = value("--measure").parse().unwrap_or_else(|_| usage())
-            }
+            "--warmup" => warmup = Some(value("--warmup")),
+            "--measure" => measure = Some(value("--measure")),
             "--l2-128k" => out.cfg = out.cfg.with_l2_128k(),
             "--l3-1m" => out.cfg = out.cfg.with_l3_1m(),
             "--rob-168" => out.cfg = out.cfg.with_rob_168(),
@@ -91,6 +93,14 @@ fn parse(args: &[String]) -> Args {
             }
         }
     }
+    // The flags override the environment, under the same rules.
+    let warmup = warmup.unwrap_or_else(|| out.budget.warmup.to_string());
+    let measure = measure.unwrap_or_else(|| out.budget.measure.to_string());
+    out.budget = Budget::from_vars(
+        ("--warmup", Some(warmup.as_str())),
+        ("--measure", Some(measure.as_str())),
+    )
+    .unwrap_or_else(|e| fail(e));
     out
 }
 
@@ -131,8 +141,11 @@ fn main() {
         "run" => {
             let a = parse(rest);
             println!(
-                "scheme={} workload=WL{} warmup={} measure={}",
-                a.scheme, a.workload, a.budget.warmup, a.budget.measure
+                "scheme={} workload={} warmup={} measure={}",
+                a.scheme,
+                workload_mix(a.workload, a.cfg.n_cores).name(),
+                a.budget.warmup,
+                a.budget.measure
             );
             let r = run_one(a.scheme, a.workload, a.cfg, a.budget);
             print_result(&r);
@@ -153,7 +166,10 @@ fn main() {
         }
         "schemes" => {
             let a = parse(rest);
-            println!("workload WL{}:", a.workload);
+            println!(
+                "workload {}:",
+                workload_mix(a.workload, a.cfg.n_cores).name()
+            );
             for scheme in Scheme::ALL {
                 let r = run_one(scheme, a.workload, a.cfg, a.budget);
                 print_result(&r);

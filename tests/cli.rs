@@ -32,10 +32,33 @@ fn unknown_workload_ids_exit_2_naming_the_valid_ids() {
 
 #[test]
 fn a_valid_workload_id_runs() {
-    for id in ["3", "102"] {
+    // The header names the mix as the figures do: id 102 is WB2.
+    for (id, name) in [("3", "WL3"), ("102", "WB2")] {
         let out = renuca(&["run", "--scheme", "snuca", "--workload", id]);
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "--workload {id}: {err}");
-        assert!(String::from_utf8_lossy(&out.stdout).contains("IPC"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("IPC"));
+        let header = stdout.lines().next().unwrap_or_default();
+        assert!(
+            header.contains(&format!("workload={name} ")),
+            "--workload {id} header: {header}"
+        );
+    }
+}
+
+#[test]
+fn malformed_budget_flags_exit_2_naming_the_flag() {
+    for (args, named) in [
+        (&["run", "--measure", "0"][..], "--measure=\"0\""),
+        (&["schemes", "--measure", "0"][..], "--measure=\"0\""),
+        (&["run", "--warmup", "-5"][..], "--warmup=\"-5\""),
+        (&["run", "--measure", "3e5"][..], "--measure=\"3e5\""),
+    ] {
+        let out = renuca(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(named), "{args:?} must name {named}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
     }
 }
