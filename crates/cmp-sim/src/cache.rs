@@ -125,11 +125,6 @@ pub enum ReplacementKind {
     /// a ReRAM write somewhere below — stay resident longer. Victim levels:
     /// invalid way, else LRU among clean lines, else LRU among dirty lines.
     WriteAware,
-    /// Deliberately wrong twin of [`ReplacementKind::WriteAware`] that
-    /// prefers evicting *dirty* lines first. Exists only as the injected
-    /// bug for the MAC mutation self-check (`experiments::diff`); never
-    /// built by a production scheme.
-    DirtyFirst,
 }
 
 /// A set-associative, write-back, write-allocate cache array.
@@ -427,7 +422,6 @@ impl SetAssocCache {
         match self.replacement {
             ReplacementKind::Lru => lru_among(None),
             ReplacementKind::WriteAware => lru_among(Some(false)).or_else(|| lru_among(None)),
-            ReplacementKind::DirtyFirst => lru_among(Some(true)).or_else(|| lru_among(None)),
         }
         .expect("full set has a victim")
     }
@@ -625,16 +619,6 @@ mod tests {
         c.access(8, true);
         let out = c.fill(12, false);
         assert_eq!(out.evicted.map(|e| e.line), Some(0));
-    }
-
-    #[test]
-    fn dirty_first_is_the_inverse_twin() {
-        let geo = CacheGeometry::symmetric(512, 2, 1);
-        let mut c = SetAssocCache::with_replacement(geo, false, ReplacementKind::DirtyFirst);
-        c.fill(0, false); // clean, LRU by stamp
-        c.fill(4, true); // dirty, more recently used
-        let out = c.fill(8, false);
-        assert_eq!(out.evicted.map(|e| e.line), Some(4), "evicts dirty first");
     }
 
     #[test]

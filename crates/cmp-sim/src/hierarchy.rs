@@ -435,13 +435,9 @@ impl MemoryHierarchy {
             return false;
         }
         let alloc = cs.class[bank][slot];
-        let expand = if cs.spec.expand_on_equal {
-            c >= alloc
-        } else {
-            c > alloc
-        };
+        let expand = c > alloc;
         if expand {
-            cs.class[bank][slot] = c.max(alloc);
+            cs.class[bank][slot] = c;
             cs.stats[bank].expansions += 1;
         }
         expand

@@ -72,21 +72,12 @@ pub struct CompressSpec {
     /// Content-model seed: two systems with the same seed compress
     /// identically.
     pub seed: u64,
-    /// **Bug switch for the mutation self-check** — never set by
-    /// `Scheme::build_policy`. When true the hierarchy also triggers an
-    /// expansion when the new class merely *equals* the allocation,
-    /// inflating the expansion counters the golden twin cross-checks.
-    pub expand_on_equal: bool,
 }
 
 impl CompressSpec {
-    /// A spec with the given geometry and seed (bug switch off).
+    /// A spec with the given geometry and seed.
     pub fn new(sub_blocks: usize, seed: u64) -> Self {
-        CompressSpec {
-            sub_blocks,
-            seed,
-            expand_on_equal: false,
-        }
+        CompressSpec { sub_blocks, seed }
     }
 
     /// Size class of writing `line` at `version`, clamped to the line's

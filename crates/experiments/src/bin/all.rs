@@ -23,7 +23,8 @@ fn main() {
     println!("{}", predictor_study::format_fig8(&ps));
     println!("{}", predictor_study::format_fig9(&ps));
 
-    let main_study = lifetime::run("Actual Results", obs::default_config(), budget);
+    let base = obs::default_config();
+    let main_study = lifetime::run("Actual Results", base, budget);
     println!("{}", lifetime::format_fig3(&main_study));
     println!("{}", lifetime::format_fig4b(&main_study));
     println!("{}", lifetime::format_fig11(&main_study));
@@ -36,7 +37,7 @@ fn main() {
         sensitivity::Sensitivity::L3Small,
         sensitivity::Sensitivity::RobLarge,
     ] {
-        let st = sensitivity::run(s, budget);
+        let st = sensitivity::run(s, base, budget);
         println!("{}", sensitivity::format_wear(s, &st));
         println!("{}", sensitivity::format_ipc(s, &st));
         studies.push(st);

@@ -164,7 +164,7 @@ fn main() -> ExitCode {
     }
 
     // 3. Mutation self-checks: the harness must catch an injected bug in
-    // every scheme that ships one (wrapped mutant + bugged twins).
+    // every scheme `diff::MUTATION_SCHEMES` lists.
     for scheme in diff::MUTATION_SCHEMES {
         match diff::mutation_check(scheme, 42, args.ops.min(3000), &args.out) {
             Ok(m) => println!(

@@ -5,7 +5,8 @@ use experiments::obs;
 fn main() {
     let (sink, budget) = obs::standard_args();
     let which = Sensitivity::L2Small;
-    let study = sensitivity::run(which, budget);
+    let base = obs::default_config();
+    let study = sensitivity::run(which, base, budget);
     println!("{}", sensitivity::format_ipc(which, &study));
-    obs::emit_study_manifest(&sink, "fig14", Some(&which.config()), budget, &study);
+    obs::emit_study_manifest(&sink, "fig14", Some(&which.config(base)), budget, &study);
 }

@@ -5,7 +5,8 @@ use experiments::obs;
 fn main() {
     let (sink, budget) = obs::standard_args();
     let which = Sensitivity::RobLarge;
-    let study = sensitivity::run(which, budget);
+    let base = obs::default_config();
+    let study = sensitivity::run(which, base, budget);
     println!("{}", sensitivity::format_wear(which, &study));
-    obs::emit_study_manifest(&sink, "fig17", Some(&which.config()), budget, &study);
+    obs::emit_study_manifest(&sink, "fig17", Some(&which.config(base)), budget, &study);
 }

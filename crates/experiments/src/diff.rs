@@ -24,14 +24,15 @@
 //! Both sides are built from the same [`Parts`]: the real policy by
 //! `renuca_core`, the golden twin by [`golden_system`].
 //!
-//! [`mutation_check`] proves the harness has teeth, per scheme: the
-//! stateless schemes get a `MutantPolicy` wrapper that deliberately
-//! mis-places a subset of lines; the directory-backed placements (WEC,
-//! Coloring) get internally-consistent bugged twins built into
-//! `renuca_core` (a skewed redirect target, an off-by-one epoch); schemes
-//! with non-default bank parts get the same parts with a bugged bank part
-//! (inverted replacement, spurious expansions). In every case the harness
-//! must catch the injected bug and shrink it to a 1-minimal reproducer.
+//! [`mutation_check`] proves the harness has teeth, per scheme. Every bug
+//! is injected here, from outside the production types: the stateless
+//! schemes get a `MutantPolicy` wrapper that deliberately mis-places a
+//! subset of lines; the directory-backed placements (WEC, Coloring) get a
+//! wrapper that keeps them internally consistent (a skewed redirect
+//! target, an off-by-one epoch); schemes with non-default bank parts get
+//! the same parts with one part changed (write-aware replacement dropped,
+//! another content seed). In every case the harness must catch the
+//! injected bug and shrink it to a 1-minimal reproducer.
 //!
 //! The metamorphic checks ([`write_conservation`], [`snuca_shift_symmetry`],
 //! [`parallel_matches_serial`]) assert relations that must hold *across*
@@ -57,7 +58,8 @@ use golden::{
     GoldenPolicy, GoldenSystem, TraceOp, TraceSpec,
 };
 use renuca_core::{
-    Coloring, Cpt, CptConfig, NaiveOracle, Parts, Placement, ReNuca, Scheme, Wec, COLORING_EPOCH,
+    Coloring, Cpt, CptConfig, NaiveOracle, Parts, Placement, ReNuca, SNuca, Scheme, Wec,
+    COLORING_EPOCH,
 };
 use sim_stats::StatsRegistry;
 
@@ -155,23 +157,37 @@ pub fn replay_mutated(
     run_diff(scheme, cfg, ops, true)
 }
 
-/// The injected bug: lines with `line % 17 == 3` are routed one bank to
-/// the right of where the wrapped policy wants them. Lookup and fill are
-/// twisted *consistently*, so the real hierarchy stays internally coherent
-/// (no inclusion violations, no duplicate fills) — only the differential
+/// Which injected bug a [`MutantPolicy`] carries. Each one keeps the
+/// real hierarchy internally coherent (no inclusion violations, no
+/// duplicate fills, no directory desync) — only the differential
 /// comparison can notice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Bug {
+    /// Lines with `line % 17 == 3` are routed one bank to the right of
+    /// where the wrapped policy wants them, on lookup and fill alike.
+    Twist,
+    /// A fill the wrapped policy sends away from its S-NUCA home goes one
+    /// bank further (WEC's redirect target skewed past the coldest bank).
+    SkewRedirect,
+    /// One extra write reaches the wrapped policy after every 63rd real
+    /// one, so Coloring's 64-write epoch clock runs on 63 (t real writes
+    /// give 64⌊t/63⌋ + t mod 63 inner ones, whose rotation is ⌊t/63⌋).
+    ShortEpoch,
+}
+
+/// The wrapper that injects a [`Bug`] into the policy it wraps, from
+/// outside the production type.
 struct MutantPolicy {
     inner: Box<dyn LlcPlacement>,
     n_banks: usize,
+    bug: Bug,
+    /// Real L3 writes seen (the [`Bug::ShortEpoch`] clock).
+    writes: u64,
 }
 
 impl MutantPolicy {
-    fn mutates(line: u64) -> bool {
-        line % 17 == 3
-    }
-
     fn twist(&self, bank: BankId, line: u64) -> BankId {
-        if Self::mutates(line) {
+        if self.bug == Bug::Twist && line % 17 == 3 {
             (bank + 1) % self.n_banks
         } else {
             bank
@@ -191,7 +207,12 @@ impl LlcPlacement for MutantPolicy {
 
     fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
         let bank = self.inner.fill_bank(meta);
-        self.twist(bank, meta.line)
+        match self.bug {
+            Bug::SkewRedirect if bank != SNuca::new(self.n_banks).bank_of(meta.line) => {
+                (bank + 1) % self.n_banks
+            }
+            _ => self.twist(bank, meta.line),
+        }
     }
 
     fn on_fill(&mut self, meta: &AccessMeta, bank: BankId) {
@@ -200,6 +221,10 @@ impl LlcPlacement for MutantPolicy {
 
     fn on_l3_write(&mut self, bank: BankId) {
         self.inner.on_l3_write(bank);
+        self.writes += 1;
+        if self.bug == Bug::ShortEpoch && self.writes.is_multiple_of(COLORING_EPOCH - 1) {
+            self.inner.on_l3_write(bank);
+        }
     }
 
     fn on_evict(&mut self, line: u64, bank: BankId) {
@@ -221,48 +246,56 @@ impl LlcPlacement for MutantPolicy {
     fn compression(&self) -> Option<compress::CompressSpec> {
         self.inner.compression()
     }
+
+    /// Only the skewed WEC exposes its policy state, whose write counters
+    /// and directory stay consistent under the bug. A twisted or
+    /// short-epoch policy is caught through placement alone.
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        match self.bug {
+            Bug::SkewRedirect => self.inner.as_any(),
+            Bug::Twist | Bug::ShortEpoch => None,
+        }
+    }
 }
 
 /// Per-scheme bug injection for [`replay_mutated`], chosen from the
-/// scheme's parts:
+/// scheme's parts. Every mutant is built from outside the production
+/// types, so no bug ships in the simulator:
 ///
-/// * write-aware replacement is inverted (evict dirty-first, not
-///   clean-first);
-/// * a compressed array expands on class *equality*, not strict growth
-///   (`CompressSpec::expand_on_equal`) — placement stays identical and
-///   only the expansion counters and bank `expand_ops` drift, so catching
-///   it requires the compression-state comparison;
-/// * otherwise WEC redirects hot fills one bank past the coldest, and
-///   Coloring rotates its remap one write too early (epoch 63, not 64) —
-///   internally-consistent twins shipped with `renuca_core`, because
-///   twisted bank ids would trip these directory-backed placements'
-///   on-evict assertions;
-/// * every other placement takes the `MutantPolicy` wrapper around the
-///   policy it already built.
+/// * write-aware replacement is dropped: the same parts with
+///   [`ReplacementKind::Lru`];
+/// * a compressed array gets the same parts under content seed
+///   `cfg.compress_seed ^ 1` — placement stays identical and only the
+///   compression state drifts, so catching it requires the
+///   compression-state comparison;
+/// * otherwise the policy it already built is wrapped in a
+///   [`MutantPolicy`]: WEC's redirected fills are skewed one bank past
+///   the coldest, Coloring's epoch clock runs on 63 writes, not 64, and
+///   every other placement twists a subset of lines one bank over.
+///   Twisted bank ids would trip WEC's and Coloring's directory
+///   assertions on eviction, hence their bugs of their own.
 fn inject_bug(
     scheme: Scheme,
     cfg: &SystemConfig,
     policy: Box<dyn LlcPlacement>,
 ) -> Box<dyn LlcPlacement> {
     let mut parts = scheme.parts(cfg);
-    let max_lines = cfg.n_banks * cfg.l3_bank.lines();
     if parts.replacement == ReplacementKind::WriteAware {
-        parts.replacement = ReplacementKind::DirtyFirst;
+        parts.replacement = ReplacementKind::Lru;
     } else if let Some(spec) = parts.compression.as_mut() {
-        spec.expand_on_equal = true;
+        spec.seed ^= 1;
     } else {
-        return match parts.placement {
-            Placement::Wec => Box::new(Wec::bugged(cfg.n_banks, max_lines)),
-            Placement::Coloring => Box::new(Coloring::with_epoch(
-                cfg.n_banks,
-                max_lines,
-                COLORING_EPOCH - 1,
-            )),
-            _ => Box::new(MutantPolicy {
-                inner: policy,
-                n_banks: cfg.n_banks,
-            }),
+        let bug = match parts.placement {
+            Placement::Wec => Bug::SkewRedirect,
+            Placement::Coloring => Bug::ShortEpoch,
+            _ => Bug::Twist,
         };
+        return Box::new(MutantPolicy {
+            inner: policy,
+            n_banks: cfg.n_banks,
+            bug,
+            writes: 0,
+        });
     }
     parts.build_policy(scheme.name(), cfg)
 }
@@ -1025,9 +1058,9 @@ pub struct MutationReport {
 }
 
 /// The schemes whose injected bugs the self-check exercises: one
-/// stateless scheme for the `MutantPolicy` wrapper, the two placements
-/// with bugged twins, and one scheme per non-default bank part (see
-/// `inject_bug`).
+/// stateless scheme for the line-twisting `MutantPolicy`, the two
+/// directory-backed placements with bugs of their own, and one scheme per
+/// non-default bank part (see `inject_bug`).
 pub const MUTATION_SCHEMES: [Scheme; 5] = [
     Scheme::SNuca,
     Scheme::Wec,
@@ -1300,6 +1333,59 @@ mod tests {
         reachable(Scheme::Naive, |a| a.is::<NaiveOracle>());
         reachable(Scheme::Wec, |a| a.is::<Wec>());
         reachable(Scheme::Coloring, |a| a.is::<Coloring>());
+    }
+
+    /// A demand access to `line` from its owning core on the 2x2 mesh.
+    fn meta(line: u64) -> AccessMeta {
+        AccessMeta {
+            core: owner(line, 4),
+            line,
+            page: page_of_line(line),
+            pc: 1,
+            kind: LlcAccessKind::Demand,
+            predicted_critical: false,
+        }
+    }
+
+    #[test]
+    fn wec_bugged_twin_skews_redirects_but_stays_consistent() {
+        let cfg = tiny_cfg(2, 2);
+        let mut w = inject_bug(Scheme::Wec, &cfg, Scheme::Wec.build_policy(&cfg));
+        let home = meta(4); // S-NUCA home = bank 0 = the coldest
+        assert_eq!(w.fill_bank(&home), 0, "home fills are untouched");
+        for _ in 0..renuca_core::WEC_THRESHOLD {
+            w.on_l3_write(1);
+        }
+        let hot = meta(5);
+        let b = w.fill_bank(&hot);
+        assert_eq!(b, 1, "bug: one past the argmin (bank 0 -> bank 1)");
+        // The skewed bank equals the home here, so no directory entry is
+        // needed — internal consistency holds even under the bug.
+        w.on_fill(&hot, b);
+        assert_eq!(w.lookup_bank(&hot), b);
+        let real = w.as_any().and_then(|a| a.downcast_ref::<Wec>());
+        assert_eq!(real.expect("state reachable").directory_len(), 0);
+    }
+
+    #[test]
+    fn coloring_off_by_one_epoch_twin_diverges() {
+        let cfg = tiny_cfg(2, 2);
+        let build = || Scheme::Coloring.build_policy(&cfg);
+        let (mut good, mut bad) = (build(), inject_bug(Scheme::Coloring, &cfg, build()));
+        let m = meta(6); // S-NUCA home = bank 2
+        let epoch = COLORING_EPOCH - 1;
+        for _ in 0..epoch {
+            good.on_l3_write(0);
+            bad.on_l3_write(0);
+        }
+        assert_ne!(good.fill_bank(&m), bad.fill_bank(&m));
+        // Over several laps the mutant rotates exactly like an epoch-63
+        // Coloring: home + ⌊t/63⌋ (mod 4) after t real writes.
+        for t in epoch + 1..=9 * epoch {
+            bad.on_l3_write(0);
+            assert_eq!(bad.fill_bank(&m) as u64, (2 + t / epoch) % 4, "t = {t}");
+        }
+        assert!(bad.as_any().is_none(), "caught through placement alone");
     }
 
     #[test]

@@ -22,9 +22,10 @@ pub enum Sensitivity {
 }
 
 impl Sensitivity {
-    /// The perturbed configuration.
-    pub fn config(self) -> SystemConfig {
-        let base = SystemConfig::default();
+    /// `base` with this study's knob turned. Every other field — the L3
+    /// bank model included — is `base`'s, so a study's row sits beside the
+    /// "Actual Results" row run under the same `base`.
+    pub fn config(self, base: SystemConfig) -> SystemConfig {
         match self {
             Sensitivity::L2Small => base.with_l2_128k(),
             Sensitivity::L3Small => base.with_l3_1m(),
@@ -56,9 +57,10 @@ impl Sensitivity {
     }
 }
 
-/// Run one sensitivity study (uses the reduced sweep budget).
-pub fn run(which: Sensitivity, budget: Budget) -> MainStudy {
-    lifetime::run(which.label(), which.config(), budget.sweep())
+/// Run one sensitivity study on `base` perturbed (uses the reduced sweep
+/// budget).
+pub fn run(which: Sensitivity, base: SystemConfig, budget: Budget) -> MainStudy {
+    lifetime::run(which.label(), which.config(base), budget.sweep())
 }
 
 /// Render the study's wear-leveling figure (13, 15 or 17).
@@ -92,12 +94,25 @@ mod tests {
 
     #[test]
     fn configs_match_paper_variants() {
-        assert_eq!(Sensitivity::L2Small.config().l2.size_bytes, 128 * 1024);
+        let base = SystemConfig::default();
+        assert_eq!(Sensitivity::L2Small.config(base).l2.size_bytes, 128 * 1024);
         assert_eq!(
-            Sensitivity::L3Small.config().l3_bank.size_bytes,
+            Sensitivity::L3Small.config(base).l3_bank.size_bytes,
             1024 * 1024
         );
-        assert_eq!(Sensitivity::RobLarge.config().rob_entries, 168);
+        assert_eq!(Sensitivity::RobLarge.config(base).rob_entries, 168);
+        // A symmetric-LLC base stays symmetric under every perturbation.
+        let sym = base.with_symmetric_llc();
+        for s in [
+            Sensitivity::L2Small,
+            Sensitivity::L3Small,
+            Sensitivity::RobLarge,
+        ] {
+            let cfg = s.config(sym);
+            assert!(cfg.l3_bank.is_symmetric(), "{s:?}");
+            assert!(!cfg.l3_bank_occupancy, "{s:?}");
+            assert_ne!(cfg, sym, "{s:?} turns its knob");
+        }
     }
 
     #[test]

@@ -24,20 +24,17 @@ pub struct Table3 {
     pub studies: Vec<MainStudy>,
 }
 
-/// Run all four rows of Table III (the most expensive experiment: 200
-/// simulations — the sensitivity rows use the reduced sweep budget).
-pub fn run(budget: Budget) -> Table3 {
-    let mut studies = vec![lifetime::run(
-        "Actual Results",
-        SystemConfig::default(),
-        budget,
-    )];
+/// Run all four rows of Table III on `base` (the most expensive
+/// experiment: 200 simulations — the sensitivity rows use the reduced
+/// sweep budget).
+pub fn run(base: SystemConfig, budget: Budget) -> Table3 {
+    let mut studies = vec![lifetime::run("Actual Results", base, budget)];
     for s in [
         Sensitivity::L2Small,
         Sensitivity::L3Small,
         Sensitivity::RobLarge,
     ] {
-        studies.push(sensitivity::run(s, budget));
+        studies.push(sensitivity::run(s, base, budget));
     }
     Table3 { studies }
 }

@@ -186,11 +186,6 @@ impl StatsSink {
         StatsSink { path: None }
     }
 
-    /// Whether a destination is configured.
-    pub fn is_active(&self) -> bool {
-        self.path.is_some()
-    }
-
     /// The configured destination, if any.
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()

@@ -78,8 +78,8 @@ fn injected_placement_bug_is_caught_and_shrunk() {
 #[test]
 fn injected_bugs_in_competitor_schemes_are_caught() {
     // Every mutation scheme's injected bug (wrapped mis-placement, skewed
-    // WEC redirect, off-by-one Coloring epoch, inverted write-aware
-    // replacement, spurious compressed expansions) must be caught and
+    // WEC redirect, off-by-one Coloring epoch, write-aware replacement
+    // dropped, another compression content seed) must be caught and
     // shrunk to a 1-minimal trace (mutation_check itself verifies
     // 1-minimality op by op). A directory of its own keeps the S-NUCA
     // reproducer apart from the test above.

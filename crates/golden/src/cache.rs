@@ -58,8 +58,7 @@ pub struct GoldenCache {
     assoc: usize,
     hash_index: bool,
     /// Victim selection: `WriteAware` scans clean ways before the
-    /// all-ways fallback, `DirtyFirst` dirty ways, `Lru` goes straight to
-    /// the all-ways scan.
+    /// all-ways fallback, `Lru` goes straight to the all-ways scan.
     replacement: ReplacementKind,
     clock: u64,
 }
@@ -206,7 +205,6 @@ impl GoldenCache {
         let prefer_dirty = match self.replacement {
             ReplacementKind::Lru => None,
             ReplacementKind::WriteAware => Some(false),
-            ReplacementKind::DirtyFirst => Some(true),
         };
         prefer_dirty
             .and_then(|d| smallest(Some(d)))

@@ -83,8 +83,7 @@ impl GoldenCompress {
 
     /// Account one L3 write of `line` into `(bank, slot)`. Fills reset the
     /// version and set the allocation; writebacks expand the allocation
-    /// when (and only when) the new class strictly exceeds it — the golden
-    /// model is always the unbugged reference.
+    /// when (and only when) the new class strictly exceeds it.
     pub fn charge(&mut self, bank: usize, slot: usize, line: u64, is_fill: bool) {
         if is_fill {
             self.version[bank][slot] = 0;

@@ -316,17 +316,10 @@ pub struct NaiveOracle {
 
 impl NaiveOracle {
     /// A Naive oracle over `n_banks` banks charging `dir_latency` cycles of
-    /// directory indirection per LLC lookup, sized for the paper's 2 MB
-    /// banks (32 K lines each). Use [`NaiveOracle::with_line_capacity`]
-    /// when the bank geometry differs.
-    pub fn new(n_banks: usize, dir_latency: Cycle) -> Self {
-        Self::with_line_capacity(n_banks, dir_latency, n_banks * 32_768)
-    }
-
-    /// A Naive oracle whose directory is bounded to `max_lines` tracked
-    /// lines (the LLC capacity in lines — entries are removed on eviction,
-    /// with one in-flight fill per bank of slack).
-    pub fn with_line_capacity(n_banks: usize, dir_latency: Cycle, max_lines: usize) -> Self {
+    /// directory indirection per LLC lookup, its directory bounded to
+    /// `max_lines` tracked lines (the LLC capacity in lines — entries are
+    /// removed on eviction, with one in-flight fill per bank of slack).
+    pub fn new(n_banks: usize, dir_latency: Cycle, max_lines: usize) -> Self {
         NaiveOracle {
             writes: BankWrites::new(n_banks),
             directory: BankDirectory::new(n_banks, max_lines),
@@ -420,19 +413,9 @@ pub struct ReNuca {
 }
 
 impl ReNuca {
-    /// Build Re-NUCA for a `cols × rows` mesh with the paper's enhanced-TLB
-    /// geometry (64 entries, 8-way).
-    pub fn new(cols: usize, rows: usize) -> Self {
-        Self::with_tlb_geometry(cols, rows, 64, 8)
-    }
-
-    /// Build with a custom enhanced-TLB geometry (ablations).
-    pub fn with_tlb_geometry(
-        cols: usize,
-        rows: usize,
-        tlb_entries: usize,
-        tlb_assoc: usize,
-    ) -> Self {
+    /// Build Re-NUCA for a `cols × rows` mesh whose per-core enhanced TLBs
+    /// hold `tlb_entries` entries, `tlb_assoc`-way (the paper: 64, 8-way).
+    pub fn new(cols: usize, rows: usize, tlb_entries: usize, tlb_assoc: usize) -> Self {
         let n_cores = cols * rows;
         ReNuca {
             snuca: SNuca::new(n_cores),
@@ -579,44 +562,21 @@ pub const WEC_THRESHOLD: u64 = 8;
 #[derive(Clone, Debug)]
 pub struct Wec {
     writes: BankWrites,
-    threshold: u64,
     /// Residency directory for *redirected* lines only: a line absent here
     /// is at its S-NUCA home.
     directory: BankDirectory,
     snuca: SNuca,
-    /// Injected-bug switch for the mutation self-check: redirected fills go
-    /// one bank past the coldest one. Internally consistent (the directory
-    /// still records the bank actually used) but observably wrong vs the
-    /// golden mirror. Never set by [`crate::Scheme::build_policy`].
-    bug_skewed_redirect: bool,
 }
 
 impl Wec {
-    /// WEC over `n_banks` banks, sized for the paper's 2 MB banks. Use
-    /// [`Wec::with_line_capacity`] when the bank geometry differs.
-    pub fn new(n_banks: usize) -> Self {
-        Self::with_line_capacity(n_banks, n_banks * 32_768)
-    }
-
-    /// WEC whose redirection directory is bounded to `max_lines` tracked
-    /// lines (the LLC capacity — entries leave on eviction, with one
-    /// in-flight fill per bank of slack).
-    pub fn with_line_capacity(n_banks: usize, max_lines: usize) -> Self {
+    /// WEC over `n_banks` banks whose redirection directory is bounded to
+    /// `max_lines` tracked lines (the LLC capacity — entries leave on
+    /// eviction, with one in-flight fill per bank of slack).
+    pub fn new(n_banks: usize, max_lines: usize) -> Self {
         Wec {
             writes: BankWrites::new(n_banks),
-            threshold: WEC_THRESHOLD,
             directory: BankDirectory::new(n_banks, max_lines),
             snuca: SNuca::new(n_banks),
-            bug_skewed_redirect: false,
-        }
-    }
-
-    /// The deliberately buggy twin (see `bug_skewed_redirect`); built only
-    /// by the differential harness's mutation self-check.
-    pub fn bugged(n_banks: usize, max_lines: usize) -> Self {
-        Wec {
-            bug_skewed_redirect: true,
-            ..Self::with_line_capacity(n_banks, max_lines)
         }
     }
 
@@ -644,12 +604,8 @@ impl LlcPlacement for Wec {
         let home = self.snuca.bank_of(meta.line);
         let coldest = self.writes.coldest();
         let writes = self.writes.counters();
-        if writes[home] >= writes[coldest] + self.threshold {
-            if self.bug_skewed_redirect {
-                (coldest + 1) % writes.len()
-            } else {
-                coldest
-            }
+        if writes[home] >= writes[coldest] + WEC_THRESHOLD {
+            coldest
         } else {
             home
         }
@@ -702,33 +658,17 @@ pub const COLORING_EPOCH: u64 = 64;
 pub struct Coloring {
     n_banks: u64,
     snuca: SNuca,
-    epoch_writes: u64,
     total_writes: u64,
     directory: BankDirectory,
 }
 
 impl Coloring {
-    /// Coloring over `n_banks` banks, sized for the paper's 2 MB banks. Use
-    /// [`Coloring::with_line_capacity`] when the bank geometry differs.
-    pub fn new(n_banks: usize) -> Self {
-        Self::with_line_capacity(n_banks, n_banks * 32_768)
-    }
-
-    /// Coloring with a directory bounded to `max_lines` tracked lines.
-    pub fn with_line_capacity(n_banks: usize, max_lines: usize) -> Self {
-        Self::with_epoch(n_banks, max_lines, COLORING_EPOCH)
-    }
-
-    /// Coloring with an explicit epoch length. The differential harness's
-    /// mutation self-check builds the off-by-one twin
-    /// (`COLORING_EPOCH - 1`) through this — an injected bug of exactly the
-    /// class a real regression would introduce.
-    pub fn with_epoch(n_banks: usize, max_lines: usize, epoch_writes: u64) -> Self {
-        assert!(epoch_writes > 0, "epoch must be positive");
+    /// Coloring over `n_banks` banks with a directory bounded to
+    /// `max_lines` tracked lines.
+    pub fn new(n_banks: usize, max_lines: usize) -> Self {
         Coloring {
             n_banks: n_banks as u64,
             snuca: SNuca::new(n_banks),
-            epoch_writes,
             total_writes: 0,
             directory: BankDirectory::new(n_banks, max_lines),
         }
@@ -736,7 +676,7 @@ impl Coloring {
 
     /// The current rotation of the bank map.
     pub fn shift(&self) -> u64 {
-        (self.total_writes / self.epoch_writes) % self.n_banks
+        (self.total_writes / COLORING_EPOCH) % self.n_banks
     }
 
     /// Total L3 writes observed (drives the epoch clock).
@@ -908,7 +848,7 @@ mod tests {
 
     #[test]
     fn naive_fills_least_written_bank() {
-        let mut n = NaiveOracle::new(4, 60);
+        let mut n = NaiveOracle::new(4, 60, 1024);
         // Pre-load writes: bank 2 is the least written.
         n.on_l3_write(0);
         n.on_l3_write(0);
@@ -919,7 +859,7 @@ mod tests {
 
     #[test]
     fn naive_directory_finds_filled_lines() {
-        let mut n = NaiveOracle::new(4, 60);
+        let mut n = NaiveOracle::new(4, 60, 1024);
         let m = meta(0xabc, false);
         let bank = n.fill_bank(&m);
         n.on_fill(&m, bank);
@@ -933,7 +873,7 @@ mod tests {
 
     #[test]
     fn naive_charges_directory_latency() {
-        let n = NaiveOracle::new(16, 60);
+        let n = NaiveOracle::new(16, 60, 1024);
         assert_eq!(n.lookup_overhead(), 60);
         let mut s = SNuca::new(16);
         assert_eq!(LlcPlacement::lookup_overhead(&mut s), 0);
@@ -941,7 +881,7 @@ mod tests {
 
     #[test]
     fn naive_perfectly_levels_synthetic_writes() {
-        let mut n = NaiveOracle::new(4, 0);
+        let mut n = NaiveOracle::new(4, 0, 1024);
         // 1000 fills, each writing once: counters must stay within 1.
         for i in 0..1000u64 {
             let m = meta(i, false);
@@ -959,7 +899,7 @@ mod tests {
 
     #[test]
     fn renuca_noncritical_goes_snuca_critical_goes_rnuca() {
-        let mut r = ReNuca::new(4, 4);
+        let mut r = ReNuca::new(4, 4, 64, 8);
         let line = phys_addr(5, 0x7000) >> 6;
 
         let nc = meta(line, false);
@@ -972,7 +912,7 @@ mod tests {
 
     #[test]
     fn renuca_first_lookup_defaults_to_snuca() {
-        let mut r = ReNuca::new(4, 4);
+        let mut r = ReNuca::new(4, 4, 64, 8);
         let line = phys_addr(9, 0x9999_40) >> 6;
         // No fill yet: MBV bit 0 -> S-NUCA side.
         assert_eq!(r.lookup_bank(&meta(line, false)), (line & 15) as usize);
@@ -981,7 +921,7 @@ mod tests {
 
     #[test]
     fn renuca_mbv_remembers_critical_placement() {
-        let mut r = ReNuca::new(4, 4);
+        let mut r = ReNuca::new(4, 4, 64, 8);
         let line = phys_addr(5, 0x7000) >> 6;
         let c = meta(line, true);
         let bank = r.fill_bank(&c);
@@ -995,7 +935,7 @@ mod tests {
 
     #[test]
     fn renuca_eviction_resets_mbv() {
-        let mut r = ReNuca::new(4, 4);
+        let mut r = ReNuca::new(4, 4, 64, 8);
         let line = phys_addr(5, 0x7000) >> 6;
         let c = meta(line, true);
         let bank = r.fill_bank(&c);
@@ -1007,7 +947,7 @@ mod tests {
 
     #[test]
     fn renuca_neighbouring_lines_have_independent_bits() {
-        let mut r = ReNuca::new(4, 4);
+        let mut r = ReNuca::new(4, 4, 64, 8);
         let base = phys_addr(2, 0x10000);
         let l0 = base >> 6;
         let l1 = (base + 64) >> 6; // next line, same page
@@ -1022,7 +962,7 @@ mod tests {
 
     #[test]
     fn renuca_stats_track_fill_mix() {
-        let mut r = ReNuca::new(4, 4);
+        let mut r = ReNuca::new(4, 4, 64, 8);
         for i in 0..10u64 {
             let line = phys_addr(1, i * 64) >> 6;
             let m = meta(line, i % 2 == 0);
@@ -1054,7 +994,7 @@ mod tests {
     fn naive_argmin_matches_full_scan_under_random_writes() {
         // Seeded differential test of the cached argmin against a from-
         // scratch lowest-index scan, on a non-pow2 bank count.
-        let mut n = NaiveOracle::new(7, 0);
+        let mut n = NaiveOracle::new(7, 0, 1024);
         let mut x: u64 = 0xDEAD_BEEF_CAFE_F00D;
         for _ in 0..10_000 {
             x = x
@@ -1072,7 +1012,7 @@ mod tests {
         // Touch enough distinct pages to overflow the 64-entry TLB, then
         // verify the first page's MBV bit is still correct (page-table
         // backing store).
-        let mut r = ReNuca::new(4, 4);
+        let mut r = ReNuca::new(4, 4, 64, 8);
         let first = phys_addr(3, 0);
         let l0 = first >> 6;
         let c = meta(l0, true);
@@ -1102,7 +1042,7 @@ mod tests {
 
     #[test]
     fn wec_stays_home_until_threshold_then_redirects() {
-        let mut w = Wec::with_line_capacity(4, 1024);
+        let mut w = Wec::new(4, 1024);
         let line = 5u64; // S-NUCA home = bank 1
         assert_eq!(w.fill_bank(&meta(line, false)), 1, "cold banks: stay home");
         // Heat bank 1 past the threshold relative to bank 0 (the argmin).
@@ -1116,7 +1056,7 @@ mod tests {
 
     #[test]
     fn wec_directory_tracks_only_redirected_lines() {
-        let mut w = Wec::with_line_capacity(4, 1024);
+        let mut w = Wec::new(4, 1024);
         let home = meta(4, false); // home = bank 0 = argmin
         let b = w.fill_bank(&home);
         w.on_fill(&home, b);
@@ -1141,26 +1081,11 @@ mod tests {
     }
 
     #[test]
-    fn wec_bugged_twin_skews_redirects_but_stays_consistent() {
-        let mut w = Wec::bugged(4, 1024);
-        for _ in 0..WEC_THRESHOLD {
-            w.on_l3_write(1);
-        }
-        let hot = meta(5, false);
-        let b = w.fill_bank(&hot);
-        assert_eq!(b, 1, "bug: one past the argmin (bank 0 -> bank 1)");
-        // The twisted bank equals the home here, so no directory entry is
-        // needed — internal consistency holds even under the bug.
-        w.on_fill(&hot, b);
-        assert_eq!(w.lookup_bank(&hot), b);
-    }
-
-    #[test]
     fn wec_argmin_matches_full_scan_under_random_writes() {
         // Same seeded differential discipline as the Naive oracle, on a
         // non-pow2 bank count: the cached argmin must track a from-scratch
         // lowest-index scan through an arbitrary write storm.
-        let mut w = Wec::with_line_capacity(5, 1024);
+        let mut w = Wec::new(5, 1024);
         let mut x: u64 = 0x0DDB_A11_5EED;
         for _ in 0..10_000 {
             x = x
@@ -1177,7 +1102,7 @@ mod tests {
 
     #[test]
     fn coloring_rotates_map_every_epoch() {
-        let mut c = Coloring::with_line_capacity(4, 1024);
+        let mut c = Coloring::new(4, 1024);
         let line = 6u64; // S-NUCA home = bank 2
         assert_eq!(c.fill_bank(&meta(line, false)), 2);
         for _ in 0..COLORING_EPOCH {
@@ -1195,7 +1120,7 @@ mod tests {
 
     #[test]
     fn coloring_directory_pins_resident_lines_across_epochs() {
-        let mut c = Coloring::with_line_capacity(4, 1024);
+        let mut c = Coloring::new(4, 1024);
         let m = meta(6, false);
         let b = c.fill_bank(&m);
         c.on_fill(&m, b);
@@ -1212,17 +1137,5 @@ mod tests {
             c.fill_bank(&m),
             "non-resident: current map"
         );
-    }
-
-    #[test]
-    fn coloring_off_by_one_epoch_twin_diverges() {
-        let mut good = Coloring::with_line_capacity(4, 1024);
-        let mut bad = Coloring::with_epoch(4, 1024, COLORING_EPOCH - 1);
-        let m = meta(6, false);
-        for _ in 0..COLORING_EPOCH - 1 {
-            good.on_l3_write(0);
-            bad.on_l3_write(0);
-        }
-        assert_ne!(good.fill_bank(&m), bad.fill_bank(&m));
     }
 }

@@ -201,21 +201,14 @@ impl Parts {
             Placement::Private => self.finish(name, PrivateMap::new(cfg.n_cores)),
             Placement::Naive => self.finish(
                 name,
-                NaiveOracle::with_line_capacity(cfg.n_banks, cfg.naive_dir_latency, max_lines),
+                NaiveOracle::new(cfg.n_banks, cfg.naive_dir_latency, max_lines),
             ),
             Placement::ReNuca => self.finish(
                 name,
-                ReNuca::with_tlb_geometry(
-                    cfg.noc.cols,
-                    cfg.noc.rows,
-                    cfg.tlb_entries,
-                    cfg.tlb_assoc,
-                ),
+                ReNuca::new(cfg.noc.cols, cfg.noc.rows, cfg.tlb_entries, cfg.tlb_assoc),
             ),
-            Placement::Wec => self.finish(name, Wec::with_line_capacity(cfg.n_banks, max_lines)),
-            Placement::Coloring => {
-                self.finish(name, Coloring::with_line_capacity(cfg.n_banks, max_lines))
-            }
+            Placement::Wec => self.finish(name, Wec::new(cfg.n_banks, max_lines)),
+            Placement::Coloring => self.finish(name, Coloring::new(cfg.n_banks, max_lines)),
         }
     }
 
@@ -345,13 +338,7 @@ mod tests {
                 compressing += 1;
                 assert_eq!(spec.sub_blocks, cfg.l3_subblocks);
                 assert_eq!(spec.seed, cfg.compress_seed);
-                assert!(!spec.expand_on_equal, "factory never builds the bug");
             }
-            assert_ne!(
-                p.l3_replacement(),
-                ReplacementKind::DirtyFirst,
-                "factory never builds the bug"
-            );
         }
         assert_eq!(compressing, 1);
     }

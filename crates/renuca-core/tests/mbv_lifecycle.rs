@@ -29,7 +29,7 @@ fn meta(core: usize, line: u64, critical: bool) -> AccessMeta {
 #[test]
 fn mbv_bit_survives_tlb_eviction_and_clears_on_l3_evict() {
     // 4-entry 2-way TLB so a handful of pages forces evictions.
-    let mut r = ReNuca::with_tlb_geometry(2, 2, 4, 2);
+    let mut r = ReNuca::new(2, 2, 4, 2);
 
     // A line owned by core 1 (address-space slice encodes the owner).
     let line = line_of(phys_addr(1, 0x1000));
@@ -103,7 +103,7 @@ fn mbv_bit_survives_tlb_eviction_and_clears_on_l3_evict() {
 /// the bit straight in the backing store (the remap-while-parked case).
 #[test]
 fn evict_clears_bit_parked_in_backing_store() {
-    let mut r = ReNuca::with_tlb_geometry(2, 2, 4, 2);
+    let mut r = ReNuca::new(2, 2, 4, 2);
     let line = line_of(phys_addr(0, 0x3000));
     let (core, page) = (0usize, page_of_line(line));
 

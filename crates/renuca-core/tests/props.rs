@@ -72,7 +72,7 @@ fn naive_directory_exactness() {
         let ops: Vec<(u64, bool)> = (0..n_ops)
             .map(|_| (rng.gen_bounded(64), rng.gen_bool(0.5)))
             .collect();
-        let mut naive = NaiveOracle::new(8, 0);
+        let mut naive = NaiveOracle::new(8, 0, 1024);
         let snuca = SNuca::new(8);
         let mut resident: std::collections::HashMap<u64, usize> = Default::default();
         for (line, evict) in ops {
@@ -115,7 +115,7 @@ fn renuca_routing_model() {
                 )
             })
             .collect();
-        let mut renuca = ReNuca::new(4, 4);
+        let mut renuca = ReNuca::new(4, 4, 64, 8);
         let snuca = SNuca::new(16);
         let mut residency: std::collections::HashMap<u64, usize> = Default::default();
         for (core, off, critical, evict) in ops {
@@ -250,7 +250,7 @@ fn wec_directory_exactness() {
     let mut rng = SimRng::seed_from_u64(0x4E0C_0008);
     for case in 0..CASES {
         let n_ops = rng.gen_range_usize(1..300);
-        let mut wec = Wec::new(8);
+        let mut wec = Wec::new(8, 1024);
         let snuca = SNuca::new(8);
         let mut resident: std::collections::HashMap<u64, usize> = Default::default();
         for _ in 0..n_ops {
@@ -297,7 +297,7 @@ fn coloring_directory_exactness() {
     for case in 0..CASES {
         let n_ops = rng.gen_range_usize(1..300);
         let n = 6usize; // non-pow2: the shift must wrap by modulo
-        let mut col = Coloring::new(n);
+        let mut col = Coloring::new(n, 1024);
         let snuca = SNuca::new(n);
         let mut resident: std::collections::HashMap<u64, usize> = Default::default();
         let mut writes = 0u64;

@@ -118,17 +118,6 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Iterate over non-empty buckets as `(lower_bound, upper_bound, count)`.
     pub fn nonempty_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.buckets
@@ -204,20 +193,6 @@ mod tests {
         let p99 = h.percentile(99.0).unwrap();
         assert!(p50 <= p99);
         assert!(p99 >= 511); // 99th percentile of 0..1000 is in the top bucket
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(5);
-        b.record(100);
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 108);
-        assert_eq!(a.min(), Some(3));
-        assert_eq!(a.max(), Some(100));
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::fmt::Write as _;
 
 use crate::histogram::Histogram;
 use crate::registry::{StatValue, StatsRegistry};
-use crate::summary::Summary;
 
 /// Escape a string for inclusion in a JSON document (without quotes).
 pub fn escape(s: &str) -> String {
@@ -151,21 +150,6 @@ impl StatsRegistry {
         for (k, v) in self.iter() {
             o.field_raw(k, &v.to_json());
         }
-        o.finish()
-    }
-}
-
-impl Summary {
-    /// Serialize as a JSON object with a fixed key order
-    /// (`n`, `mean`, `hmean`, `stdev`, `min`, `max`).
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("n", self.n as u64)
-            .field_f64("mean", self.mean)
-            .field_f64("hmean", self.hmean)
-            .field_f64("stdev", self.stdev)
-            .field_f64("min", self.min)
-            .field_f64("max", self.max);
         o.finish()
     }
 }
@@ -533,17 +517,6 @@ mod tests {
             r.to_json()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn summary_json_key_order() {
-        let s = Summary::of(&[1.0, 2.0, 4.0]);
-        let j = s.to_json();
-        assert!(j.starts_with(r#"{"n":3,"mean":"#), "{j}");
-        let n = j.find("\"n\":").unwrap();
-        let mean = j.find("\"mean\":").unwrap();
-        let max = j.find("\"max\":").unwrap();
-        assert!(n < mean && mean < max);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Statistics infrastructure for the Re-NUCA simulation stack.
 //!
 //! This crate is deliberately free of any simulator-specific concepts: it
-//! provides the counters, histograms, summary mathematics (arithmetic,
-//! harmonic and geometric means, min/max, coefficient of variation), a
+//! provides the counters, histograms, summary mathematics (arithmetic and
+//! harmonic means, min/max, coefficient of variation), a
 //! hand-rolled stable-key-order JSON emitter and matching parser, and the
 //! plain-text table/bar-chart rendering that the experiment harness uses to
 //! print paper-style figures and tables.
@@ -26,6 +26,4 @@ pub use histogram::Histogram;
 pub use json::{JsonObject, JsonValue};
 pub use registry::{StatValue, StatsRegistry};
 pub use render::{bar_chart, grouped_series, Table};
-pub use summary::{
-    amean, cv, gmean, hmean, max_f64, min_f64, normalize_to, percent_change, stdev, Summary,
-};
+pub use summary::{amean, cv, hmean, max_f64, min_f64, percent_change, stdev};

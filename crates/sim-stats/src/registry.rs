@@ -122,17 +122,6 @@ impl StatsRegistry {
         }
         out
     }
-
-    /// Rebuild the lookup index from the entry list (for registries
-    /// reconstructed from an external dump, where only entries are known).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, (k, _))| (k.clone(), i))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -183,19 +172,5 @@ mod tests {
         let z_pos = dump.find("z = ").unwrap();
         let a_pos = dump.find("a = ").unwrap();
         assert!(z_pos < a_pos, "insertion order must be preserved");
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut r = StatsRegistry::new();
-        r.set("x", 5u64);
-        // Simulate a reconstructed registry: entries present, index empty.
-        let mut copy = StatsRegistry {
-            entries: r.entries.clone(),
-            index: HashMap::new(),
-        };
-        assert_eq!(copy.get_int("x"), None);
-        copy.rebuild_index();
-        assert_eq!(copy.get_int("x"), Some(5));
     }
 }

@@ -34,21 +34,6 @@ pub fn hmean(xs: &[f64]) -> f64 {
     xs.len() as f64 / denom
 }
 
-/// Geometric mean. Returns 0.0 for an empty slice or any non-positive value.
-pub fn gmean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut log_sum = 0.0;
-    for &x in xs {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        log_sum += x.ln();
-    }
-    (log_sum / xs.len() as f64).exp()
-}
-
 /// Population standard deviation. 0.0 for slices with < 2 elements.
 pub fn stdev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
@@ -106,54 +91,6 @@ pub fn percent_change(new: f64, base: f64) -> f64 {
     }
 }
 
-/// Normalize each element of `xs` to the corresponding element of `base`
-/// (element-wise ratio). Panics if lengths differ — that is a harness bug.
-pub fn normalize_to(xs: &[f64], base: &[f64]) -> Vec<f64> {
-    assert_eq!(
-        xs.len(),
-        base.len(),
-        "normalize_to: mismatched series lengths"
-    );
-    xs.iter()
-        .zip(base.iter())
-        .map(|(&x, &b)| if b == 0.0 { 0.0 } else { x / b })
-        .collect()
-}
-
-/// A one-pass summary of a data series: n, mean, stdev, min, max.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Harmonic mean (0.0 if any sample ≤ 0).
-    pub hmean: f64,
-    /// Population standard deviation.
-    pub stdev: f64,
-    /// Minimum sample.
-    pub min: f64,
-    /// Maximum sample.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarize a slice. Empty slices produce an all-zero summary.
-    pub fn of(xs: &[f64]) -> Self {
-        if xs.is_empty() {
-            return Summary::default();
-        }
-        Summary {
-            n: xs.len(),
-            mean: amean(xs),
-            hmean: hmean(xs),
-            stdev: stdev(xs),
-            min: min_f64(xs).unwrap_or(0.0),
-            max: max_f64(xs).unwrap_or(0.0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,16 +124,7 @@ mod tests {
     #[test]
     fn hmean_le_gmean_le_amean() {
         let xs = [2.0, 3.0, 5.0, 7.0, 11.0];
-        let h = hmean(&xs);
-        let g = gmean(&xs);
-        let a = amean(&xs);
-        assert!(h <= g + EPS && g <= a + EPS, "AM-GM-HM inequality violated");
-    }
-
-    #[test]
-    fn gmean_basic() {
-        assert!((gmean(&[1.0, 4.0]) - 2.0).abs() < EPS);
-        assert_eq!(gmean(&[1.0, -1.0]), 0.0);
+        assert!(hmean(&xs) <= amean(&xs) + EPS, "HM-AM inequality violated");
     }
 
     #[test]
@@ -220,29 +148,5 @@ mod tests {
         assert!((percent_change(110.0, 100.0) - 10.0).abs() < EPS);
         assert!((percent_change(90.0, 100.0) + 10.0).abs() < EPS);
         assert_eq!(percent_change(5.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn normalize_basic() {
-        let r = normalize_to(&[2.0, 6.0], &[1.0, 3.0]);
-        assert_eq!(r, vec![2.0, 2.0]);
-        let r = normalize_to(&[2.0], &[0.0]);
-        assert_eq!(r, vec![0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched")]
-    fn normalize_length_mismatch_panics() {
-        normalize_to(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn summary_of_slice() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.n, 3);
-        assert!((s.mean - 2.0).abs() < EPS);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(Summary::of(&[]), Summary::default());
     }
 }

@@ -5,7 +5,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sim_rng::SimRng;
-use sim_stats::{amean, gmean, hmean, json, max_f64, min_f64, Histogram, Summary};
+use sim_stats::{amean, hmean, json, max_f64, min_f64, Histogram};
 
 const CASES: usize = 64;
 
@@ -19,17 +19,15 @@ fn u64_vec(rng: &mut SimRng, len: std::ops::Range<usize>, bound: u64) -> Vec<u64
     (0..n).map(|_| rng.gen_bounded(bound)).collect()
 }
 
-/// The classic mean inequality chain holds for any positive series.
+/// The classic mean inequality (HM ≤ AM) holds for any positive series.
 #[test]
 fn am_gm_hm_inequality() {
     let mut rng = SimRng::seed_from_u64(0x51A7_0001);
     for case in 0..CASES {
         let xs = f64_vec(&mut rng, 1..64, 0.001, 1e6);
         let h = hmean(&xs);
-        let g = gmean(&xs);
         let a = amean(&xs);
-        assert!(h <= g * (1.0 + 1e-9), "case {case}: HM {h} > GM {g}");
-        assert!(g <= a * (1.0 + 1e-9), "case {case}: GM {g} > AM {a}");
+        assert!(h <= a * (1.0 + 1e-9), "case {case}: HM {h} > AM {a}");
     }
 }
 
@@ -41,7 +39,7 @@ fn means_bounded_by_extremes() {
         let xs = f64_vec(&mut rng, 1..64, 0.001, 1e6);
         let lo = min_f64(&xs).unwrap();
         let hi = max_f64(&xs).unwrap();
-        for m in [hmean(&xs), gmean(&xs), amean(&xs)] {
+        for m in [hmean(&xs), amean(&xs)] {
             assert!(
                 m >= lo * (1.0 - 1e-9) && m <= hi * (1.0 + 1e-9),
                 "case {case}: {m} outside [{lo}, {hi}]"
@@ -89,32 +87,6 @@ fn histogram_exact_aggregates() {
     }
 }
 
-/// Merging two histograms equals recording the concatenation.
-#[test]
-fn histogram_merge_is_concat() {
-    let mut rng = SimRng::seed_from_u64(0x51A7_0005);
-    for case in 0..CASES {
-        let a = u64_vec(&mut rng, 0..128, 100_000);
-        let b = u64_vec(&mut rng, 0..128, 100_000);
-        let mut ha = Histogram::new();
-        let mut hb = Histogram::new();
-        let mut hc = Histogram::new();
-        for &x in &a {
-            ha.record(x);
-            hc.record(x);
-        }
-        for &x in &b {
-            hb.record(x);
-            hc.record(x);
-        }
-        ha.merge(&hb);
-        assert_eq!(ha.count(), hc.count(), "case {case}");
-        assert_eq!(ha.sum(), hc.sum(), "case {case}");
-        assert_eq!(ha.min(), hc.min(), "case {case}");
-        assert_eq!(ha.max(), hc.max(), "case {case}");
-    }
-}
-
 /// Percentiles are monotone in p.
 #[test]
 fn percentiles_monotone() {
@@ -131,23 +103,6 @@ fn percentiles_monotone() {
             assert!(v >= last, "case {case}: p{p}: {v} < {last}");
             last = v;
         }
-    }
-}
-
-/// Summary agrees with the standalone functions.
-#[test]
-fn summary_consistent() {
-    let mut rng = SimRng::seed_from_u64(0x51A7_0007);
-    for case in 0..CASES {
-        let xs = f64_vec(&mut rng, 1..64, 0.01, 1e5);
-        let s = Summary::of(&xs);
-        assert_eq!(s.n, xs.len(), "case {case}");
-        assert!(
-            (s.mean - amean(&xs)).abs() < 1e-9 * amean(&xs).max(1.0),
-            "case {case}"
-        );
-        assert_eq!(s.min, min_f64(&xs).unwrap(), "case {case}");
-        assert_eq!(s.max, max_f64(&xs).unwrap(), "case {case}");
     }
 }
 

@@ -34,7 +34,6 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 pub use lifetime::{IntraBankWear, LifetimeModel};
 pub use metrics::{
     capacity_retention, hmean_lifetime_per_bank, lifetime_variation, raw_min_lifetime,
-    time_to_capacity,
 };
 pub use tracker::WearTracker;
 

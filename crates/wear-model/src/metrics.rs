@@ -87,25 +87,6 @@ pub fn capacity_retention(per_bank: &[f64], horizon_years: f64, points: usize) -
         .collect()
 }
 
-/// The time at which the cache first drops below `fraction` of its
-/// capacity (e.g. 0.99 → first bank death ≈ raw minimum lifetime; 0.5 →
-/// half-capacity point). Returns the smallest bank lifetime above the
-/// cutoff.
-///
-/// # Panics
-/// Panics on an empty slice or a fraction outside (0, 1].
-pub fn time_to_capacity(per_bank: &[f64], fraction: f64) -> f64 {
-    assert!(!per_bank.is_empty(), "no banks");
-    assert!(fraction > 0.0 && fraction <= 1.0, "fraction in (0,1]");
-    let mut sorted: Vec<f64> = per_bank.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    // Capacity drops below `fraction` when more than (1-fraction)*n banks
-    // have died; that happens at the k-th smallest lifetime.
-    let n = sorted.len();
-    let deaths_allowed = ((1.0 - fraction) * n as f64).floor() as usize;
-    sorted[deaths_allowed.min(n - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,16 +144,6 @@ mod tests {
         for w in curve.windows(2) {
             assert!(w[1].1 <= w[0].1);
         }
-    }
-
-    #[test]
-    fn time_to_capacity_points() {
-        let lifetimes = [1.0, 2.0, 3.0, 4.0];
-        // Full capacity requirement -> first death.
-        assert_eq!(time_to_capacity(&lifetimes, 1.0), 1.0);
-        // Tolerate one dead bank (75%): next death at 2y.
-        assert_eq!(time_to_capacity(&lifetimes, 0.75), 2.0);
-        assert_eq!(time_to_capacity(&lifetimes, 0.5), 3.0);
     }
 
     #[test]

@@ -18,6 +18,19 @@ echo "== differential smoke: bounded seeded corpus vs the golden model =="
 # reproducer under out/.
 ./target/release/diffcheck --quick --out out
 
+echo "== mutant reproducers replay both ways =="
+# Each shrunk mutation reproducer must diverge under its injected bug
+# (exit 1) and replay clean without it (exit 0).
+for trace in out/mutant_*_seed42.trace; do
+    rc=0
+    ./target/release/diffcheck --replay "$trace" --mutant > /dev/null || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "FAIL: $trace --mutant exited $rc, want 1" >&2
+        exit 1
+    fi
+    ./target/release/diffcheck --replay "$trace" > /dev/null
+done
+
 echo "== e2e benchmark correctness gate: seed 0 against expected.txt =="
 # The frozen end-to-end benchmark (e2e-bench/) is its own workspace, so
 # the tier-1 build above never compiles it. One untraced rep at seed 0

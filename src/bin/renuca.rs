@@ -10,6 +10,7 @@
 //! A thin, dependency-free argument parser: this binary exists so users can
 //! poke at configurations without writing Rust.
 
+use renuca::experiments::run_workload;
 use renuca::prelude::*;
 use renuca::wear::lifetime_variation;
 use renuca::workloads::{is_workload_id, workload_ids};
@@ -104,20 +105,6 @@ fn parse(args: &[String]) -> Args {
     out
 }
 
-fn run_one(scheme: Scheme, workload: usize, cfg: SystemConfig, budget: Budget) -> SimResult {
-    let wl = workload_mix(workload, cfg.n_cores);
-    let mut sys = System::new(
-        cfg,
-        scheme.build_policy(&cfg),
-        wl.build_sources(),
-        scheme.build_predictors(&cfg, CptConfig::default()),
-    );
-    sys.prewarm();
-    sys.warmup(budget.warmup);
-    sys.run(budget.measure);
-    sys.result()
-}
-
 fn print_result(r: &SimResult) {
     let model = LifetimeModel::default();
     let lifetimes = model.all_bank_lifetimes(&r.wear, r.cycles);
@@ -140,14 +127,15 @@ fn main() {
     match cmd.as_str() {
         "run" => {
             let a = parse(rest);
+            let wl = workload_mix(a.workload, a.cfg.n_cores);
             println!(
                 "scheme={} workload={} warmup={} measure={}",
                 a.scheme,
-                workload_mix(a.workload, a.cfg.n_cores).name(),
+                wl.name(),
                 a.budget.warmup,
                 a.budget.measure
             );
-            let r = run_one(a.scheme, a.workload, a.cfg, a.budget);
+            let r = run_workload(&wl, a.scheme, a.cfg, CptConfig::default(), a.budget);
             print_result(&r);
             for c in &r.per_core {
                 println!(
@@ -166,12 +154,10 @@ fn main() {
         }
         "schemes" => {
             let a = parse(rest);
-            println!(
-                "workload {}:",
-                workload_mix(a.workload, a.cfg.n_cores).name()
-            );
+            let wl = workload_mix(a.workload, a.cfg.n_cores);
+            println!("workload {}:", wl.name());
             for scheme in Scheme::ALL {
-                let r = run_one(scheme, a.workload, a.cfg, a.budget);
+                let r = run_workload(&wl, scheme, a.cfg, CptConfig::default(), a.budget);
                 print_result(&r);
             }
         }

@@ -144,7 +144,7 @@ fn renuca_mbv_routing_roundtrip() {
         let n_offsets = rng.gen_range_usize(1..50);
         let offsets: Vec<u64> = (0..n_offsets).map(|_| rng.gen_bounded(1_000_000)).collect();
         let critical: Vec<bool> = (0..50).map(|_| rng.gen_bool(0.5)).collect();
-        let mut renuca = ReNuca::new(4, 4);
+        let mut renuca = ReNuca::new(4, 4, 64, 8);
         let snuca = SNuca::new(16);
         for (i, &off) in offsets.iter().enumerate() {
             let line = phys_addr(i % 16, off * 64) >> 6;
