@@ -48,7 +48,7 @@ pub const OVERRIDES: [&str; 6] = [
     "l3_bank.size_bytes",
     "rob_entries",
     "naive_dir_latency",
-    "prefetch.enabled",
+    "prefetch.streams",
     "intra_bank_rotation_writes",
 ];
 
@@ -430,13 +430,7 @@ fn apply_override(cfg: &mut SystemConfig, field: &str, value: &str) -> Result<()
         "l3_bank.size_bytes" => cfg.l3_bank.size_bytes = num()?,
         "rob_entries" => cfg.rob_entries = num()? as usize,
         "naive_dir_latency" => cfg.naive_dir_latency = num()?,
-        "prefetch.enabled" => {
-            cfg.prefetch.enabled = match value {
-                "0" => false,
-                "1" => true,
-                _ => return Err(format!("prefetch.enabled takes 0 or 1, got {value:?}")),
-            }
-        }
+        "prefetch.streams" => cfg.prefetch.streams = num()? as usize,
         "intra_bank_rotation_writes" => {
             let v = num()?;
             cfg.intra_bank_rotation_writes = if v == 0 { None } else { Some(v) };
@@ -522,12 +516,12 @@ retries 1
     fn overrides_apply_and_unknowns_are_errors() {
         let spec = CampaignSpec::parse(
             "renuca-campaign-v1\nname o\nschemes all\nworkloads 1\n\
-             set l2.size_bytes 131072\nset rob_entries 168\nset prefetch.enabled 0\n",
+             set l2.size_bytes 131072\nset rob_entries 168\nset prefetch.streams 0\n",
         )
         .unwrap();
         assert_eq!(spec.config.l2.size_bytes, 131072);
         assert_eq!(spec.config.rob_entries, 168);
-        assert!(!spec.config.prefetch.enabled);
+        assert_eq!(spec.config.prefetch.streams, 0);
         assert!(spec.config_desc.contains("l2.size_bytes=131072"));
         // An override applies on top of the `config` line even above it.
         let spec = CampaignSpec::parse(
@@ -540,7 +534,8 @@ retries 1
 
         for bad in [
             "renuca-campaign-v1\nname o\nschemes all\nworkloads 1\nset l1.size 1\n",
-            "renuca-campaign-v1\nname o\nschemes all\nworkloads 1\nset prefetch.enabled yes\n",
+            "renuca-campaign-v1\nname o\nschemes all\nworkloads 1\nset prefetch.streams yes\n",
+            "renuca-campaign-v1\nname o\nschemes all\nworkloads 1\nset prefetch.enabled 0\n",
         ] {
             assert!(CampaignSpec::parse(bad).is_err(), "{bad}");
         }

@@ -165,9 +165,7 @@ impl Default for NocConfig {
 /// predicted non-critical, which is exactly Re-NUCA's intent for them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrefetchConfig {
-    /// Master enable.
-    pub enabled: bool,
-    /// Stream-table entries per core.
+    /// Stream-table entries per core; 0 turns the prefetcher off.
     pub streams: usize,
     /// Lines fetched ahead once a stream is confident.
     pub degree: u32,
@@ -176,7 +174,6 @@ pub struct PrefetchConfig {
 impl Default for PrefetchConfig {
     fn default() -> Self {
         PrefetchConfig {
-            enabled: true,
             streams: 16,
             degree: 4,
         }
@@ -450,7 +447,7 @@ impl SystemConfig {
         );
         reg.set(
             format!("{prefix}.prefetch.enabled"),
-            self.prefetch.enabled as u64,
+            (self.prefetch.streams > 0) as u64,
         );
         reg.set(
             format!("{prefix}.prefetch.streams"),

@@ -241,6 +241,9 @@ pub struct MemoryHierarchy {
     rotation_writes: Option<u64>,
     /// Writes into each bank since its last rotation.
     writes_since_rotation: Vec<u64>,
+    /// Banks whose rotation budget ran out during the access in flight,
+    /// one bit per bank (`n_banks == n_cores <= MAX_CORES`).
+    rotations_due: u32,
     l1_latency: Cycle,
     l2_latency: Cycle,
     /// SRAM tag-check cost of an L3 bank: what a *miss* pays at the bank
@@ -311,16 +314,12 @@ impl MemoryHierarchy {
                 let bound = cfg.n_banks * cfg.l3_bank.lines() + cfg.n_banks;
                 FixedTable::with_capacity(bound.min(4096), bound)
             }),
-            // An empty stream table leaves nothing to train: no streams
-            // means no prefetcher.
-            prefetch_cfg: PrefetchConfig {
-                enabled: cfg.prefetch.enabled && cfg.prefetch.streams > 0,
-                ..cfg.prefetch
-            },
+            prefetch_cfg: cfg.prefetch,
             streams: vec![vec![StreamEntry::default(); cfg.prefetch.streams]; cfg.n_cores],
             stream_clock: 0,
             rotation_writes: cfg.intra_bank_rotation_writes,
             writes_since_rotation: vec![0; cfg.n_banks],
+            rotations_due: 0,
             l1_latency: cfg.l1.read_latency,
             l2_latency: cfg.l2.read_latency,
             l3_tag_latency: cfg.l3_bank.tag_latency,
@@ -541,6 +540,11 @@ impl MemoryHierarchy {
         if !is_store {
             self.train_prefetcher(core, line, now);
         }
+        // Only this path writes the L3 (an L2 hit neither fills nor evicts
+        // the L2), so only it can leave a rotation due.
+        if self.rotations_due != 0 {
+            self.rotate_due_banks(data_at_core);
+        }
 
         AccessOutcome {
             latency: data_at_core - now,
@@ -585,22 +589,34 @@ impl MemoryHierarchy {
         (fill_bank, t_fill, false)
     }
 
-    /// Count a write into `bank` against its rotation budget and rotate
-    /// the bank's set mapping when the threshold is reached.
-    fn note_bank_write(&mut self, bank: BankId, now: Cycle) {
+    /// Count a write into `bank` against its rotation budget and mark the
+    /// bank due when the threshold is reached. The flush waits for
+    /// [`Self::rotate_due_banks`] at the end of the access: flushing in the
+    /// middle of one would back-invalidate the line being installed before
+    /// it reaches the L1, leaving it there alone.
+    fn note_bank_write(&mut self, bank: BankId) {
         let Some(threshold) = self.rotation_writes else {
             return;
         };
         self.writes_since_rotation[bank] += 1;
-        if self.writes_since_rotation[bank] < threshold {
-            return;
+        if self.writes_since_rotation[bank] >= threshold {
+            self.writes_since_rotation[bank] = 0;
+            self.rotations_due |= 1 << bank;
         }
-        self.writes_since_rotation[bank] = 0;
-        self.stats.set_rotations.inc();
-        let flushed = self.l3[bank].rotate_set_mapping();
-        self.stats.rotation_flushes.add(flushed.len() as u64);
-        for ev in flushed {
-            self.evict_l3_victim(ev.line, ev.dirty, bank, now);
+    }
+
+    /// Rotate the set mapping of every due bank, flushing its lines (the
+    /// last step of an access, when every level holds a consistent copy).
+    fn rotate_due_banks(&mut self, now: Cycle) {
+        while self.rotations_due != 0 {
+            let bank = self.rotations_due.trailing_zeros() as BankId;
+            self.rotations_due &= self.rotations_due - 1;
+            self.stats.set_rotations.inc();
+            let flushed = self.l3[bank].rotate_set_mapping();
+            self.stats.rotation_flushes.add(flushed.len() as u64);
+            for ev in flushed {
+                self.evict_l3_victim(ev.line, ev.dirty, bank, now);
+            }
         }
     }
 
@@ -629,12 +645,15 @@ impl MemoryHierarchy {
         }
         self.dir.read(line, core);
         self.fill_l2_l1(core, line, false, 0);
+        self.rotate_due_banks(0);
     }
 
     /// Stride detection + confidence-gated prefetch issue (see
     /// [`PrefetchConfig`]).
     fn train_prefetcher(&mut self, core: CoreId, line: u64, now: Cycle) {
-        if !self.prefetch_cfg.enabled {
+        // An empty stream table leaves nothing to train: no streams means
+        // no prefetcher.
+        if self.prefetch_cfg.streams == 0 {
             return;
         }
         self.stream_clock += 1;
@@ -727,9 +746,6 @@ impl MemoryHierarchy {
                 meta.line
             );
         }
-        // Rotation boundary first, so a triggered flush cannot orphan the
-        // line this very fill is installing.
-        self.note_bank_write(bank, now);
         // The fill programs the ReRAM array: the requester's data forwards
         // at `now` (write-buffer semantics) but the bank stays busy for the
         // slow write, delaying later operations.
@@ -748,6 +764,7 @@ impl MemoryHierarchy {
         }
         self.policy.on_fill(meta, bank);
         self.policy.on_l3_write(bank);
+        self.note_bank_write(bank);
 
         if let Some(ev) = out.evicted {
             self.evict_l3_victim(ev.line, ev.dirty, bank, now);
@@ -850,32 +867,13 @@ impl MemoryHierarchy {
         let t_arrive = self.mesh.traverse(core, bank, self.data_flits, now);
         self.banks.write(bank, t_arrive);
         self.per_core[core].l2_writebacks += 1;
-        match self.l3[bank].probe(line) {
-            LookupResult::Hit { set, way } => {
-                self.l3[bank].mark_dirty(line);
-                let slot = self.l3[bank].slot_index(set, way);
-                if self.charge_l3_write(bank, slot, line, false) {
-                    self.banks.expand(bank, t_arrive);
-                }
-            }
-            LookupResult::Miss => {
-                // Inclusion makes this unreachable unless an intra-bank
-                // rotation flushed the line between the L2 eviction and
-                // this writeback; recover by allocating (write-allocate
-                // writeback) so wear accounting and data are never
-                // silently dropped.
-                debug_assert!(
-                    self.rotation_writes.is_some(),
-                    "writeback {:#x} missed inclusive L3",
-                    line
-                );
-                let out = self.l3[bank].fill(line, true);
-                let slot = self.l3[bank].slot_index(out.set, out.way);
-                self.charge_l3_write(bank, slot, line, true);
-                if let Some(ev) = out.evicted {
-                    self.evict_l3_victim(ev.line, ev.dirty, bank, now);
-                }
-            }
+        let LookupResult::Hit { set, way } = self.l3[bank].probe(line) else {
+            panic!("writeback {line:#x} missed the inclusive L3");
+        };
+        self.l3[bank].mark_dirty(line);
+        let slot = self.l3[bank].slot_index(set, way);
+        if self.charge_l3_write(bank, slot, line, false) {
+            self.banks.expand(bank, t_arrive);
         }
         self.stats.l3_writes.inc();
         if let Some(map) = self.block_criticality.as_ref() {
@@ -884,7 +882,7 @@ impl MemoryHierarchy {
             }
         }
         self.policy.on_l3_write(bank);
-        self.note_bank_write(bank, now);
+        self.note_bank_write(bank);
     }
 
     /// Reset every statistic (warm-up boundary) while keeping all cache,
@@ -1168,6 +1166,39 @@ mod tests {
                 assert!(h.l3[0].contains(line), "inclusion broken for {line:#x}");
             }
         }
+    }
+
+    #[test]
+    fn rotation_keeps_private_copies_inclusive() {
+        // 24 lines 256 KiB apart share one L1 set and one L2 set, so L2
+        // writebacks are frequent; with a 40-write rotation budget some
+        // of them trigger a flush while another line is being installed.
+        // Every L1 line must stay in the L2 and every L2 line in the L3.
+        let mut cfg = SystemConfig::small(1);
+        cfg.prefetch.streams = 0;
+        cfg.intra_bank_rotation_writes = Some(40);
+        let mut h = MemoryHierarchy::new(&cfg, Box::new(Striped { nbanks: 1 }));
+        let lines: Vec<u64> = (0..24u64)
+            .map(|i| crate::types::line_of(phys_addr(0, i << 18)))
+            .collect();
+        let mut rng = sim_rng::SimRng::seed_from_u64(0x0807);
+        for i in 0..20_000u64 {
+            let phys = *rng.choose(&lines).unwrap() * 64;
+            if rng.gen_bool(0.5) {
+                h.store(0, phys, 1, i * 1_000);
+            } else {
+                h.load(0, phys, 1, false, i * 1_000);
+            }
+            for &l in &lines {
+                if h.l1[0].contains(l) {
+                    assert!(h.l2[0].contains(l), "access {i}: L1 line {l:#x} not in L2");
+                }
+                if h.l2[0].contains(l) {
+                    assert!(h.l3[0].contains(l), "access {i}: L2 line {l:#x} not in L3");
+                }
+            }
+        }
+        assert!(h.stats.set_rotations.get() > 0, "rotations must fire");
     }
 
     #[test]

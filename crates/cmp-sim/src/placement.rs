@@ -166,19 +166,6 @@ impl CriticalityPredictor for NeverCritical {
     fn on_load_commit(&mut self, _pc: Pc, _blocked: bool) {}
 }
 
-/// A predictor that marks every load critical (turns Re-NUCA into pure
-/// R-NUCA; used in ablations and tests).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AlwaysCritical;
-
-impl CriticalityPredictor for AlwaysCritical {
-    fn predict(&mut self, _pc: Pc) -> bool {
-        true
-    }
-    fn on_rob_block(&mut self, _pc: Pc) {}
-    fn on_load_commit(&mut self, _pc: Pc, _blocked: bool) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,12 +177,6 @@ mod tests {
         p.on_rob_block(123);
         p.on_load_commit(123, true);
         assert_eq!(p.stats(), PredictorStats::default());
-    }
-
-    #[test]
-    fn always_critical_predicts_true() {
-        let mut p = AlwaysCritical;
-        assert!(p.predict(0));
     }
 
     #[test]

@@ -62,12 +62,6 @@ pub const fn line_index_in_page(line: u64) -> u64 {
     line & (LINES_PER_PAGE - 1)
 }
 
-/// The core that owns a physical address (disjoint per-core address spaces).
-#[inline]
-pub const fn owner_of_addr(addr: u64) -> CoreId {
-    (addr >> CORE_ADDR_STRIDE_BITS) as CoreId
-}
-
 /// The core that owns a physical *line* address.
 #[inline]
 pub const fn owner_of_line(line: u64) -> CoreId {
@@ -113,8 +107,7 @@ mod tests {
         let a0 = phys_addr(0, 0xdead_beef);
         let a5 = phys_addr(5, 0xdead_beef);
         assert_ne!(a0, a5);
-        assert_eq!(owner_of_addr(a0), 0);
-        assert_eq!(owner_of_addr(a5), 5);
+        assert_eq!(owner_of_line(line_of(a0)), 0);
         assert_eq!(owner_of_line(line_of(a5)), 5);
     }
 
@@ -123,6 +116,6 @@ mod tests {
         // A vaddr that exceeds the per-core slice wraps within the slice
         // instead of bleeding into the neighbour's space.
         let a = phys_addr(1, 1 << CORE_ADDR_STRIDE_BITS);
-        assert_eq!(owner_of_addr(a), 1);
+        assert_eq!(owner_of_line(line_of(a)), 1);
     }
 }

@@ -80,7 +80,9 @@ fn heterogeneous_cores_finish_at_different_times() {
 fn prefetcher_reduces_stream_stalls() {
     let run = |enabled: bool| {
         let mut cfg = SystemConfig::small(1);
-        cfg.prefetch.enabled = enabled;
+        if !enabled {
+            cfg.prefetch.streams = 0;
+        }
         let mut sys = sys_with(cfg, vec![stream_source(32_768, 200)]);
         sys.warmup(5_000);
         sys.run(30_000);
@@ -112,7 +114,6 @@ fn prefetcher_reduces_stream_stalls() {
 #[test]
 fn prefetch_fills_count_toward_mpki_and_wear() {
     let mut cfg = SystemConfig::small(1);
-    cfg.prefetch.enabled = true;
     let mut sys = sys_with(cfg, vec![stream_source(32_768, 200)]);
     sys.warmup(2_000);
     sys.run(20_000);
@@ -139,7 +140,7 @@ fn predictions_flow_into_fill_classification() {
         fn on_load_commit(&mut self, _: Pc, _: bool) {}
     }
     let mut cfg = SystemConfig::small(1);
-    cfg.prefetch.enabled = false; // prefetch fills are always non-critical
+    cfg.prefetch.streams = 0; // prefetch fills are always non-critical
     let preds: Vec<Box<dyn CriticalityPredictor>> = vec![Box::new(Always)];
     let mut sys = System::new(
         cfg,

@@ -4,17 +4,20 @@
 //! and `golden::GoldenSystem` in lockstep and cross-checks, per access:
 //!
 //! * every placement event (fill / writeback → which bank), logged from
-//!   the policy hooks by a recording wrapper around the real policy;
+//!   the policy hooks by the harness's one policy wrapper, the `Recorder`;
 //! * the acting core's [`PerCoreMemStats`] counters;
 //! * the per-bank write histogram;
 //! * for Re-NUCA, the issue-time criticality prediction of twin CPTs.
 //!
-//! At end of trace it additionally compares a full [`StatsRegistry`] dump
-//! (per-core, hierarchy and coherence-directory counters, byte for byte),
-//! the per-slot wear counters, the bank service model's op accounting
-//! against the wear histogram, and the policy-internal state reachable
-//! through [`LlcPlacement::as_any`]: Re-NUCA's Mapping Bit Vectors and the
-//! Naive oracle's directory + write counters.
+//! At end of trace it additionally compares a full [`StatsRegistry`]
+//! (per-core, hierarchy and coherence-directory counters, each side
+//! registered by the real stats types' own `register`), the per-slot wear
+//! counters, the bank service model's op accounting against the golden
+//! wear histogram, and the policy-internal state reachable through
+//! [`LlcPlacement::as_any`]: Re-NUCA's Mapping Bit Vectors and the
+//! directories and write counters of Naive, WEC and Coloring. Every
+//! comparison, per access and at end of trace, goes through one rule,
+//! `agree`, so every mismatch reads `<what> diverged: real …, golden …`.
 //!
 //! On a mismatch, [`shrink`] runs classic ddmin delta debugging to find a
 //! 1-minimal failing sub-trace, which [`write_shrunk_trace`] serializes in
@@ -25,14 +28,13 @@
 //! `renuca_core`, the golden twin by [`golden_system`].
 //!
 //! [`mutation_check`] proves the harness has teeth, per scheme. Every bug
-//! is injected here, from outside the production types: the stateless
-//! schemes get a `MutantPolicy` wrapper that deliberately mis-places a
-//! subset of lines; the directory-backed placements (WEC, Coloring) get a
-//! wrapper that keeps them internally consistent (a skewed redirect
-//! target, an off-by-one epoch); schemes with non-default bank parts get
-//! the same parts with one part changed (write-aware replacement dropped,
-//! another content seed). In every case the harness must catch the
-//! injected bug and shrink it to a 1-minimal reproducer.
+//! is injected here, from outside the production types: a scheme with a
+//! non-default bank part is built with that part changed (write-aware
+//! replacement dropped, another content seed); any other scheme gets a
+//! `Bug` that the `Recorder` applies to the policy it wraps (lines twisted
+//! one bank over, WEC's redirect target skewed, Coloring's epoch one write
+//! short, Re-NUCA's MBV reset on eviction lost). In every case the harness
+//! must catch the injected bug and shrink it to a 1-minimal reproducer.
 //!
 //! The metamorphic checks ([`write_conservation`], [`snuca_shift_symmetry`],
 //! [`parallel_matches_serial`]) assert relations that must hold *across*
@@ -45,14 +47,17 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::fmt::{Debug, Display};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use cmp_sim::cache::ReplacementKind;
+use cmp_sim::coherence::CoherenceStats;
 use cmp_sim::config::SystemConfig;
-use cmp_sim::hierarchy::MemoryHierarchy;
+use cmp_sim::hierarchy::{HierarchyStats, MemoryHierarchy, PerCoreMemStats};
 use cmp_sim::placement::{AccessMeta, CriticalityPredictor, LlcAccessKind, LlcPlacement};
 use cmp_sim::types::{line_of, owner_of_line, page_of_line, BankId, Cycle};
+use golden::hierarchy::GoldenPerCore;
 use golden::{
     generate, trace_to_text, GoldenCpt, GoldenEvent, GoldenEventKind, GoldenPlacement,
     GoldenPolicy, GoldenSystem, TraceOp, TraceSpec,
@@ -120,7 +125,7 @@ pub fn tiny_cfg(cols: usize, rows: usize) -> SystemConfig {
     cfg.l3_bank.assoc = 4;
     cfg.tlb_entries = 8; // forces MBV write-back/refill traffic
     cfg.tlb_assoc = 2;
-    cfg.prefetch.enabled = false;
+    cfg.prefetch.streams = 0;
     cfg.validate();
     cfg
 }
@@ -131,7 +136,7 @@ pub fn tiny_cfg(cols: usize, rows: usize) -> SystemConfig {
 pub fn roomy_cfg(cols: usize, rows: usize) -> SystemConfig {
     let mut cfg = SystemConfig::mesh(cols, rows);
     cfg.l3_bank.size_bytes = 512 * 1024; // 8192 lines/bank
-    cfg.prefetch.enabled = false;
+    cfg.prefetch.streams = 0;
     cfg.validate();
     cfg
 }
@@ -157,10 +162,10 @@ pub fn replay_mutated(
     run_diff(scheme, cfg, ops, true)
 }
 
-/// Which injected bug a [`MutantPolicy`] carries. Each one keeps the
-/// real hierarchy internally coherent (no inclusion violations, no
-/// duplicate fills, no directory desync) — only the differential
-/// comparison can notice.
+/// Which injected bug the [`Recorder`] applies to the policy it wraps.
+/// Each one keeps the real hierarchy internally coherent (no inclusion
+/// violations, no duplicate fills, no directory desync) — only the
+/// differential comparison can notice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Bug {
     /// Lines with `line % 17 == 3` are routed one bank to the right of
@@ -173,93 +178,14 @@ enum Bug {
     /// one, so Coloring's 64-write epoch clock runs on 63 (t real writes
     /// give 64⌊t/63⌋ + t mod 63 inner ones, whose rotation is ⌊t/63⌋).
     ShortEpoch,
-}
-
-/// The wrapper that injects a [`Bug`] into the policy it wraps, from
-/// outside the production type.
-struct MutantPolicy {
-    inner: Box<dyn LlcPlacement>,
-    n_banks: usize,
-    bug: Bug,
-    /// Real L3 writes seen (the [`Bug::ShortEpoch`] clock).
-    writes: u64,
-}
-
-impl MutantPolicy {
-    fn twist(&self, bank: BankId, line: u64) -> BankId {
-        if self.bug == Bug::Twist && line % 17 == 3 {
-            (bank + 1) % self.n_banks
-        } else {
-            bank
-        }
-    }
-}
-
-impl LlcPlacement for MutantPolicy {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn lookup_bank(&mut self, meta: &AccessMeta) -> BankId {
-        let bank = self.inner.lookup_bank(meta);
-        self.twist(bank, meta.line)
-    }
-
-    fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
-        let bank = self.inner.fill_bank(meta);
-        match self.bug {
-            Bug::SkewRedirect if bank != SNuca::new(self.n_banks).bank_of(meta.line) => {
-                (bank + 1) % self.n_banks
-            }
-            _ => self.twist(bank, meta.line),
-        }
-    }
-
-    fn on_fill(&mut self, meta: &AccessMeta, bank: BankId) {
-        self.inner.on_fill(meta, bank);
-    }
-
-    fn on_l3_write(&mut self, bank: BankId) {
-        self.inner.on_l3_write(bank);
-        self.writes += 1;
-        if self.bug == Bug::ShortEpoch && self.writes.is_multiple_of(COLORING_EPOCH - 1) {
-            self.inner.on_l3_write(bank);
-        }
-    }
-
-    fn on_evict(&mut self, line: u64, bank: BankId) {
-        self.inner.on_evict(line, bank);
-    }
-
-    fn lookup_overhead(&self) -> Cycle {
-        self.inner.lookup_overhead()
-    }
-
-    fn secondary_bank(&mut self, meta: &AccessMeta) -> Option<BankId> {
-        self.inner.secondary_bank(meta)
-    }
-
-    fn l3_replacement(&self) -> ReplacementKind {
-        self.inner.l3_replacement()
-    }
-
-    fn compression(&self) -> Option<compress::CompressSpec> {
-        self.inner.compression()
-    }
-
-    /// Only the skewed WEC exposes its policy state, whose write counters
-    /// and directory stay consistent under the bug. A twisted or
-    /// short-epoch policy is caught through placement alone.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        match self.bug {
-            Bug::SkewRedirect => self.inner.as_any(),
-            Bug::Twist | Bug::ShortEpoch => None,
-        }
-    }
+    /// Evictions never reach the wrapped policy, so Re-NUCA loses the
+    /// §IV.C reset of an evicted line's MBV bit: later lookups of the line
+    /// go to its R-NUCA bank, where it no longer is.
+    StaleMbv,
 }
 
 /// Per-scheme bug injection for [`replay_mutated`], chosen from the
-/// scheme's parts. Every mutant is built from outside the production
+/// scheme's `parts`. Every mutant is built from outside the production
 /// types, so no bug ships in the simulator:
 ///
 /// * write-aware replacement is dropped: the same parts with
@@ -268,36 +194,28 @@ impl LlcPlacement for MutantPolicy {
 ///   `cfg.compress_seed ^ 1` — placement stays identical and only the
 ///   compression state drifts, so catching it requires the
 ///   compression-state comparison;
-/// * otherwise the policy it already built is wrapped in a
-///   [`MutantPolicy`]: WEC's redirected fills are skewed one bank past
-///   the coldest, Coloring's epoch clock runs on 63 writes, not 64, and
-///   every other placement twists a subset of lines one bank over.
-///   Twisted bank ids would trip WEC's and Coloring's directory
-///   assertions on eviction, hence their bugs of their own.
-fn inject_bug(
-    scheme: Scheme,
-    cfg: &SystemConfig,
-    policy: Box<dyn LlcPlacement>,
-) -> Box<dyn LlcPlacement> {
-    let mut parts = scheme.parts(cfg);
+/// * otherwise the parts stay as they are and the returned [`Bug`] goes to
+///   the [`Recorder`]: WEC's redirected fills are skewed one bank past the
+///   coldest, Coloring's epoch clock runs on 63 writes, not 64, Re-NUCA
+///   never hears of an eviction, and every other placement twists a
+///   subset of lines one bank over. Twisted bank ids would trip WEC's and
+///   Coloring's directory assertions on eviction, hence their bugs of
+///   their own.
+fn inject_bug(parts: &mut Parts) -> Option<Bug> {
     if parts.replacement == ReplacementKind::WriteAware {
         parts.replacement = ReplacementKind::Lru;
-    } else if let Some(spec) = parts.compression.as_mut() {
-        spec.seed ^= 1;
-    } else {
-        let bug = match parts.placement {
-            Placement::Wec => Bug::SkewRedirect,
-            Placement::Coloring => Bug::ShortEpoch,
-            _ => Bug::Twist,
-        };
-        return Box::new(MutantPolicy {
-            inner: policy,
-            n_banks: cfg.n_banks,
-            bug,
-            writes: 0,
-        });
+        return None;
     }
-    parts.build_policy(scheme.name(), cfg)
+    if let Some(spec) = parts.compression.as_mut() {
+        spec.seed ^= 1;
+        return None;
+    }
+    Some(match parts.placement {
+        Placement::Wec => Bug::SkewRedirect,
+        Placement::Coloring => Bug::ShortEpoch,
+        Placement::ReNuca => Bug::StaleMbv,
+        _ => Bug::Twist,
+    })
 }
 
 /// The golden twin of a real placement policy.
@@ -340,29 +258,47 @@ fn owner(line: u64, n: usize) -> usize {
 /// inside the hierarchy and the harness that drains it after every op.
 type EventLog = Rc<RefCell<Vec<GoldenEvent>>>;
 
-/// The outermost policy wrapper of the harness: forwards every hook to the
-/// policy it wraps and logs the L3 writes the hierarchy reports through
-/// them. `on_fill(meta, bank)` is a fill; an `on_l3_write(bank)` that does
-/// not directly follow an `on_fill` is an L2 writeback into `bank`, of the
-/// line the last writeback-kind `lookup_bank` asked about.
+/// The harness's one policy wrapper, outermost around the real policy:
+/// forwards every hook to the policy it wraps, applies the injected
+/// [`Bug`] if there is one, and logs the L3 writes the hierarchy reports
+/// through the hooks. `on_fill(meta, bank)` is a fill; an
+/// `on_l3_write(bank)` that does not directly follow an `on_fill` is an L2
+/// writeback into `bank`, of the line the last writeback-kind
+/// `lookup_bank` asked about.
 struct Recorder {
     inner: Box<dyn LlcPlacement>,
+    bug: Option<Bug>,
+    n_banks: usize,
     log: EventLog,
     /// `(core, line)` of the last writeback lookup.
     writeback: (usize, u64),
     after_fill: bool,
+    /// Real L3 writes seen (the [`Bug::ShortEpoch`] clock).
+    writes: u64,
 }
 
 impl Recorder {
-    fn new(inner: Box<dyn LlcPlacement>) -> (Self, EventLog) {
+    fn new(inner: Box<dyn LlcPlacement>, bug: Option<Bug>, n_banks: usize) -> (Self, EventLog) {
         let log = EventLog::default();
         let rec = Recorder {
             inner,
+            bug,
+            n_banks,
             log: Rc::clone(&log),
             writeback: (0, 0),
             after_fill: false,
+            writes: 0,
         };
         (rec, log)
+    }
+
+    /// `bank`, one over for the lines a [`Bug::Twist`] routes wrong.
+    fn twist(&self, bank: BankId, line: u64) -> BankId {
+        if self.bug == Some(Bug::Twist) && line % 17 == 3 {
+            (bank + 1) % self.n_banks
+        } else {
+            bank
+        }
     }
 }
 
@@ -375,11 +311,18 @@ impl LlcPlacement for Recorder {
         if meta.kind == LlcAccessKind::Writeback {
             self.writeback = (meta.core, meta.line);
         }
-        self.inner.lookup_bank(meta)
+        let bank = self.inner.lookup_bank(meta);
+        self.twist(bank, meta.line)
     }
 
     fn fill_bank(&mut self, meta: &AccessMeta) -> BankId {
-        self.inner.fill_bank(meta)
+        let bank = self.inner.fill_bank(meta);
+        if self.bug == Some(Bug::SkewRedirect)
+            && bank != SNuca::new(self.n_banks).bank_of(meta.line)
+        {
+            return (bank + 1) % self.n_banks;
+        }
+        self.twist(bank, meta.line)
     }
 
     fn on_fill(&mut self, meta: &AccessMeta, bank: BankId) {
@@ -404,10 +347,16 @@ impl LlcPlacement for Recorder {
             });
         }
         self.inner.on_l3_write(bank);
+        self.writes += 1;
+        if self.bug == Some(Bug::ShortEpoch) && self.writes.is_multiple_of(COLORING_EPOCH - 1) {
+            self.inner.on_l3_write(bank);
+        }
     }
 
     fn on_evict(&mut self, line: u64, bank: BankId) {
-        self.inner.on_evict(line, bank);
+        if self.bug != Some(Bug::StaleMbv) {
+            self.inner.on_evict(line, bank);
+        }
     }
 
     fn lookup_overhead(&self) -> Cycle {
@@ -426,8 +375,15 @@ impl LlcPlacement for Recorder {
         self.inner.compression()
     }
 
+    /// A twisted or short-epoch policy hides its state: it is caught
+    /// through placement alone. The skewed WEC's write counters and
+    /// directory stay consistent under the bug, and Re-NUCA's stale MBVs
+    /// are what its bug corrupts, so both stay reachable.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
-        self.inner.as_any()
+        match self.bug {
+            Some(Bug::Twist | Bug::ShortEpoch) => None,
+            _ => self.inner.as_any(),
+        }
     }
 }
 
@@ -448,15 +404,12 @@ fn run_diff(
         "harness expects one bank per tile"
     );
 
-    let parts = scheme.parts(cfg);
-    let mut policy = scheme.build_policy(cfg);
-    if mutate {
-        policy = inject_bug(scheme, cfg, policy);
-    }
-    let (recorder, events) = Recorder::new(policy);
-    let mut h = MemoryHierarchy::new(cfg, Box::new(recorder));
-
+    let mut parts = scheme.parts(cfg);
     let mut g = golden_system(&parts, cfg);
+    let bug = if mutate { inject_bug(&mut parts) } else { None };
+    let policy = parts.build_policy(scheme.name(), cfg);
+    let (recorder, events) = Recorder::new(policy, bug, cfg.n_banks);
+    let mut h = MemoryHierarchy::new(cfg, Box::new(recorder));
 
     // Twin criticality predictors (Re-NUCA placement): the real CPT feeds
     // the real hierarchy, the golden CPT feeds the golden system, and
@@ -471,91 +424,43 @@ fn run_diff(
     for (i, op) in ops.iter().enumerate() {
         // Timing is not compared, but the hierarchy wants monotone time.
         let now = i as u64 * 100;
+        let (core, line) = (op.core, line_of(op.phys));
 
         let predicted = if renuca && !op.is_store {
-            let real = cpts[op.core].predict(op.pc);
-            let gold = gcpts[op.core].predict(op.pc);
-            if real != gold {
-                return Err(Mismatch {
-                    op_index: i,
-                    detail: format!(
-                        "CPT verdicts diverged for pc {:#x}: real {real}, golden {gold}",
-                        op.pc
-                    ),
-                });
-            }
+            let (real, gold) = (cpts[core].predict(op.pc), gcpts[core].predict(op.pc));
+            let what = format_args!("CPT verdict for pc {:#x}", op.pc);
+            agree(i, what, real, gold)?;
             real
         } else {
             false
         };
 
         if op.is_store {
-            h.store(op.core, op.phys, op.pc, now);
+            h.store(core, op.phys, op.pc, now);
         } else {
-            h.load(op.core, op.phys, op.pc, predicted, now);
+            h.load(core, op.phys, op.pc, predicted, now);
         }
         let real_events = std::mem::take(&mut *events.borrow_mut());
+        let golden_events = g.step(core, op.phys, predicted, op.is_store);
+        let what = format_args!("placement events for line {line:#x} (core {core})");
+        agree(i, what, real_events, golden_events)?;
 
-        let golden_events = g.step(op.core, op.phys, predicted, op.is_store);
-        if real_events != golden_events {
-            return Err(Mismatch {
-                op_index: i,
-                detail: format!(
-                    "placement events diverged for line {:#x} (core {}): real {:?}, golden {:?}",
-                    line_of(op.phys),
-                    op.core,
-                    real_events,
-                    golden_events
-                ),
-            });
-        }
-
-        let rc = h.per_core_stats(op.core);
-        let gc = &g.per_core[op.core];
-        let real_tuple = (
-            rc.l1_misses,
-            rc.l3_accesses,
-            rc.l3_hits,
-            rc.l3_misses,
-            rc.l2_writebacks,
-        );
-        let gold_tuple = (
-            gc.l1_misses,
-            gc.l3_accesses,
-            gc.l3_hits,
-            gc.l3_misses,
-            gc.l2_writebacks,
-        );
-        if real_tuple != gold_tuple {
-            return Err(Mismatch {
-                op_index: i,
-                detail: format!(
-                    "core {} counters diverged (l1_misses, l3_accesses, l3_hits, l3_misses, \
-                     l2_writebacks): real {:?}, golden {:?}",
-                    op.core, real_tuple, gold_tuple
-                ),
-            });
-        }
-
-        if h.wear.bank_totals() != g.bank_totals().as_slice() {
-            return Err(Mismatch {
-                op_index: i,
-                detail: format!(
-                    "per-bank write histogram diverged: real {:?}, golden {:?}",
-                    h.wear.bank_totals(),
-                    g.bank_totals()
-                ),
-            });
-        }
+        // `PerCoreMemStats` is compared through its `Debug` form, which
+        // names every counter.
+        let real = format!("{:?}", h.per_core_stats(core));
+        let gold = format!("{:?}", per_core(&g.per_core[core]));
+        agree(i, format_args!("core {core} counters"), real, gold)?;
+        let what = "per-bank write histogram";
+        agree(i, what, h.wear.bank_totals(), g.bank_totals().as_slice())?;
 
         // CPT training happens at retirement, after the access completes.
         if renuca && !op.is_store {
             if op.blocked {
-                cpts[op.core].on_rob_block(op.pc);
-                gcpts[op.core].on_rob_block(op.pc);
+                cpts[core].on_rob_block(op.pc);
+                gcpts[core].on_rob_block(op.pc);
             }
-            cpts[op.core].on_load_commit(op.pc, op.blocked);
-            gcpts[op.core].on_load_commit(op.pc, op.blocked);
+            cpts[core].on_load_commit(op.pc, op.blocked);
+            gcpts[core].on_load_commit(op.pc, op.blocked);
         }
     }
 
@@ -572,8 +477,52 @@ fn run_diff(
     })
 }
 
-/// End-of-trace comparison: full registry dump, per-slot wear, policy
-/// internals, CPT counters.
+/// `Ok` when the real and golden sides agree on `what` after op `op`
+/// (`ops.len()` at end of trace) — the harness's one divergence rule.
+fn agree<T: PartialEq + Debug>(
+    op: usize,
+    what: impl Display,
+    real: T,
+    gold: T,
+) -> Result<(), Mismatch> {
+    if real == gold {
+        return Ok(());
+    }
+    Err(Mismatch {
+        op_index: op,
+        detail: format!("{what} diverged: real {real:?}, golden {gold:?}"),
+    })
+}
+
+/// Golden per-core counters poured into the real stats type.
+fn per_core(s: &GoldenPerCore) -> PerCoreMemStats {
+    PerCoreMemStats {
+        l1_misses: s.l1_misses,
+        l3_accesses: s.l3_accesses,
+        l3_hits: s.l3_hits,
+        l3_misses: s.l3_misses,
+        l2_writebacks: s.l2_writebacks,
+    }
+}
+
+/// One side's aggregate counters, keyed and ordered by the stats types'
+/// own `register`.
+fn registry(
+    per_core: impl Iterator<Item = PerCoreMemStats>,
+    hierarchy: &HierarchyStats,
+    dir: &CoherenceStats,
+) -> StatsRegistry {
+    let mut reg = StatsRegistry::new();
+    for (c, s) in per_core.enumerate() {
+        s.register(&mut reg, &format!("core{c}"));
+    }
+    hierarchy.register(&mut reg, "hierarchy");
+    dir.register(&mut reg, "dir");
+    reg
+}
+
+/// End-of-trace comparison: aggregate counters, per-slot wear, bank
+/// accounting, policy internals, compression state, CPT counters.
 fn final_state_compare(
     h: &MemoryHierarchy,
     g: &GoldenSystem,
@@ -584,77 +533,34 @@ fn final_state_compare(
     renuca: bool,
 ) -> Result<(), Mismatch> {
     let end = ops.len();
-    let fail = |detail: String| Mismatch {
-        op_index: end,
-        detail,
+
+    // 1. Aggregate counters, the golden ones poured into the real stats
+    // types. Under the harness preconditions (no prefetch, no rotation,
+    // no block-criticality, no two-probe policy) the counters golden does
+    // not model stay zero on the real side, and l3_writes_noncritical is
+    // only bumped on the fill path — i.e. it equals l3_fills_noncritical.
+    let (gs, gd) = (&g.stats, &g.dir_stats);
+    let hierarchy = HierarchyStats {
+        l3_fills: gs.l3_fills.into(),
+        l3_fills_noncritical: gs.l3_fills_noncritical.into(),
+        l3_writes: gs.l3_writes.into(),
+        l3_writes_noncritical: gs.l3_fills_noncritical.into(),
+        l3_writebacks_to_dram: gs.l3_writebacks_to_dram.into(),
+        back_invalidations: gs.back_invalidations.into(),
+        ..HierarchyStats::default()
     };
-
-    // 1. Aggregate counters through the registry, compared as rendered
-    // dumps so key naming and ordering are part of the checked contract.
-    let mut real_reg = StatsRegistry::new();
-    for c in 0..cfg.n_cores {
-        h.per_core_stats(c)
-            .register(&mut real_reg, &format!("core{c}"));
-    }
-    h.stats.register(&mut real_reg, "hierarchy");
-    h.dir.stats.register(&mut real_reg, "dir");
-
-    let mut gold_reg = StatsRegistry::new();
-    for c in 0..cfg.n_cores {
-        let p = format!("core{c}");
-        let s = &g.per_core[c];
-        gold_reg.set(format!("{p}.l1_misses"), s.l1_misses);
-        gold_reg.set(format!("{p}.l3_accesses"), s.l3_accesses);
-        gold_reg.set(format!("{p}.l3_hits"), s.l3_hits);
-        gold_reg.set(format!("{p}.l3_misses"), s.l3_misses);
-        gold_reg.set(format!("{p}.l2_writebacks"), s.l2_writebacks);
-    }
-    // HierarchyStats keys in declaration order. Under the harness
-    // preconditions (no prefetch, no rotation, no block-criticality, no
-    // two-probe policy) the last seven must be zero on the real side, and
-    // l3_writes_noncritical is only bumped on the fill path — i.e. it
-    // equals l3_fills_noncritical.
-    gold_reg.set("hierarchy.l3_fills", g.stats.l3_fills);
-    gold_reg.set(
-        "hierarchy.l3_fills_noncritical",
-        g.stats.l3_fills_noncritical,
-    );
-    gold_reg.set("hierarchy.l3_writes", g.stats.l3_writes);
-    gold_reg.set(
-        "hierarchy.l3_writes_noncritical",
-        g.stats.l3_fills_noncritical,
-    );
-    gold_reg.set(
-        "hierarchy.l3_writebacks_to_dram",
-        g.stats.l3_writebacks_to_dram,
-    );
-    gold_reg.set("hierarchy.back_invalidations", g.stats.back_invalidations);
-    for zero_key in [
-        "hierarchy.prefetches_issued",
-        "hierarchy.prefetch_fills",
-        "hierarchy.prefetch_l3_hits",
-        "hierarchy.set_rotations",
-        "hierarchy.rotation_flushes",
-        "hierarchy.secondary_probes",
-        "hierarchy.secondary_hits",
-    ] {
-        gold_reg.set(zero_key, 0u64);
-    }
-    gold_reg.set("dir.grants_exclusive", g.dir_stats.grants_exclusive);
-    gold_reg.set("dir.grants_shared", g.dir_stats.grants_shared);
-    gold_reg.set("dir.upgrades_modified", g.dir_stats.upgrades_modified);
-    gold_reg.set("dir.invalidations_sent", g.dir_stats.invalidations_sent);
-    gold_reg.set("dir.back_invalidations", g.dir_stats.back_invalidations);
-
-    let (real_dump, gold_dump) = (real_reg.dump(), gold_reg.dump());
-    if real_dump != gold_dump {
-        let diff = real_dump
-            .lines()
-            .zip(gold_dump.lines())
-            .find(|(a, b)| a != b)
-            .map(|(a, b)| format!("real `{a}` vs golden `{b}`"))
-            .unwrap_or_else(|| "dumps differ in length".to_owned());
-        return Err(fail(format!("stats-registry dump diverged: {diff}")));
+    let dir = CoherenceStats {
+        grants_exclusive: gd.grants_exclusive.into(),
+        grants_shared: gd.grants_shared.into(),
+        upgrades_modified: gd.upgrades_modified.into(),
+        invalidations_sent: gd.invalidations_sent.into(),
+        back_invalidations: gd.back_invalidations.into(),
+    };
+    let real_cores = (0..cfg.n_cores).map(|c| h.per_core_stats(c));
+    let real_reg = registry(real_cores, &h.stats, &h.dir.stats);
+    let gold_reg = registry(g.per_core.iter().map(per_core), &hierarchy, &dir);
+    for ((key, real), (_, gold)) in real_reg.iter().zip(gold_reg.iter()) {
+        agree(end, key, real, gold)?;
     }
 
     // 2. Per-slot wear counters.
@@ -662,35 +568,26 @@ fn final_state_compare(
     for bank in 0..cfg.n_banks {
         for slot in 0..slots {
             let (real, gold) = (h.wear.slot_writes(bank, slot), g.wear[bank][slot]);
-            if real != gold {
-                return Err(fail(format!(
-                    "wear diverged at bank {bank} slot {slot}: real {real}, golden {gold}"
-                )));
-            }
+            let what = format_args!("wear at bank {bank} slot {slot}");
+            agree(end, what, real, gold)?;
         }
     }
 
-    // 3. Bank service-model accounting against the wear model: every
-    // data-array write the service model performed (fills + L2
-    // writebacks) must also be a wear-histogram write, and the op-class
-    // transition counters must chain (rar+raw+war+waw == ops - 1 per
-    // bank). The golden model has no timing, so these are invariants of
-    // the real side that the harness pins on every corpus trace.
+    // 3. Bank service-model accounting: every data-array write the service
+    // model performed (fills + L2 writebacks) is one write of the wear
+    // histogram, and the op-class transition counters chain
+    // (rar+raw+war+waw == ops - 1 per bank). Golden has no timing, so the
+    // second is an invariant of the real side that the harness pins on
+    // every corpus trace.
+    let gold_totals = g.bank_totals();
     for bank in 0..cfg.n_banks {
         let bs = h.banks.stats(bank);
         let writes = bs.fill_ops.get() + bs.write_ops.get();
-        let wear = h.wear.bank_totals()[bank];
-        if writes != wear {
-            return Err(fail(format!(
-                "bank {bank} service-model writes diverged from wear histogram: \
-                 fills+writebacks {writes}, wear {wear}"
-            )));
-        }
-        let (n_ops, trans) = (bs.ops(), bs.transitions());
-        if n_ops > 0 && trans != n_ops - 1 {
-            return Err(fail(format!(
-                "bank {bank} op transitions must chain: {trans} transitions over {n_ops} ops"
-            )));
+        let what = format_args!("bank {bank} service-model writes (fills + writebacks)");
+        agree(end, what, writes, gold_totals[bank])?;
+        if bs.ops() > 0 {
+            let what = format_args!("bank {bank} op transitions (golden: ops - 1)");
+            agree(end, what, bs.transitions(), bs.ops() - 1)?;
         }
     }
 
@@ -720,57 +617,33 @@ fn final_state_compare(
         }
     }
 
-    // 4b. Compressed-array state: per-bank expansion and
-    // class-histogram counters, per-slot allocation class and write
-    // version, and the per-cell (sub-block) wear counters — plus the bank
-    // service model's expand ops, which must equal the expansion count
-    // (every expansion is exactly one extra data-array program).
-    match (h.compression_spec(), g.compress.as_ref()) {
-        (None, None) => {}
-        (Some(_), None) | (None, Some(_)) => {
-            return Err(fail(
-                "compression modelled on one side only (real vs golden)".to_owned(),
-            ));
-        }
-        (Some(spec), Some(gc)) => {
-            agree(end, "sub-block geometry", spec.sub_blocks, gc.sub_blocks)?;
-            for bank in 0..cfg.n_banks {
-                let real_cs = h.compress_stats(bank);
-                let expand_ops = h.banks.stats(bank).expand_ops.get();
-                if expand_ops != real_cs.expansions {
-                    return Err(fail(format!(
-                        "bank {bank} service-model expand ops diverged from expansion count: \
-                         {expand_ops} ops, {} expansions",
-                        real_cs.expansions
-                    )));
-                }
-                let what = format!("bank {bank} expansions");
-                agree(end, &what, real_cs.expansions, gc.expansions[bank])?;
-                let what = format!("bank {bank} class-write histogram");
-                agree(end, &what, real_cs.class_writes, gc.class_writes[bank])?;
-                for slot in 0..slots {
-                    let real_cv = h
-                        .compress_slot(bank, slot)
-                        .expect("compression state present");
-                    let gold_cv = (gc.class[bank][slot], gc.version[bank][slot]);
-                    if real_cv != gold_cv {
-                        return Err(fail(format!(
-                            "compressed slot state diverged at bank {bank} slot {slot} \
-                             (class, version): real {real_cv:?}, golden {gold_cv:?}"
-                        )));
-                    }
-                    for k in 0..spec.sub_blocks {
-                        let (real_w, gold_w) = (
-                            h.wear.cell_writes(bank, slot, k),
-                            gc.cell_wear[bank][slot * gc.sub_blocks + k],
-                        );
-                        if real_w != gold_w {
-                            return Err(fail(format!(
-                                "cell wear diverged at bank {bank} slot {slot} sub-block {k}: \
-                                 real {real_w}, golden {gold_w}"
-                            )));
-                        }
-                    }
+    // 4b. Compressed-array state: per-bank expansion and class-histogram
+    // counters, the bank service model's expand ops (every expansion is
+    // exactly one extra data-array program), per-slot allocation class and
+    // write version, and the per-cell (sub-block) wear counters.
+    let (real, gold) = (h.compression_spec(), g.compress.as_ref());
+    agree(end, "compression modelled", real.is_some(), gold.is_some())?;
+    if let (Some(spec), Some(gc)) = (real, gold) {
+        agree(end, "sub-block geometry", spec.sub_blocks, gc.sub_blocks)?;
+        for bank in 0..cfg.n_banks {
+            let (real_cs, gold_expansions) = (h.compress_stats(bank), gc.expansions[bank]);
+            let what = format_args!("bank {bank} expansions");
+            agree(end, what, real_cs.expansions, gold_expansions)?;
+            let expand_ops = h.banks.stats(bank).expand_ops.get();
+            let what = format_args!("bank {bank} service-model expand ops");
+            agree(end, what, expand_ops, gold_expansions)?;
+            let what = format_args!("bank {bank} class-write histogram");
+            agree(end, what, real_cs.class_writes, gc.class_writes[bank])?;
+            for slot in 0..slots {
+                let real = h.compress_slot(bank, slot);
+                let gold = Some((gc.class[bank][slot], gc.version[bank][slot]));
+                let what = format_args!("compressed (class, version) at bank {bank} slot {slot}");
+                agree(end, what, real, gold)?;
+                for k in 0..spec.sub_blocks {
+                    let real = h.wear.cell_writes(bank, slot, k);
+                    let gold = gc.cell_wear[bank][slot * gc.sub_blocks + k];
+                    let what = format_args!("cell wear at bank {bank} slot {slot} sub-block {k}");
+                    agree(end, what, real, gold)?;
                 }
             }
         }
@@ -778,10 +651,13 @@ fn final_state_compare(
 
     // 5. CPT lifecycle counters (Re-NUCA only).
     if renuca {
-        for (c, (real, gold)) in cpts.iter().zip(gcpts.iter()).enumerate() {
-            let rs = real.cpt_stats;
-            let rp = real.stats();
-            let real_tuple = (
+        for (c, (real, gold)) in cpts.iter().zip(gcpts).enumerate() {
+            let (rs, rp) = (real.cpt_stats, real.stats());
+            let what = format_args!(
+                "core {c} CPT counters (hits, misses, insertions, replacements, \
+                 predicted_critical, predicted_noncritical)"
+            );
+            let real = (
                 rs.hits,
                 rs.misses,
                 rs.insertions,
@@ -789,7 +665,7 @@ fn final_state_compare(
                 rp.predicted_critical,
                 rp.predicted_noncritical,
             );
-            let gold_tuple = (
+            let gold = (
                 gold.hits,
                 gold.misses,
                 gold.insertions,
@@ -797,33 +673,11 @@ fn final_state_compare(
                 gold.predicted_critical,
                 gold.predicted_noncritical,
             );
-            if real_tuple != gold_tuple {
-                return Err(fail(format!(
-                    "core {c} CPT counters diverged (hits, misses, insertions, replacements, \
-                     predicted_critical, predicted_noncritical): real {:?}, golden {:?}",
-                    real_tuple, gold_tuple
-                )));
-            }
+            agree(end, what, real, gold)?;
         }
     }
 
     Ok(())
-}
-
-/// `Ok` when the real and golden sides agree on `what` at end of trace.
-fn agree<T: PartialEq + std::fmt::Debug>(
-    end: usize,
-    what: &str,
-    real: T,
-    gold: T,
-) -> Result<(), Mismatch> {
-    if real == gold {
-        return Ok(());
-    }
-    Err(Mismatch {
-        op_index: end,
-        detail: format!("{what} diverged: real {real:?}, golden {gold:?}"),
-    })
 }
 
 /// Compare a real `ReNuca`'s placement counters and MBV contents against
@@ -835,31 +689,22 @@ fn compare_renuca_state(
     ops: &[TraceOp],
     end: usize,
 ) -> Result<(), Mismatch> {
-    let fail = |detail: String| Mismatch {
-        op_index: end,
-        detail,
-    };
-    let rs = &real.renuca_stats;
-    let gs = &g.policy.renuca_stats;
-    let real_tuple = (
+    let (rs, gs) = (&real.renuca_stats, &g.policy.renuca_stats);
+    let what = "Re-NUCA placement counters (critical_fills, noncritical_fills, lookups_rnuca, \
+                lookups_snuca)";
+    let real_counts = (
         rs.critical_fills,
         rs.noncritical_fills,
         rs.lookups_rnuca,
         rs.lookups_snuca,
     );
-    let gold_tuple = (
+    let gold_counts = (
         gs.critical_fills,
         gs.noncritical_fills,
         gs.lookups_rnuca,
         gs.lookups_snuca,
     );
-    if real_tuple != gold_tuple {
-        return Err(fail(format!(
-            "Re-NUCA placement counters diverged (critical_fills, noncritical_fills, \
-             lookups_rnuca, lookups_snuca): real {:?}, golden {:?}",
-            real_tuple, gold_tuple
-        )));
-    }
+    agree(end, what, real_counts, gold_counts)?;
     // MBV contents over every (owner core, page) the trace could have
     // touched, plus everything the golden map still holds — catches both
     // stale bits and lost bits.
@@ -869,14 +714,9 @@ fn compare_renuca_state(
         keys.insert((owner(line, cfg.n_cores), page_of_line(line)));
     }
     for (core, page) in keys {
-        let real_word = real.tlb(core).mbv(page);
-        let gold_word = g.policy.mbv_word(core, page);
-        if real_word != gold_word {
-            return Err(fail(format!(
-                "MBV diverged for core {core} page {page:#x}: real {real_word:#018x}, \
-                 golden {gold_word:#018x}"
-            )));
-        }
+        let (real, gold) = (real.tlb(core).mbv(page), g.policy.mbv_word(core, page));
+        let what = format_args!("MBV for core {core} page {page:#x}");
+        agree(end, what, real, gold)?;
     }
     Ok(())
 }
@@ -1058,13 +898,14 @@ pub struct MutationReport {
 }
 
 /// The schemes whose injected bugs the self-check exercises: one
-/// stateless scheme for the line-twisting `MutantPolicy`, the two
-/// directory-backed placements with bugs of their own, and one scheme per
+/// stateless scheme for the line twist, the two directory-backed
+/// placements and Re-NUCA with bugs of their own, and one scheme per
 /// non-default bank part (see `inject_bug`).
-pub const MUTATION_SCHEMES: [Scheme; 5] = [
+pub const MUTATION_SCHEMES: [Scheme; 6] = [
     Scheme::SNuca,
     Scheme::Wec,
     Scheme::Coloring,
+    Scheme::ReNuca,
     Scheme::Mac,
     Scheme::ReNucaC2,
 ];
@@ -1324,7 +1165,7 @@ mod tests {
         // `as_any`; behind the recorder they must still find the policy.
         let cfg = tiny_cfg(2, 2);
         let reachable = |scheme: Scheme, is: fn(&dyn std::any::Any) -> bool| {
-            let (recorder, _) = Recorder::new(scheme.build_policy(&cfg));
+            let (recorder, _) = Recorder::new(scheme.build_policy(&cfg), None, cfg.n_banks);
             let h = MemoryHierarchy::new(&cfg, Box::new(recorder));
             let any = h.policy().as_any().expect("as_any forwarded");
             assert!(is(any), "{} not reachable", scheme.name());
@@ -1347,10 +1188,19 @@ mod tests {
         }
     }
 
+    /// `scheme`'s real policy behind a [`Recorder`] carrying its injected
+    /// bug.
+    fn mutant(scheme: Scheme, cfg: &SystemConfig) -> Recorder {
+        let mut parts = scheme.parts(cfg);
+        let bug = inject_bug(&mut parts);
+        assert!(bug.is_some(), "{} mutates its parts", scheme.name());
+        Recorder::new(parts.build_policy(scheme.name(), cfg), bug, cfg.n_banks).0
+    }
+
     #[test]
     fn wec_bugged_twin_skews_redirects_but_stays_consistent() {
         let cfg = tiny_cfg(2, 2);
-        let mut w = inject_bug(Scheme::Wec, &cfg, Scheme::Wec.build_policy(&cfg));
+        let mut w = mutant(Scheme::Wec, &cfg);
         let home = meta(4); // S-NUCA home = bank 0 = the coldest
         assert_eq!(w.fill_bank(&home), 0, "home fills are untouched");
         for _ in 0..renuca_core::WEC_THRESHOLD {
@@ -1371,7 +1221,7 @@ mod tests {
     fn coloring_off_by_one_epoch_twin_diverges() {
         let cfg = tiny_cfg(2, 2);
         let build = || Scheme::Coloring.build_policy(&cfg);
-        let (mut good, mut bad) = (build(), inject_bug(Scheme::Coloring, &cfg, build()));
+        let (mut good, mut bad) = (build(), mutant(Scheme::Coloring, &cfg));
         let m = meta(6); // S-NUCA home = bank 2
         let epoch = COLORING_EPOCH - 1;
         for _ in 0..epoch {
@@ -1386,6 +1236,30 @@ mod tests {
             assert_eq!(bad.fill_bank(&m) as u64, (2 + t / epoch) % 4, "t = {t}");
         }
         assert!(bad.as_any().is_none(), "caught through placement alone");
+    }
+
+    #[test]
+    fn renuca_stale_mbv_twin_keeps_evicted_lines_bits() {
+        let cfg = tiny_cfg(2, 2);
+        let mut good = Scheme::ReNuca.build_policy(&cfg);
+        let mut bad = mutant(Scheme::ReNuca, &cfg);
+        let m = AccessMeta {
+            predicted_critical: true,
+            ..meta(6)
+        };
+        let mbv_bit = |p: &dyn LlcPlacement| {
+            let renuca = p.as_any().and_then(|a| a.downcast_ref::<ReNuca>());
+            let word = renuca.expect("state reachable").tlb(m.core).mbv(m.page);
+            word >> (m.line % 64) & 1
+        };
+        for p in [good.as_mut(), &mut bad as &mut dyn LlcPlacement] {
+            let bank = p.fill_bank(&m);
+            p.on_fill(&m, bank);
+            assert_eq!(mbv_bit(p), 1, "a critical fill sets the bit");
+            p.on_evict(m.line, bank);
+        }
+        assert_eq!(mbv_bit(good.as_ref()), 0, "eviction resets the bit");
+        assert_eq!(mbv_bit(&bad), 1, "bug: the reset is lost");
     }
 
     #[test]

@@ -235,7 +235,9 @@ pub fn prefetcher_ablation(budget: Budget) -> String {
     ]);
     for enabled in [true, false] {
         let mut cfg = SystemConfig::default();
-        cfg.prefetch.enabled = enabled;
+        if !enabled {
+            cfg.prefetch.streams = 0;
+        }
         let model = lifetime_model(&cfg);
         let re = run_wls(Scheme::ReNuca, cfg, CptConfig::default(), budget);
         let rn = run_wls(Scheme::RNuca, cfg, CptConfig::default(), budget);

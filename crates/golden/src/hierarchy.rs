@@ -137,7 +137,7 @@ impl GoldenSystem {
     ) -> Self {
         cfg.validate();
         assert!(
-            !cfg.prefetch.enabled || cfg.prefetch.streams == 0,
+            cfg.prefetch.streams == 0,
             "golden model requires prefetching disabled"
         );
         assert!(
@@ -447,7 +447,7 @@ mod tests {
 
     fn tiny() -> SystemConfig {
         let mut cfg = SystemConfig::mesh(2, 2);
-        cfg.prefetch.enabled = false;
+        cfg.prefetch.streams = 0;
         cfg
     }
 

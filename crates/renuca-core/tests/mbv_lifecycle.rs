@@ -156,7 +156,7 @@ fn no_stale_mapping_after_post_eviction_l2_miss() {
     cfg.l3_bank.assoc = 4;
     cfg.tlb_entries = 8;
     cfg.tlb_assoc = 2;
-    cfg.prefetch.enabled = false;
+    cfg.prefetch.streams = 0;
     cfg.validate();
 
     let mut h = MemoryHierarchy::new(&cfg, Scheme::ReNuca.build_policy(&cfg));

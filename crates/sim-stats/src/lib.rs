@@ -26,4 +26,4 @@ pub use histogram::Histogram;
 pub use json::{JsonObject, JsonValue};
 pub use registry::{StatValue, StatsRegistry};
 pub use render::{bar_chart, grouped_series, Table};
-pub use summary::{amean, cv, hmean, max_f64, min_f64, percent_change, stdev};
+pub use summary::{amean, cv, hmean, min_f64, percent_change, stdev};

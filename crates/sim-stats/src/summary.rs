@@ -68,19 +68,6 @@ pub fn min_f64(xs: &[f64]) -> Option<f64> {
         })
 }
 
-/// Maximum of a slice (`None` when empty). NaNs are ignored.
-pub fn max_f64(xs: &[f64]) -> Option<f64> {
-    xs.iter()
-        .copied()
-        .filter(|x| !x.is_nan())
-        .fold(None, |acc, x| {
-            Some(match acc {
-                None => x,
-                Some(a) => a.max(x),
-            })
-        })
-}
-
 /// Percent change of `new` relative to `base`: `(new - base) / base * 100`.
 /// Returns 0.0 when `base` is 0 to keep report tables readable.
 pub fn percent_change(new: f64, base: f64) -> f64 {
@@ -136,10 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn min_max_ignore_nan() {
+    fn min_ignores_nan() {
         let xs = [3.0, f64::NAN, 1.0, 2.0];
         assert_eq!(min_f64(&xs), Some(1.0));
-        assert_eq!(max_f64(&xs), Some(3.0));
         assert_eq!(min_f64(&[]), None);
     }
 

@@ -18,12 +18,6 @@ impl EnduranceSpec {
         writes_per_cell: 1e11,
     };
 
-    /// Conservative prototype endurance: 10⁹ writes per line
-    /// (Wei et al., IEDM 2008 — the paper's reference \[17\]).
-    pub const CONSERVATIVE: EnduranceSpec = EnduranceSpec {
-        writes_per_cell: 1e9,
-    };
-
     /// Create a custom endurance spec.
     ///
     /// # Panics
@@ -52,11 +46,6 @@ mod tests {
     fn paper_default_is_1e11() {
         assert_eq!(EnduranceSpec::default().writes_per_cell, 1e11);
         assert_eq!(EnduranceSpec::PAPER.writes_per_cell, 1e11);
-    }
-
-    #[test]
-    fn conservative_is_1e9() {
-        assert_eq!(EnduranceSpec::CONSERVATIVE.writes_per_cell, 1e9);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn parse(args: &[String]) -> Args {
             "--l2-128k" => out.cfg = out.cfg.with_l2_128k(),
             "--l3-1m" => out.cfg = out.cfg.with_l3_1m(),
             "--rob-168" => out.cfg = out.cfg.with_rob_168(),
-            "--no-prefetch" => out.cfg.prefetch.enabled = false,
+            "--no-prefetch" => out.cfg.prefetch.streams = 0,
             other => {
                 eprintln!("unknown flag {other}");
                 usage()
