@@ -1,75 +1,37 @@
-//! Campaign driver: `campaign <run|resume|status|verify> <spec> --out <dir>`.
+//! Campaign driver: `campaign <run|status|verify> <spec> --out <dir>`.
 //!
-//! * `run` — execute (or continue) a campaign. Idempotent: journalled work
-//!   is skipped, and the invocation that covers the last grid cell writes
-//!   `report.json`.
-//! * `resume` — exactly `run`, but refuses to *start* a campaign: a journal
-//!   must already exist (catches out-dir typos after a crash).
-//! * `status` — print progress from the journals without running anything.
-//! * `verify` — re-hash every job manifest against the journal and
+//! * `run` — execute (or continue) a campaign. Idempotent: jobs whose
+//!   manifest is on disk are skipped, the rest run on `RENUCA_THREADS`
+//!   workers, and `report.json` is written from the manifests.
+//! * `status` — print progress and the key of every pending job without
+//!   running anything.
+//! * `verify` — check every job manifest against the spec and
 //!   re-aggregate; fails unless `report.json` matches byte-for-byte.
-//!
-//! Options: `--shard I/N` (split the grid by `job.index % N`, each shard
-//! appends to its own journal; any later invocation merges all of them),
-//! `--threads N`, and `--max-jobs K` (stop scheduling after K completions
-//! — the crash-injection hook used by tests and the CI smoke; exits 3).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use campaign::scheduler::{self, RunOptions};
-use campaign::{report, CampaignSpec};
+use campaign::{report, scheduler, CampaignSpec};
 
-const USAGE: &str = "\
-usage: campaign <run|resume|status|verify> <spec.campaign> --out <dir>
-                [--shard I/N] [--threads N] [--max-jobs K]";
+const USAGE: &str = "usage: campaign <run|status|verify> <spec.campaign> --out <dir>";
 
 struct Cli {
     command: String,
     spec_path: PathBuf,
     out: PathBuf,
-    opts: RunOptions,
 }
 
 fn parse_cli() -> Result<Cli, String> {
     let mut args = std::env::args().skip(1);
     let command = args.next().ok_or("missing command")?;
-    if !matches!(command.as_str(), "run" | "resume" | "status" | "verify") {
+    if !matches!(command.as_str(), "run" | "status" | "verify") {
         return Err(format!("unknown command {command:?}"));
     }
     let spec_path = PathBuf::from(args.next().ok_or("missing spec path")?);
     let mut out: Option<PathBuf> = None;
-    let mut opts = RunOptions::default();
     while let Some(a) = args.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
         match a.as_str() {
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--shard" => {
-                let v = value("--shard")?;
-                let (i, n) = v
-                    .split_once('/')
-                    .ok_or_else(|| format!("--shard takes I/N, got {v:?}"))?;
-                opts.shard_index = i.parse().map_err(|_| format!("bad shard index {i:?}"))?;
-                opts.shard_count = n.parse().map_err(|_| format!("bad shard count {n:?}"))?;
-                if opts.shard_count == 0 || opts.shard_index >= opts.shard_count {
-                    return Err(format!("shard {v} out of range"));
-                }
-            }
-            "--threads" => {
-                let v = value("--threads")?;
-                opts.threads = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-                if opts.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--max-jobs" => {
-                let v = value("--max-jobs")?;
-                let k: usize = v.parse().map_err(|_| format!("bad job count {v:?}"))?;
-                opts.max_jobs = Some(k);
-            }
+            "--out" => out = Some(PathBuf::from(args.next().ok_or("--out requires a value")?)),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -77,7 +39,6 @@ fn parse_cli() -> Result<Cli, String> {
         command,
         spec_path,
         out: out.ok_or("missing --out <dir>")?,
-        opts,
     })
 }
 
@@ -105,22 +66,13 @@ fn main() -> ExitCode {
     };
 
     let result = match cli.command.as_str() {
-        "run" | "resume" => {
-            if cli.command == "resume" && !scheduler::has_journal(&cli.out) {
-                eprintln!(
-                    "error: nothing to resume: no journal in {} (use `run` to start)",
-                    cli.out.display()
-                );
-                return ExitCode::from(2);
-            }
-            run(&spec, &cli)
-        }
+        "run" => run(&spec, &cli),
         "status" => status(&spec, &cli),
         "verify" => verify(&spec, &cli),
         _ => unreachable!(),
     };
     match result {
-        Ok(code) => code,
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -128,57 +80,37 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(spec: &CampaignSpec, cli: &Cli) -> Result<ExitCode, String> {
-    let outcome = scheduler::run(spec, &cli.out, cli.opts)?;
+fn run(spec: &CampaignSpec, cli: &Cli) -> Result<(), String> {
+    let threads = experiments::pool::default_threads();
+    let outcome = scheduler::run(spec, &cli.out, threads)?;
     println!(
-        "campaign {}: shard {}/{}: {} executed, {} quarantined, {} already journalled",
-        spec.name,
-        cli.opts.shard_index,
-        cli.opts.shard_count,
-        outcome.executed,
-        outcome.quarantined,
-        outcome.skipped
+        "campaign {}: {} executed, {} already done",
+        spec.name, outcome.executed, outcome.skipped
     );
-    if outcome.stopped_early {
-        println!("stopped early after --max-jobs; campaign left resumable");
-        return Ok(ExitCode::from(3));
-    }
-    match &outcome.report {
-        Some(path) => println!("report: {}", path.display()),
-        None => println!("grid not fully covered yet; no report written"),
-    }
-    Ok(ExitCode::SUCCESS)
+    println!("report: {}", outcome.report.display());
+    Ok(())
 }
 
-fn status(spec: &CampaignSpec, cli: &Cli) -> Result<ExitCode, String> {
+fn status(spec: &CampaignSpec, cli: &Cli) -> Result<(), String> {
     let s = scheduler::status(spec, &cli.out)?;
     println!(
-        "campaign {}: {}/{} done, {} quarantined, {} failed attempts, report {}",
+        "campaign {}: {}/{} done, report {}",
         spec.name,
         s.done,
         s.grid,
-        s.quarantined.len(),
-        s.failed_attempts,
         if s.report_exists { "written" } else { "absent" }
     );
-    for (id, key, attempts, payload) in &s.quarantined {
-        println!("  quarantined {id} ({key}) after {attempts} attempts; panic payload:");
-        if payload.is_empty() {
-            println!("    <empty payload>");
-        }
-        for line in payload.lines() {
-            println!("    {line}");
-        }
+    for key in &s.pending {
+        println!("  pending {key}");
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
-fn verify(spec: &CampaignSpec, cli: &Cli) -> Result<ExitCode, String> {
-    let v = report::verify(spec, &cli.out)?;
+fn verify(spec: &CampaignSpec, cli: &Cli) -> Result<(), String> {
+    let checked = report::verify(spec, &cli.out)?;
     println!(
-        "campaign {}: verified {} manifests + report.json byte-identical \
-         re-aggregation ({} quarantined)",
-        spec.name, v.manifests_checked, v.quarantined
+        "campaign {}: verified {checked} manifests + report.json byte-identical re-aggregation",
+        spec.name
     );
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }

@@ -1,11 +1,11 @@
 //! Campaign aggregation: merge per-job `renuca-manifest-v1` files into one
-//! `renuca-campaign-report-v1` document, and verify a finished campaign.
+//! `renuca-campaign-report-v2` document, and verify a finished campaign.
 //!
 //! The report is a pure function of the spec and the job manifests, walked
-//! in grid order. It carries no timestamps, attempt counts, shard layout or
-//! journal details, so the same completed campaign renders byte-identical
-//! bytes no matter how many crashes, resumes or shards produced it — that
-//! invariant is what the crash-recovery tests pin down.
+//! in grid order. It carries no timestamps or run history, so the same
+//! completed campaign renders byte-identical bytes no matter how many
+//! crashes and resumes produced it — that invariant is what the
+//! crash-recovery tests pin down.
 
 use std::fs;
 use std::path::Path;
@@ -13,90 +13,145 @@ use std::path::Path;
 use sim_stats::json::{f64_array, parse, raw_array, u64_array, JsonObject, JsonValue};
 use wear_model::{hmean_lifetime_per_bank, lifetime_variation, raw_min_lifetime};
 
-use crate::hashes::fnv1a64;
-use crate::journal::{journal_files, read_journal, Record};
-use crate::scheduler::{load_state, CampaignState};
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, Job};
 
 /// Schema id of the aggregate report.
-pub const REPORT_SCHEMA: &str = "renuca-campaign-report-v1";
+pub const REPORT_SCHEMA: &str = "renuca-campaign-report-v2";
 
 /// What one completed job contributes to the aggregate.
-struct JobData {
-    workload: usize,
+pub(crate) struct JobData {
     ipc: f64,
     per_bank: Vec<f64>,
 }
 
-/// Render the aggregate report. Fails unless the merged state covers the
-/// full grid (every job done or quarantined) and every `done` manifest
-/// parses.
-pub fn render(spec: &CampaignSpec, dir: &Path, state: &CampaignState) -> Result<Vec<u8>, String> {
-    let jobs = spec.jobs();
-    let covered = state.done.len() + state.quarantined.len();
-    if covered < jobs.len() {
-        return Err(format!(
-            "campaign incomplete: {covered}/{} jobs covered by journals",
-            jobs.len()
-        ));
+/// Read job `job`'s manifest, `jobs/<id>.json`.
+///
+/// The outer `Err` is a hard error: the manifest parses but carries another
+/// spec fingerprint or budget (a spec without a `budget` line takes it from
+/// the environment), so it belongs to a different campaign or spec
+/// revision. The inner `Err` means the job is pending, with the reason: the
+/// manifest is missing, does not parse, or is not this job's.
+pub(crate) fn read_job(
+    spec: &CampaignSpec,
+    dir: &Path,
+    job: &Job,
+) -> Result<Result<JobData, String>, String> {
+    let path = dir.join(job.manifest_rel(&spec.name));
+    let text = match fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) => return Ok(Err(format!("read {}: {e}", path.display()))),
+    };
+    let doc = match parse(&text) {
+        Ok(doc) => doc,
+        Err(e) => return Ok(Err(format!("parse {}: {e}", path.display()))),
+    };
+    let fingerprint = format!("{:016x}", spec.fingerprint);
+    let fp = doc
+        .get("stats")
+        .and_then(|s| s.get("job.spec_fingerprint"))
+        .and_then(JsonValue::as_str);
+    let budget = |key| {
+        doc.get("budget")
+            .and_then(|b| b.get(key))
+            .and_then(JsonValue::as_u64)
+    };
+    let (warmup, measure) = (budget("warmup"), budget("measure"));
+    let malformed = |what| {
+        Ok(Err(format!(
+            "{}: missing or malformed {what}",
+            path.display()
+        )))
+    };
+    match fp {
+        None => return malformed("stats.job.spec_fingerprint"),
+        Some(fp)
+            if fp != fingerprint
+                || warmup != Some(spec.budget.warmup)
+                || measure != Some(spec.budget.measure) =>
+        {
+            return Err(format!(
+                "{}: manifest belongs to a different campaign or spec revision \
+                 (manifest: fp={fp} warmup={warmup:?} measure={measure:?}; \
+                 spec: name={} fp={fingerprint} warmup={} measure={})",
+                path.display(),
+                spec.name,
+                spec.budget.warmup,
+                spec.budget.measure,
+            ));
+        }
+        Some(_) => {}
     }
+    match job_data(&doc, job) {
+        Ok(data) => Ok(Ok(data)),
+        Err(what) => malformed(what),
+    }
+}
 
+/// Pull the aggregate inputs out of a parsed job manifest; `Err` names the
+/// first field that is missing or does not match `job`.
+fn job_data(doc: &JsonValue, job: &Job) -> Result<JobData, &'static str> {
+    if doc.get("label").and_then(JsonValue::as_str) != Some(job.key().as_str()) {
+        return Err("label");
+    }
+    let stats = doc.get("stats").ok_or("stats")?;
+    let ipc = stats
+        .get("job.ipc")
+        .and_then(JsonValue::as_f64)
+        .ok_or("stats.job.ipc")?;
+    let per_bank = doc
+        .get("wear_heatmap")
+        .and_then(|h| h.get("rows"))
+        .and_then(JsonValue::as_array)
+        .and_then(|rows| rows.first())
+        .and_then(|r| r.get("per_bank"))
+        .and_then(JsonValue::as_array)
+        .ok_or("wear_heatmap.rows[0].per_bank")?
+        .iter()
+        // `fmt_f64` writes non-finite lifetimes (a bank with zero writes
+        // never wears out) as JSON null; read them back as +inf.
+        .map(|v| v.as_f64().unwrap_or(f64::INFINITY))
+        .collect();
+    Ok(JobData { ipc, per_bank })
+}
+
+/// Render the aggregate report. Fails unless every job of the grid has a
+/// valid manifest.
+pub fn render(spec: &CampaignSpec, dir: &Path) -> Result<Vec<u8>, String> {
+    let jobs = spec.jobs();
     // Group jobs by (threshold, scheme) in spec order.
     let mut groups: Vec<String> = Vec::new();
-    let mut quarantined_out: Vec<String> = Vec::new();
     for &threshold_pct in &spec.thresholds {
         for &scheme in &spec.schemes {
+            let mut workloads: Vec<u64> = Vec::new();
             let mut done_jobs: Vec<JobData> = Vec::new();
-            let mut missing: Vec<u64> = Vec::new();
             for job in jobs
                 .iter()
                 .filter(|j| j.threshold_pct == threshold_pct && j.scheme == scheme)
             {
-                let id = job.id(&spec.name);
-                if let Some((rel, _fnv)) = state.manifest_of(&id) {
-                    let data = read_job_manifest(&dir.join(rel), job.workload)?;
-                    done_jobs.push(data);
-                } else if let Some((_, payload)) = state.quarantine_of(&id) {
-                    missing.push(job.workload as u64);
-                    let mut q = JsonObject::new();
-                    q.field_str("key", &job.key()).field_str("payload", payload);
-                    quarantined_out.push(q.finish());
-                } else {
-                    return Err(format!("job {} ({}) unaccounted for", id, job.key()));
-                }
+                let data = read_job(spec, dir, job)?.map_err(|e| {
+                    format!(
+                        "campaign incomplete: job {} ({}): {e}",
+                        job.id(&spec.name),
+                        job.key()
+                    )
+                })?;
+                workloads.push(job.workload as u64);
+                done_jobs.push(data);
             }
 
+            let ipcs: Vec<f64> = done_jobs.iter().map(|d| d.ipc).collect();
+            let per_wl: Vec<Vec<f64>> = done_jobs.into_iter().map(|d| d.per_bank).collect();
+            let hmean_bank = hmean_lifetime_per_bank(&per_wl);
             let mut g = JsonObject::new();
             g.field_f64("threshold_pct", threshold_pct)
                 .field_str("scheme", scheme.name())
-                .field_raw(
-                    "workloads",
-                    &u64_array(
-                        &done_jobs
-                            .iter()
-                            .map(|d| d.workload as u64)
-                            .collect::<Vec<_>>(),
-                    ),
-                )
-                .field_raw("missing_workloads", &u64_array(&missing));
-            if done_jobs.is_empty() {
-                g.field_raw("mean_ipc", "null")
-                    .field_raw("per_workload_ipc", "[]")
-                    .field_raw("raw_min_years", "null")
-                    .field_raw("hmean_lifetime_years", "null")
-                    .field_raw("variation", "null")
-                    .field_raw("hmean_per_bank", "[]");
-            } else {
-                let ipcs: Vec<f64> = done_jobs.iter().map(|d| d.ipc).collect();
-                let per_wl: Vec<Vec<f64>> = done_jobs.iter().map(|d| d.per_bank.clone()).collect();
-                let hmean_bank = hmean_lifetime_per_bank(&per_wl);
-                g.field_f64("mean_ipc", sim_stats::amean(&ipcs))
-                    .field_raw("per_workload_ipc", &f64_array(&ipcs))
-                    .field_f64("raw_min_years", raw_min_lifetime(&per_wl))
-                    .field_f64("hmean_lifetime_years", sim_stats::hmean(&hmean_bank))
-                    .field_f64("variation", lifetime_variation(&hmean_bank))
-                    .field_raw("hmean_per_bank", &f64_array(&hmean_bank));
-            }
+                .field_raw("workloads", &u64_array(&workloads))
+                .field_f64("mean_ipc", sim_stats::amean(&ipcs))
+                .field_raw("per_workload_ipc", &f64_array(&ipcs))
+                .field_f64("raw_min_years", raw_min_lifetime(&per_wl))
+                .field_f64("hmean_lifetime_years", sim_stats::hmean(&hmean_bank))
+                .field_f64("variation", lifetime_variation(&hmean_bank))
+                .field_raw("hmean_per_bank", &f64_array(&hmean_bank));
             groups.push(g.finish());
         }
     }
@@ -112,102 +167,18 @@ pub fn render(spec: &CampaignSpec, dir: &Path, state: &CampaignState) -> Result<
         .field_str("config", &spec.config_desc)
         .field_raw("budget", &budget.finish())
         .field_u64("grid", jobs.len() as u64)
-        .field_u64("completed", state.done.len() as u64)
-        .field_raw("quarantined", &raw_array(&quarantined_out))
         .field_raw("groups", &raw_array(&groups));
     let mut text = o.finish();
     text.push('\n');
     Ok(text.into_bytes())
 }
 
-/// Pull the aggregate inputs back out of one job manifest.
-fn read_job_manifest(path: &Path, expect_workload: usize) -> Result<JobData, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let doc = parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-    let bad = |what: &str| format!("{}: missing or malformed {what}", path.display());
-
-    let stats = doc.get("stats").ok_or_else(|| bad("stats"))?;
-    let workload = stats
-        .get("job.workload")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| bad("stats.job.workload"))? as usize;
-    if workload != expect_workload {
-        return Err(format!(
-            "{}: manifest is for workload {workload}, journal says {expect_workload}",
-            path.display()
-        ));
-    }
-    let ipc = stats
-        .get("job.ipc")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| bad("stats.job.ipc"))?;
-    let rows = doc
-        .get("wear_heatmap")
-        .and_then(|h| h.get("rows"))
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| bad("wear_heatmap.rows"))?;
-    let per_bank = rows
-        .first()
-        .and_then(|r| r.get("per_bank"))
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| bad("wear_heatmap.rows[0].per_bank"))?
-        .iter()
-        // `fmt_f64` writes non-finite lifetimes (a bank with zero writes
-        // never wears out) as JSON null; read them back as +inf.
-        .map(|v| v.as_f64().unwrap_or(f64::INFINITY))
-        .collect();
-    Ok(JobData {
-        workload,
-        ipc,
-        per_bank,
-    })
-}
-
-/// Result of [`verify`].
-#[derive(Clone, Debug)]
-pub struct VerifyReport {
-    /// Jobs whose manifests re-hashed to their journalled FNV.
-    pub manifests_checked: usize,
-    /// Quarantined jobs (listed in the report, not an error).
-    pub quarantined: usize,
-}
-
-/// End-to-end integrity check of a finished campaign:
-///
-/// 1. every journal parses and matches the spec,
-/// 2. the grid is fully covered,
-/// 3. every `done` manifest's bytes still hash to the journalled FNV,
-/// 4. re-aggregating reproduces `report.json` byte-for-byte.
-pub fn verify(spec: &CampaignSpec, dir: &Path) -> Result<VerifyReport, String> {
-    // Check the *raw* journal records, not the filtered state: `load_state`
-    // silently demotes a torn manifest back to pending (correct for resume),
-    // but verify exists to surface exactly that corruption.
-    for journal in journal_files(dir).map_err(|e| format!("scan {}: {e}", dir.display()))? {
-        let records =
-            read_journal(&journal).map_err(|e| format!("read {}: {e}", journal.display()))?;
-        for record in records {
-            let Record::Done {
-                id,
-                manifest,
-                fnv,
-                key,
-            } = record
-            else {
-                continue;
-            };
-            let path = dir.join(&manifest);
-            let bytes = fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            if fnv1a64(&bytes) != fnv {
-                return Err(format!(
-                    "manifest {} for job {id} ({key}) does not match its journalled \
-                     fingerprint",
-                    path.display()
-                ));
-            }
-        }
-    }
-    let state = load_state(spec, dir)?;
-    let rendered = render(spec, dir, &state)?;
+/// End-to-end integrity check of a finished campaign: every job manifest
+/// parses and carries its job's key and the spec's fingerprint, and
+/// re-aggregating reproduces `report.json` byte-for-byte. Returns the
+/// number of manifests checked.
+pub fn verify(spec: &CampaignSpec, dir: &Path) -> Result<usize, String> {
+    let rendered = render(spec, dir)?;
     let report_path = dir.join("report.json");
     let on_disk =
         fs::read(&report_path).map_err(|e| format!("read {}: {e}", report_path.display()))?;
@@ -219,8 +190,5 @@ pub fn verify(spec: &CampaignSpec, dir: &Path) -> Result<VerifyReport, String> {
             rendered.len()
         ));
     }
-    Ok(VerifyReport {
-        manifests_checked: state.done.len(),
-        quarantined: state.quarantined.len(),
-    })
+    Ok(spec.jobs().len())
 }

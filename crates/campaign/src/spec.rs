@@ -14,19 +14,16 @@
 //! workloads 1..10                # inclusive range, or an explicit list
 //! thresholds 3                   # CPT x% sweep axis; optional, default 3
 //! set l2.size_bytes 131072       # config overrides (see OVERRIDES)
-//! retries 2                      # attempts after the first failure
-//! backoff-ms 100                 # deterministic retry backoff base
-//! inject-fail 3 2                # fault injection: jobs of WL3 panic on
-//!                                # their first 2 attempts (crash testing)
 //! ```
 //!
 //! **Job-ID determinism.** The grid expands in a fixed nesting order —
 //! thresholds, then schemes, then workloads, each in spec order — so a
 //! job's `index` is a pure function of the spec. Its canonical key is
 //! `x=<threshold>/scheme=<name>/wl=<id>` and its id is `j` followed by the
-//! 16-hex-digit FNV-1a of `<campaign name>|<key>`: two shards, two hosts,
-//! or two resumes of the same spec always agree on every id, which is what
-//! makes journals mergeable.
+//! 16-hex-digit FNV-1a of `<campaign name>|<key>`: two hosts or two
+//! resumes of the same spec always agree on every id, so a job's manifest
+//! path `jobs/<id>.json` is its completion record. Duplicate schemes,
+//! workloads and thresholds are errors, so the ids of a grid are distinct.
 
 use std::fmt::Write as _;
 
@@ -34,8 +31,6 @@ use cmp_sim::config::MAX_CORES;
 use cmp_sim::SystemConfig;
 use experiments::Budget;
 use renuca_core::Scheme;
-
-use crate::hashes::fnv1a64;
 
 /// Schema id on the first significant line of every campaign spec.
 pub const SPEC_SCHEMA: &str = "renuca-campaign-v1";
@@ -69,15 +64,7 @@ pub struct CampaignSpec {
     pub workloads: Vec<usize>,
     /// CPT threshold sweep values (percent), in spec order.
     pub thresholds: Vec<f64>,
-    /// Retry attempts after the first failure of a job.
-    pub retries: u32,
-    /// Base of the deterministic retry backoff (`backoff_ms << attempt`).
-    pub backoff_ms: u64,
-    /// Fault injection: `(workload, n)` makes jobs of that workload panic
-    /// on their first `n` attempts in each process. Test-only plumbing for
-    /// the crash/retry/quarantine paths; production specs omit it.
-    pub inject_fail: Vec<(usize, u32)>,
-    /// FNV-1a fingerprint of the raw spec text — journals and reports
+    /// FNV-1a fingerprint of the raw spec text — job manifests and reports
     /// carry it so a resume against an edited spec is refused.
     pub fingerprint: u64,
 }
@@ -85,7 +72,7 @@ pub struct CampaignSpec {
 /// One cell of the campaign grid.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Job {
-    /// Position in grid order (also the shard key: `index % shard_count`).
+    /// Position in grid order.
     pub index: usize,
     /// Placement scheme.
     pub scheme: Scheme,
@@ -146,9 +133,6 @@ impl CampaignSpec {
         let mut schemes: Option<Vec<Scheme>> = None;
         let mut workloads: Option<Vec<usize>> = None;
         let mut thresholds = vec![3.0];
-        let mut retries = 2u32;
-        let mut backoff_ms = 100u64;
-        let mut inject_fail = Vec::new();
         let mut overrides: Vec<(usize, &str, &str)> = Vec::new();
 
         for (n, line) in lines {
@@ -178,43 +162,7 @@ impl CampaignSpec {
                     workloads = Some(parse_workloads(&rest).map_err(|e| err(&e))?);
                 }
                 "thresholds" => {
-                    if rest.is_empty() {
-                        return Err(err("thresholds needs at least one value"));
-                    }
-                    thresholds = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<f64>()
-                                .ok()
-                                .filter(|x| *x > 0.0 && *x <= 100.0)
-                                .ok_or_else(|| {
-                                    err(&format!("bad threshold {w:?} (percent in (0, 100])"))
-                                })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "retries" => {
-                    retries = parse_one(&rest).map_err(|e| err(&e))?;
-                    if retries == u32::MAX {
-                        return Err(err(&format!(
-                            "retries {retries} overflows the u32 attempt count"
-                        )));
-                    }
-                }
-                "backoff-ms" => {
-                    backoff_ms = parse_one(&rest).map_err(|e| err(&e))?;
-                }
-                "inject-fail" => {
-                    if rest.len() != 2 {
-                        return Err(err("inject-fail takes <workload> <attempts>"));
-                    }
-                    let wl = rest[0]
-                        .parse::<usize>()
-                        .map_err(|_| err("bad workload id"))?;
-                    let k = rest[1]
-                        .parse::<u32>()
-                        .map_err(|_| err("bad attempt count"))?;
-                    inject_fail.push((wl, k));
+                    thresholds = parse_thresholds(&rest).map_err(|e| err(&e))?;
                 }
                 "set" => {
                     if rest.len() != 2 {
@@ -250,9 +198,6 @@ impl CampaignSpec {
             schemes,
             workloads,
             thresholds,
-            retries,
-            backoff_ms,
-            inject_fail,
             fingerprint: fnv1a64(text.as_bytes()),
         })
     }
@@ -276,30 +221,18 @@ impl CampaignSpec {
         }
         out
     }
-
-    /// Number of attempts a job gets before quarantine (`parse` rejects
-    /// a `retries` count at which this would overflow).
-    pub fn max_attempts(&self) -> u32 {
-        self.retries + 1
-    }
-
-    /// Fault injection lookup: how many leading attempts of `workload`'s
-    /// jobs must panic.
-    pub fn injected_failures(&self, workload: usize) -> u32 {
-        self.inject_fail
-            .iter()
-            .find(|(wl, _)| *wl == workload)
-            .map_or(0, |(_, k)| *k)
-    }
 }
 
-fn parse_one<T: std::str::FromStr>(rest: &[&str]) -> Result<T, String> {
-    if rest.len() != 1 {
-        return Err("takes exactly one value".into());
+/// 64-bit FNV-1a over a byte string: a stable, host-independent
+/// fingerprint for spec texts and job ids. Not cryptographic — it guards
+/// against accidents (editing a spec mid-campaign), not adversaries.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    rest[0]
-        .parse::<T>()
-        .map_err(|_| format!("bad value {:?}", rest[0]))
+    h
 }
 
 fn parse_config(rest: &[&str]) -> Result<(SystemConfig, String), String> {
@@ -332,23 +265,44 @@ fn parse_config(rest: &[&str]) -> Result<(SystemConfig, String), String> {
     }
 }
 
+/// `budget warmup=<n> measure=<n>`: both keys required, each value read
+/// by the same rule as `RENUCA_WARMUP` / `RENUCA_MEASURE`.
 fn parse_budget(rest: &[&str]) -> Result<Budget, String> {
     let mut warmup = None;
     let mut measure = None;
     for w in rest {
         if let Some(v) = w.strip_prefix("warmup=") {
-            warmup = Some(v.parse::<u64>().map_err(|_| format!("bad warmup {v:?}"))?);
+            warmup = Some(v);
         } else if let Some(v) = w.strip_prefix("measure=") {
-            measure = Some(v.parse::<u64>().map_err(|_| format!("bad measure {v:?}"))?);
+            measure = Some(v);
         } else {
             return Err(format!("budget takes warmup=<n> measure=<n>, got {w:?}"));
         }
     }
-    match (warmup, measure) {
-        (Some(warmup), Some(measure)) if measure > 0 => Ok(Budget { warmup, measure }),
-        (Some(_), Some(_)) => Err("measure must be positive".into()),
-        _ => Err("budget needs both warmup= and measure=".into()),
+    if warmup.is_none() || measure.is_none() {
+        return Err("budget needs both warmup= and measure=".into());
     }
+    Budget::from_vars(("warmup", warmup), ("measure", measure))
+}
+
+fn parse_thresholds(rest: &[&str]) -> Result<Vec<f64>, String> {
+    if rest.is_empty() {
+        return Err("thresholds needs at least one value".into());
+    }
+    let mut out: Vec<f64> = Vec::new();
+    for w in rest {
+        let x = w
+            .parse::<f64>()
+            .ok()
+            .filter(|x| *x > 0.0 && *x <= 100.0)
+            .ok_or_else(|| format!("bad threshold {w:?} (percent in (0, 100])"))?;
+        // `3` and `3.0` are one value, one job key and one job id.
+        if out.contains(&x) {
+            return Err(format!("duplicate threshold {x}"));
+        }
+        out.push(x);
+    }
+    Ok(out)
 }
 
 fn parse_schemes(rest: &[&str]) -> Result<Vec<Scheme>, String> {
@@ -457,7 +411,6 @@ schemes S-NUCA Re-NUCA
 workloads 1..3
 budget warmup=100 measure=500
 thresholds 3 25
-retries 1
 ";
 
     #[test]
@@ -467,7 +420,6 @@ retries 1
         assert_eq!(spec.schemes, vec![Scheme::SNuca, Scheme::ReNuca]);
         assert_eq!(spec.workloads, vec![1, 2, 3]);
         assert_eq!(spec.thresholds, vec![3.0, 25.0]);
-        assert_eq!(spec.retries, 1);
         assert_eq!(
             spec.budget,
             Budget {
@@ -504,7 +456,7 @@ retries 1
     #[test]
     fn fingerprint_tracks_text() {
         let a = CampaignSpec::parse(TINY).unwrap();
-        let b = CampaignSpec::parse(&TINY.replace("retries 1", "retries 3")).unwrap();
+        let b = CampaignSpec::parse(&TINY.replace("thresholds 3 25", "thresholds 3 5")).unwrap();
         assert_ne!(a.fingerprint, b.fingerprint);
         assert_eq!(
             a.fingerprint,
@@ -563,19 +515,32 @@ retries 1
         ] {
             assert!(CampaignSpec::parse(bad).is_err(), "should reject {bad:?}");
         }
-        // An override that gives an invalid machine, or a `retries` count
-        // whose attempt count would wrap to zero, is an error naming its
-        // own line.
+        // An override that gives an invalid machine, a repeated threshold
+        // (one job id twice), a directive the format no longer has, or a
+        // budget value the `RENUCA_MEASURE` rule rejects is an error naming
+        // its own line.
         for bad in [
             "set rob_entries 1",
             "set l2.size_bytes 3",
             "set l3_bank.size_bytes 0",
-            "retries 4294967295",
+            "thresholds 3 3",
+            "thresholds 3 3.0",
+            "retries 2",
+            "budget warmup=1 measure=0",
+            "budget warmup=1 measure=3e5",
         ] {
             let spec = format!("renuca-campaign-v1\nname x\nschemes all\nworkloads 1\n{bad}\n");
             let err = CampaignSpec::parse(&spec).unwrap_err();
             assert!(err.starts_with("line 5: "), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn fnv_known_vectors() {
+        // Reference values from the FNV specification.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
     }
 
     #[test]

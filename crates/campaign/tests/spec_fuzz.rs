@@ -5,8 +5,8 @@
 //! values and non-numbers). Whatever comes out, `CampaignSpec::parse`
 //! must return `Ok` or a typed `Err` — never panic — and every spec it
 //! accepts must be one the scheduler can actually run: the grid expands,
-//! each job gets at least one attempt, and each CPT threshold builds a
-//! predictor.
+//! its job ids are pairwise distinct (each names one manifest), and each
+//! CPT threshold builds a predictor.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -41,8 +41,8 @@ const INSERTS: [&str; 5] = [
     "budget warmup=1000 measure=2000",
     "config small 4",
     "config mesh 3 2",
-    "inject-fail 1 1",
     "thresholds 3 25",
+    "thresholds 3 3.0",
 ];
 
 /// Tiny deterministic generator (xorshift64*) so the fuzz loop needs no
@@ -159,7 +159,10 @@ fn mutated_specs_parse_to_runnable_grids_or_typed_errors() {
                 jobs.len(),
                 spec.thresholds.len() * spec.schemes.len() * spec.workloads.len()
             );
-            assert!(spec.max_attempts() >= 1, "every job must run at least once");
+            let mut ids: Vec<String> = jobs.iter().map(|j| j.id(&spec.name)).collect();
+            ids.sort();
+            ids.dedup();
+            assert_eq!(ids.len(), jobs.len(), "two jobs share one manifest");
             for &t in &spec.thresholds {
                 Cpt::new(CptConfig::with_threshold(t));
             }

@@ -170,7 +170,7 @@ if ! grep -q '"forecast.max_rel_err"' "$MANIFEST"; then
 fi
 echo "forecast smoke OK"
 
-echo "== campaign smoke: run, crash, resume, verify, byte-compare =="
+echo "== campaign smoke: run, lose manifests, resume, verify, byte-compare =="
 CAMP_TMP="$(mktemp -d)"
 trap 'rm -f "$MANIFEST"; rm -rf "$CAMP_TMP"' EXIT
 cat >"$CAMP_TMP/smoke.campaign" <<'EOF'
@@ -182,27 +182,32 @@ schemes S-NUCA Re-NUCA
 workloads 1 2
 thresholds 25
 EOF
-# Interrupt after 2 of 4 jobs: the scheduler must stop without a report
-# and exit 3 (the "campaign left resumable" code). Single-threaded so the
-# stop lands deterministically between jobs.
-CAMP_RC=0
-./target/release/campaign run "$CAMP_TMP/smoke.campaign" \
-    --out "$CAMP_TMP/a" --threads 1 --max-jobs 2 >/dev/null 2>&1 || CAMP_RC=$?
-if [ "$CAMP_RC" -ne 3 ] || [ -e "$CAMP_TMP/a/report.json" ]; then
-    echo "campaign smoke FAILED: interrupted run rc=$CAMP_RC (want 3, no report)"
-    exit 1
-fi
-./target/release/campaign resume "$CAMP_TMP/smoke.campaign" \
-    --out "$CAMP_TMP/a" --threads 2 >/dev/null 2>&1
-./target/release/campaign verify "$CAMP_TMP/smoke.campaign" \
-    --out "$CAMP_TMP/a" >/dev/null 2>&1
-# An uninterrupted run of the same spec must aggregate byte-identically.
-./target/release/campaign run "$CAMP_TMP/smoke.campaign" \
-    --out "$CAMP_TMP/b" --threads 2 >/dev/null 2>&1
-if ! cmp -s "$CAMP_TMP/a/report.json" "$CAMP_TMP/b/report.json"; then
-    echo "campaign smoke FAILED: resumed report differs from uninterrupted run"
-    exit 1
-fi
+# A job is done iff its manifest is on disk. Run the spec to completion,
+# delete the report and K manifests (what an interrupted run leaves), and
+# the next `run` must execute exactly those K jobs, pass `verify`, and
+# reproduce an uninterrupted run's report byte for byte.
+# usage: campaign_resume_smoke <label> <spec> <out dir> <K>
+campaign_resume_smoke() {
+    local label="$1" spec="$2" out="$3" k="$4"
+    RENUCA_THREADS=2 ./target/release/campaign run "$spec" --out "$out/a" >/dev/null 2>&1
+    rm "$out/a/report.json"
+    local manifests=("$out"/a/jobs/j*.json)
+    rm "${manifests[@]:0:$k}"
+    RENUCA_THREADS=1 ./target/release/campaign run "$spec" --out "$out/a" \
+        >"$out/resume.log" 2>&1
+    if ! grep -q ": $k executed," "$out/resume.log"; then
+        echo "$label smoke FAILED: resume did not execute exactly $k jobs"
+        cat "$out/resume.log"
+        exit 1
+    fi
+    ./target/release/campaign verify "$spec" --out "$out/a" >/dev/null 2>&1
+    RENUCA_THREADS=2 ./target/release/campaign run "$spec" --out "$out/b" >/dev/null 2>&1
+    if ! cmp -s "$out/a/report.json" "$out/b/report.json"; then
+        echo "$label smoke FAILED: resumed report differs from uninterrupted run"
+        exit 1
+    fi
+}
+campaign_resume_smoke campaign "$CAMP_TMP/smoke.campaign" "$CAMP_TMP/smoke" 2
 # A spec whose `set` override gives an invalid machine must be a spec
 # error naming its line — non-zero exit, no panic.
 sed 's/^thresholds 25$/set rob_entries 1/' "$CAMP_TMP/smoke.campaign" \
@@ -216,41 +221,23 @@ if [ "$BAD_RC" -eq 0 ] || ! grep -q 'line [0-9]*:' "$CAMP_TMP/bad.err" \
     cat "$CAMP_TMP/bad.err"
     exit 1
 fi
-echo "campaign smoke OK ($(wc -c < "$CAMP_TMP/a/report.json") byte report)"
+echo "campaign smoke OK ($(wc -c < "$CAMP_TMP/smoke/a/report.json") byte report)"
 
-echo "== head-to-head smoke: competitor campaign run, crash, resume, verify =="
-# Same crash/resume/byte-compare discipline over the committed
-# head-to-head spec (Re-NUCA vs WEC / Coloring / MAC with the S-NUCA
-# reference, WL grid + WB write-burst family). The spec carries no budget
-# line, so the environment shrinks it for CI.
-H2H_RC=0
-RENUCA_WARMUP=50 RENUCA_MEASURE=300 \
-    ./target/release/campaign run campaigns/headtohead.campaign \
-    --out "$CAMP_TMP/h2h-a" --threads 1 --max-jobs 3 >/dev/null 2>&1 || H2H_RC=$?
-if [ "$H2H_RC" -ne 3 ] || [ -e "$CAMP_TMP/h2h-a/report.json" ]; then
-    echo "head-to-head smoke FAILED: interrupted run rc=$H2H_RC (want 3, no report)"
-    exit 1
-fi
-RENUCA_WARMUP=50 RENUCA_MEASURE=300 \
-    ./target/release/campaign resume campaigns/headtohead.campaign \
-    --out "$CAMP_TMP/h2h-a" --threads 2 >/dev/null 2>&1
-RENUCA_WARMUP=50 RENUCA_MEASURE=300 \
-    ./target/release/campaign verify campaigns/headtohead.campaign \
-    --out "$CAMP_TMP/h2h-a" >/dev/null 2>&1
-RENUCA_WARMUP=50 RENUCA_MEASURE=300 \
-    ./target/release/campaign run campaigns/headtohead.campaign \
-    --out "$CAMP_TMP/h2h-b" --threads 2 >/dev/null 2>&1
-if ! cmp -s "$CAMP_TMP/h2h-a/report.json" "$CAMP_TMP/h2h-b/report.json"; then
-    echo "head-to-head smoke FAILED: resumed report differs from uninterrupted run"
-    exit 1
-fi
+echo "== head-to-head smoke: competitor campaign run, lose manifests, resume, verify =="
+# Same resume/byte-compare discipline over the committed head-to-head
+# spec (Re-NUCA vs WEC / Coloring / MAC with the S-NUCA reference, WL
+# grid + WB write-burst family). The spec carries no budget line, so the
+# environment shrinks it for CI.
+export RENUCA_WARMUP=50 RENUCA_MEASURE=300
+campaign_resume_smoke head-to-head campaigns/headtohead.campaign "$CAMP_TMP/h2h" 3
+unset RENUCA_WARMUP RENUCA_MEASURE
 for s in Re-NUCA Re-NUCA-C2 S-NUCA WEC Coloring MAC; do
-    if ! grep -q "\"scheme\":\"$s\"" "$CAMP_TMP/h2h-a/report.json"; then
+    if ! grep -q "\"scheme\":\"$s\"" "$CAMP_TMP/h2h/a/report.json"; then
         echo "head-to-head smoke FAILED: scheme $s missing from report"
         exit 1
     fi
 done
-echo "head-to-head smoke OK ($(wc -c < "$CAMP_TMP/h2h-a/report.json") byte report)"
+echo "head-to-head smoke OK ($(wc -c < "$CAMP_TMP/h2h/a/report.json") byte report)"
 
 echo "== formatting =="
 cargo fmt --check
