@@ -10,8 +10,8 @@
 use std::fs;
 use std::path::Path;
 
+use experiments::SchemeStudy;
 use sim_stats::json::{f64_array, parse, raw_array, u64_array, JsonObject, JsonValue};
-use wear_model::{hmean_lifetime_per_bank, lifetime_variation, raw_min_lifetime};
 
 use crate::spec::{CampaignSpec, Job};
 
@@ -123,7 +123,8 @@ pub fn render(spec: &CampaignSpec, dir: &Path) -> Result<Vec<u8>, String> {
     for &threshold_pct in &spec.thresholds {
         for &scheme in &spec.schemes {
             let mut workloads: Vec<u64> = Vec::new();
-            let mut done_jobs: Vec<JobData> = Vec::new();
+            let mut ipcs: Vec<f64> = Vec::new();
+            let mut per_wl: Vec<Vec<f64>> = Vec::new();
             for job in jobs
                 .iter()
                 .filter(|j| j.threshold_pct == threshold_pct && j.scheme == scheme)
@@ -136,22 +137,21 @@ pub fn render(spec: &CampaignSpec, dir: &Path) -> Result<Vec<u8>, String> {
                     )
                 })?;
                 workloads.push(job.workload as u64);
-                done_jobs.push(data);
+                ipcs.push(data.ipc);
+                per_wl.push(data.per_bank);
             }
 
-            let ipcs: Vec<f64> = done_jobs.iter().map(|d| d.ipc).collect();
-            let per_wl: Vec<Vec<f64>> = done_jobs.into_iter().map(|d| d.per_bank).collect();
-            let hmean_bank = hmean_lifetime_per_bank(&per_wl);
+            let study = SchemeStudy::new(scheme, per_wl, ipcs);
             let mut g = JsonObject::new();
             g.field_f64("threshold_pct", threshold_pct)
                 .field_str("scheme", scheme.name())
                 .field_raw("workloads", &u64_array(&workloads))
-                .field_f64("mean_ipc", sim_stats::amean(&ipcs))
-                .field_raw("per_workload_ipc", &f64_array(&ipcs))
-                .field_f64("raw_min_years", raw_min_lifetime(&per_wl))
-                .field_f64("hmean_lifetime_years", sim_stats::hmean(&hmean_bank))
-                .field_f64("variation", lifetime_variation(&hmean_bank))
-                .field_raw("hmean_per_bank", &f64_array(&hmean_bank));
+                .field_f64("mean_ipc", study.mean_ipc())
+                .field_raw("per_workload_ipc", &f64_array(&study.per_wl_ipc))
+                .field_f64("raw_min_years", study.raw_min)
+                .field_f64("hmean_lifetime_years", study.hmean_lifetime())
+                .field_f64("variation", study.variation)
+                .field_raw("hmean_per_bank", &f64_array(&study.hmean_per_bank));
             groups.push(g.finish());
         }
     }
@@ -191,4 +191,65 @@ pub fn verify(spec: &CampaignSpec, dir: &Path) -> Result<usize, String> {
         ));
     }
     Ok(spec.jobs().len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cmp_sim::SystemConfig;
+    use experiments::runner::{aggregate_study, lifetime_model, run_workload};
+    use experiments::Budget;
+    use renuca_core::CptConfig;
+    use workloads::workload_mix;
+
+    /// A campaign's report groups and the in-process aggregate of the same
+    /// grid agree bit for bit: both go through `SchemeStudy::new`, and
+    /// `fmt_f64` round-trips every f64 the manifests and the report carry.
+    #[test]
+    fn report_groups_equal_in_process_studies() {
+        let spec = CampaignSpec::parse(
+            "renuca-campaign-v1\nname agree\nconfig small 4\n\
+             budget warmup=2000 measure=20000\nschemes S-NUCA Re-NUCA\n\
+             workloads 1 2\nthresholds 25\n",
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("campaign-agree-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let outcome = crate::scheduler::run(&spec, &dir, 2).unwrap();
+        let doc = parse(&fs::read_to_string(outcome.report).unwrap()).unwrap();
+        let groups = doc.get("groups").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(groups.len(), 2);
+
+        let cfg = SystemConfig::small(4);
+        let budget = Budget {
+            warmup: 2000,
+            measure: 20000,
+        };
+        let cpt = CptConfig::with_threshold(25.0);
+        for (g, &scheme) in groups.iter().zip(&spec.schemes) {
+            let results: Vec<_> = [1, 2]
+                .iter()
+                .map(|&id| run_workload(&workload_mix(id, 4), scheme, cfg, cpt, budget))
+                .collect();
+            let study = aggregate_study(scheme, &results, &lifetime_model(&cfg));
+            let num = |k| g.get(k).and_then(JsonValue::as_f64).unwrap();
+            let nums = |k| -> Vec<f64> {
+                let xs = g.get(k).and_then(JsonValue::as_array).unwrap();
+                xs.iter().map(|x| x.as_f64().unwrap()).collect()
+            };
+            assert_eq!(
+                g.get("scheme").and_then(JsonValue::as_str),
+                Some(scheme.name())
+            );
+            assert_eq!(num("mean_ipc"), study.mean_ipc());
+            assert_eq!(num("raw_min_years"), study.raw_min);
+            assert_eq!(num("hmean_lifetime_years"), study.hmean_lifetime());
+            assert_eq!(num("variation"), study.variation);
+            assert_eq!(nums("hmean_per_bank"), study.hmean_per_bank);
+            // A capped lifetime (an unwritten bank) would make the
+            // comparison vacuous; this budget wears every bank.
+            assert!(study.raw_min < lifetime_model(&cfg).cap_years);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

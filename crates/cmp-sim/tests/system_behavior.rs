@@ -113,7 +113,7 @@ fn prefetcher_reduces_stream_stalls() {
 
 #[test]
 fn prefetch_fills_count_toward_mpki_and_wear() {
-    let mut cfg = SystemConfig::small(1);
+    let cfg = SystemConfig::small(1);
     let mut sys = sys_with(cfg, vec![stream_source(32_768, 200)]);
     sys.warmup(2_000);
     sys.run(20_000);

@@ -45,25 +45,6 @@ fn main() {
     let t3 = table3::Table3 { studies };
     println!("{}", table3::format_table3(&t3));
 
-    // Persist the raw study data for external plotting/analysis.
-    let mut json = String::from("{\n");
-    for (i, study) in t3.studies.iter().enumerate() {
-        json.push_str(&format!("  \"{}\": [", study.label));
-        let docs: Vec<String> = study.studies.iter().map(|s| s.to_json()).collect();
-        json.push_str(&docs.join(", "));
-        json.push_str(if i + 1 < t3.studies.len() {
-            "],\n"
-        } else {
-            "]\n"
-        });
-    }
-    json.push_str("}\n");
-    if let Err(e) = std::fs::write("results.json", &json) {
-        eprintln!("could not write results.json: {e}");
-    } else {
-        eprintln!("raw study data written to results.json");
-    }
-
     sink.emit_with("all", "full paper run", None, budget, |m| {
         obs::register_table2(m.stats_mut(), &rows);
         obs::register_fig5(m.stats_mut(), &f5, criticality::average(&f5));

@@ -20,14 +20,14 @@
 //!    on the criticality mix and on Re-NUCA's lifetime gain.
 
 use cmp_sim::config::SystemConfig;
-use cmp_sim::system::{SimResult, System};
+use cmp_sim::system::SimResult;
 use renuca_core::{CptConfig, ReNucaTwoProbe, Scheme};
 use sim_stats::{percent_change, Table};
 use wear_model::{lifetime_variation, IntraBankWear, LifetimeModel};
 use workloads::{workload_mix, WorkloadMix};
 
 use crate::budget::Budget;
-use crate::runner::{lifetime_model, run_workload};
+use crate::runner::{aggregate_study, lifetime_model, run_app, run_workload, simulate};
 
 /// Workload subset used by the ablations (a high-, a mixed- and a
 /// low-pressure mix); full sweeps belong to the main figures.
@@ -41,23 +41,6 @@ fn run_wls(scheme: Scheme, cfg: SystemConfig, cpt: CptConfig, budget: Budget) ->
             run_workload(&wl, scheme, cfg, cpt, budget)
         })
         .collect()
-}
-
-fn summarize(results: &[SimResult], model: &LifetimeModel) -> (f64, f64, f64) {
-    let mut min_life = f64::INFINITY;
-    let mut variations = Vec::new();
-    let mut ipc = 0.0;
-    for r in results {
-        let lifetimes = model.all_bank_lifetimes(&r.wear, r.cycles);
-        min_life = min_life.min(lifetimes.iter().cloned().fold(f64::INFINITY, f64::min));
-        variations.push(lifetime_variation(&lifetimes));
-        ipc += r.total_ipc();
-    }
-    (
-        min_life,
-        sim_stats::amean(&variations),
-        ipc / results.len() as f64,
-    )
 }
 
 /// Ablation 1: the criticality threshold's end-to-end lifetime/IPC trade.
@@ -74,7 +57,16 @@ pub fn threshold_end_to_end(budget: Budget) -> String {
     let mut base_ipc = None;
     for x in [3.0, 10.0, 33.0, 100.0] {
         let results = run_wls(Scheme::ReNuca, cfg, CptConfig::with_threshold(x), budget);
-        let (min_life, var, ipc) = summarize(&results, &model);
+        let st = aggregate_study(Scheme::ReNuca, &results, &model);
+        let (min_life, ipc) = (st.raw_min, st.mean_ipc());
+        // "wear CV" averages each workload's bank-lifetime CV; the
+        // study's `variation` is the CV of the cross-workload hmeans.
+        let cvs: Vec<f64> = st
+            .per_wl_bank_lifetimes
+            .iter()
+            .map(|l| lifetime_variation(l))
+            .collect();
+        let var = sim_stats::amean(&cvs);
         let base = *base_ipc.get_or_insert(ipc);
         t.row(&[
             format!("{x}"),
@@ -92,7 +84,6 @@ pub fn threshold_end_to_end(budget: Budget) -> String {
 
 /// Ablation 2: CPT capacity vs prediction quality.
 pub fn cpt_capacity(budget: Budget) -> String {
-    use crate::runner::run_single_app_with_cpt;
     let apps = ["mcf", "lbm", "omnetpp", "bzip2"];
     let mut t = Table::new(&["entries", "avg recall [%]", "avg accuracy [%]"]);
     for entries in [64usize, 256, 1024, 8192] {
@@ -104,7 +95,7 @@ pub fn cpt_capacity(budget: Budget) -> String {
                 entries,
                 ..CptConfig::default()
             };
-            let r = run_single_app_with_cpt(spec, cpt, budget);
+            let r = run_app(spec, cpt, budget);
             let cs = r.per_core[0].core_stats;
             recalls.push(cs.critical_recall() * 100.0);
             accs.push(cs.prediction_accuracy() * 100.0);
@@ -139,12 +130,12 @@ pub fn intra_bank_composition(budget: Budget) -> String {
                 ..lifetime_model(&cfg)
             };
             let results = run_wls(scheme, cfg, CptConfig::default(), budget);
-            let (min_life, _, ipc) = summarize(&results, &model);
+            let st = aggregate_study(scheme, &results, &model);
             t.row(&[
                 scheme.name().to_owned(),
                 rotation.map_or("off".into(), |w| format!("every {w} writes")),
-                format!("{min_life:.2}"),
-                format!("{ipc:.2}"),
+                format!("{:.2}", st.raw_min),
+                format!("{:.2}", st.mean_ipc()),
             ]);
         }
     }
@@ -199,11 +190,7 @@ pub fn mbv_vs_two_probe(budget: Budget) -> String {
         let wl: WorkloadMix = workload_mix(id, cfg.n_cores);
         let policy = Box::new(ReNucaTwoProbe::new(cfg.noc.cols, cfg.noc.rows));
         let predictors = Scheme::ReNuca.build_predictors(&cfg, cpt);
-        let mut sys = System::new(cfg, policy, wl.build_sources(), predictors);
-        sys.prewarm();
-        sys.warmup(budget.warmup);
-        sys.run(budget.measure);
-        let r = sys.result();
+        let r = simulate(cfg, policy, predictors, wl.build_sources(), budget);
         probes += r.hierarchy.secondary_probes.get();
         hits += r.hierarchy.secondary_hits.get();
         ipc += r.total_ipc();
@@ -241,8 +228,8 @@ pub fn prefetcher_ablation(budget: Budget) -> String {
         let model = lifetime_model(&cfg);
         let re = run_wls(Scheme::ReNuca, cfg, CptConfig::default(), budget);
         let rn = run_wls(Scheme::RNuca, cfg, CptConfig::default(), budget);
-        let (re_min, _, _) = summarize(&re, &model);
-        let (rn_min, _, _) = summarize(&rn, &model);
+        let re_min = aggregate_study(Scheme::ReNuca, &re, &model).raw_min;
+        let rn_min = aggregate_study(Scheme::RNuca, &rn, &model).raw_min;
         let fills: u64 = re.iter().map(|r| r.hierarchy.l3_fills.get()).sum();
         let noncrit: u64 = re
             .iter()

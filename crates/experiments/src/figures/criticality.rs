@@ -5,12 +5,12 @@
 //! The paper measures over 80% of loads non-critical on average — the
 //! headroom Re-NUCA exploits.
 
-use renuca_core::{CptConfig, Scheme};
+use renuca_core::CptConfig;
 use sim_stats::bar_chart;
 use workloads::SPEC_TABLE;
 
 use crate::budget::Budget;
-use crate::runner::run_single_app;
+use crate::runner::run_app;
 
 /// Per-application non-critical load fraction.
 #[derive(Clone, Debug)]
@@ -26,13 +26,7 @@ pub fn run(budget: Budget) -> Vec<Fig5Row> {
     SPEC_TABLE
         .iter()
         .map(|spec| {
-            let r = run_single_app(
-                spec,
-                Scheme::SNuca,
-                CptConfig::default(),
-                budget.single_core(),
-                false,
-            );
+            let r = run_app(spec, CptConfig::default(), budget.single_core());
             Fig5Row {
                 name: spec.name,
                 noncritical_pct: r.per_core[0].core_stats.noncritical_load_fraction() * 100.0,

@@ -15,7 +15,7 @@ use renuca_core::{CptConfig, Scheme};
 use sim_stats::{grouped_series, percent_change, Table};
 
 use crate::budget::Budget;
-use crate::runner::{all_scheme_studies, lifetime_model, SchemeStudy};
+use crate::runner::{lifetime_model, scheme_study, SchemeStudy};
 
 /// The full all-scheme (paper five + competitors), ten-workload study
 /// under one configuration.
@@ -50,7 +50,10 @@ impl MainStudy {
 /// Run the main study: every scheme in [`Scheme::ALL`] over WL1–WL10.
 pub fn run(label: &'static str, cfg: SystemConfig, budget: Budget) -> MainStudy {
     let model = lifetime_model(&cfg);
-    let studies = all_scheme_studies(&Scheme::ALL, cfg, CptConfig::default(), budget, &model);
+    let studies = Scheme::ALL
+        .iter()
+        .map(|&s| scheme_study(s, cfg, CptConfig::default(), budget, &model))
+        .collect();
     MainStudy { label, studies }
 }
 

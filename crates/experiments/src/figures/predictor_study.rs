@@ -23,7 +23,7 @@ use workloads::app_by_name;
 use workloads::spec::PREDICTOR_STUDY_APPS;
 
 use crate::budget::Budget;
-use crate::runner::run_single_app_with_cpt;
+use crate::runner::run_app;
 
 /// Results of the full (app × threshold) sweep.
 #[derive(Clone, Debug)]
@@ -77,7 +77,7 @@ pub fn run(budget: Budget, thresholds: &[f64]) -> PredictorStudy {
         let mut b_row = Vec::with_capacity(thresholds.len());
         let mut w_row = Vec::with_capacity(thresholds.len());
         for &x in thresholds {
-            let result = run_single_app_with_cpt(spec, CptConfig::with_threshold(x), budget);
+            let result = run_app(spec, CptConfig::with_threshold(x), budget);
             let cs = result.per_core[0].core_stats;
             r_row.push(cs.critical_recall() * 100.0);
             let h = result.hierarchy;

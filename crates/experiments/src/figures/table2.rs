@@ -5,12 +5,12 @@
 //! rate and IPC next to Table II's reference values. Figure 2 is the same
 //! data presented as the WPKI+MPKI intensity chart.
 
-use renuca_core::{CptConfig, Scheme};
+use renuca_core::CptConfig;
 use sim_stats::{bar_chart, Table};
 use workloads::{WriteIntensity, SPEC_TABLE};
 
 use crate::budget::Budget;
-use crate::runner::run_single_app;
+use crate::runner::run_app;
 
 /// One application's measured-vs-paper characterization.
 #[derive(Clone, Debug)]
@@ -52,13 +52,7 @@ pub fn run(budget: Budget) -> Vec<Table2Row> {
     SPEC_TABLE
         .iter()
         .map(|spec| {
-            let r = run_single_app(
-                spec,
-                Scheme::SNuca,
-                CptConfig::default(),
-                budget.single_core(),
-                false,
-            );
+            let r = run_app(spec, CptConfig::default(), budget.single_core());
             let c = &r.per_core[0];
             Table2Row {
                 name: spec.name,

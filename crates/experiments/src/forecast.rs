@@ -27,8 +27,9 @@
 
 use cmp_sim::config::SystemConfig;
 use renuca_core::{CptConfig, Scheme};
+use sim_stats::hmean;
 use wear_model::LifetimeModel;
-use workloads::{workload_mix, WBURST_ID_BASE};
+use workloads::workload_mix;
 
 use crate::budget::Budget;
 use crate::pool::parallel_map;
@@ -37,7 +38,7 @@ use crate::runner::run_workload;
 /// One workload's forecast-vs-simulation comparison.
 #[derive(Clone, Debug)]
 pub struct ForecastRow {
-    /// Workload label (`WL3`, `WB2`).
+    /// Workload label (`WL3`, `WB2`, `trickle`; `WorkloadMix::name`).
     pub label: String,
     /// Workload id (as accepted by `workloads::workload_mix`).
     pub id: usize,
@@ -104,16 +105,6 @@ fn rel_err(forecast: f64, sim: f64) -> f64 {
     }
 }
 
-/// Human label of a workload id: `WL<k>` for the mix set, `WB<k>` for the
-/// write-burst family.
-pub fn workload_label(id: usize) -> String {
-    if id > WBURST_ID_BASE {
-        format!("WB{}", id - WBURST_ID_BASE)
-    } else {
-        format!("WL{id}")
-    }
-}
-
 /// Cross-check one workload: simulate Re-NUCA (forecast input) and
 /// Re-NUCA-C2 (ground truth) and apply the closed form per bank.
 ///
@@ -146,25 +137,14 @@ pub fn forecast_workload(
     let forecast_years = compress::forecast_bank_lifetimes(&base_years, cfg.l3_subblocks);
 
     let min = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
-    // Harmonic mean with unwritten (infinite-lifetime) banks contributing
-    // zero reciprocal — the aggregate every lifetime figure uses.
-    let hmean = |xs: &[f64]| {
-        let recip: f64 = xs
-            .iter()
-            .map(|&y| if y.is_finite() { 1.0 / y } else { 0.0 })
-            .sum();
-        if recip == 0.0 {
-            f64::INFINITY
-        } else {
-            xs.len() as f64 / recip
-        }
-    };
+    // In `hmean` an unwritten (infinite-lifetime) bank adds a zero
+    // reciprocal, as in every lifetime figure.
     let worst = f64::max(
         rel_err(min(&forecast_years), min(&sim_years)),
         rel_err(hmean(&forecast_years), hmean(&sim_years)),
     );
     ForecastRow {
-        label: workload_label(id),
+        label: wl.name(),
         id,
         base_min_years: min(&base_years),
         sim_min_years: min(&sim_years),
@@ -286,11 +266,5 @@ mod tests {
                 assert!(lw <= cw && cw <= lw * cfg.l3_subblocks as u64);
             }
         }
-    }
-
-    #[test]
-    fn labels_cover_both_families() {
-        assert_eq!(workload_label(3), "WL3");
-        assert_eq!(workload_label(WBURST_ID_BASE + 2), "WB2");
     }
 }

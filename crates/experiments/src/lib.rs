@@ -6,6 +6,12 @@
 //! rows/series the paper plots. The binaries in `src/bin/` are thin
 //! wrappers.
 //!
+//! Every simulation goes through one path in [`runner`]: [`run_workload`]
+//! for a multiprogrammed mix, [`run_app`] for one application alone on
+//! the single-core S-NUCA machine with a CPT attached. Every per-scheme
+//! lifetime/IPC aggregate is a [`SchemeStudy`], derived by
+//! [`SchemeStudy::new`] alone; the campaign report builds the same one.
+//!
 //! | paper artifact | module | binary |
 //! |---|---|---|
 //! | Table I (config) | `cmp_sim::config` (defaults) | — |
@@ -47,4 +53,4 @@ pub use diff::{replay, ReplayReport};
 pub use forecast::{forecast_study, forecast_workload, ForecastRow, ForecastStudy};
 pub use obs::{Manifest, StatsSink};
 pub use pool::{parallel_map, parallel_map_threads};
-pub use runner::{run_single_app, run_workload, SchemeStudy};
+pub use runner::{run_app, run_workload, SchemeStudy};

@@ -308,15 +308,21 @@ impl Manifest {
     }
 }
 
+/// Register a scheme's four aggregate keys under `<p>.`: `raw_min_years`,
+/// `hmean_lifetime_years`, `variation`, `mean_ipc`.
+fn register_aggregate(reg: &mut StatsRegistry, p: &str, s: &SchemeStudy) {
+    reg.set(format!("{p}.raw_min_years"), s.raw_min);
+    reg.set(format!("{p}.hmean_lifetime_years"), s.hmean_lifetime());
+    reg.set(format!("{p}.variation"), s.variation);
+    reg.set(format!("{p}.mean_ipc"), s.mean_ipc());
+}
+
 /// Register one scheme's aggregate metrics under `scheme.<name>.*`:
 /// `raw_min_years`, `hmean_lifetime_years`, `variation`, `mean_ipc`, then
 /// per-workload `ipc.wl[i]` (1-based, matching WL1–WL10 naming).
 pub fn register_scheme(reg: &mut StatsRegistry, s: &SchemeStudy) {
     let p = format!("scheme.{}", s.scheme.name());
-    reg.set(format!("{p}.raw_min_years"), s.raw_min);
-    reg.set(format!("{p}.hmean_lifetime_years"), s.hmean_lifetime());
-    reg.set(format!("{p}.variation"), s.variation);
-    reg.set(format!("{p}.mean_ipc"), s.mean_ipc());
+    register_aggregate(reg, &p, s);
     for (i, ipc) in s.per_wl_ipc.iter().enumerate() {
         reg.set(format!("{p}.ipc.wl[{}]", i + 1), *ipc);
     }
@@ -363,11 +369,7 @@ pub fn register_multi_study(m: &mut Manifest, studies: &[MainStudy]) {
     for st in studies {
         for s in &st.studies {
             let p = format!("cfg.{}.scheme.{}", st.label, s.scheme.name());
-            let reg = m.stats_mut();
-            reg.set(format!("{p}.raw_min_years"), s.raw_min);
-            reg.set(format!("{p}.hmean_lifetime_years"), s.hmean_lifetime());
-            reg.set(format!("{p}.variation"), s.variation);
-            reg.set(format!("{p}.mean_ipc"), s.mean_ipc());
+            register_aggregate(m.stats_mut(), &p, s);
         }
     }
     for st in studies {

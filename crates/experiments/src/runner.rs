@@ -1,13 +1,30 @@
-//! Simulation drivers shared by all experiments.
+//! Simulation code shared by all experiments: one simulate path, a
+//! multi-core and a single-core entry point, and the per-scheme aggregate.
 
 use cmp_sim::config::SystemConfig;
 use cmp_sim::system::{SimResult, System};
-use renuca_core::{CptConfig, Scheme};
+use cmp_sim::{CriticalityPredictor, InstrSource, LlcPlacement};
+use renuca_core::{Cpt, CptConfig, Scheme};
 use wear_model::{hmean_lifetime_per_bank, lifetime_variation, raw_min_lifetime, LifetimeModel};
 use workloads::{workload_mix, AppModel, AppSpec, WorkloadMix, N_WORKLOADS};
 
 use crate::budget::Budget;
 use crate::pool::parallel_map;
+
+/// Build the machine, prewarm it, warm it up and measure it.
+pub(crate) fn simulate(
+    cfg: SystemConfig,
+    policy: Box<dyn LlcPlacement>,
+    predictors: Vec<Box<dyn CriticalityPredictor>>,
+    sources: Vec<Box<dyn InstrSource>>,
+    budget: Budget,
+) -> SimResult {
+    let mut sys = System::new(cfg, policy, sources, predictors);
+    sys.prewarm();
+    sys.warmup(budget.warmup);
+    sys.run(budget.measure);
+    sys.result()
+}
 
 /// Run one multiprogrammed workload under one scheme and configuration.
 pub fn run_workload(
@@ -19,57 +36,27 @@ pub fn run_workload(
 ) -> SimResult {
     let policy = scheme.build_policy(&cfg);
     let predictors = scheme.build_predictors(&cfg, cpt);
-    let sources = wl.build_sources();
-    let mut sys = System::new(cfg, policy, sources, predictors);
-    sys.prewarm();
-    sys.warmup(budget.warmup);
-    sys.run(budget.measure);
-    sys.result()
+    simulate(cfg, policy, predictors, wl.build_sources(), budget)
 }
 
-/// Run one application alone on a single-core machine (2 MB L3 — the
-/// paper's Table II / Figure 2 / Figure 5 setup), under `scheme` with the
-/// given CPT configuration.
-pub fn run_single_app(
-    spec: &AppSpec,
-    scheme: Scheme,
-    cpt: CptConfig,
-    budget: Budget,
-    track_block_criticality: bool,
-) -> SimResult {
-    let mut cfg = SystemConfig::small(1);
-    cfg.track_block_criticality = track_block_criticality;
-    let policy = scheme.build_policy(&cfg);
-    let predictors = scheme.build_predictors(&cfg, cpt);
-    let sources: Vec<Box<dyn cmp_sim::InstrSource>> =
-        vec![Box::new(AppModel::new(*spec, 0x51_000))];
-    let mut sys = System::new(cfg, policy, sources, predictors);
-    sys.prewarm();
-    sys.warmup(budget.warmup);
-    sys.run(budget.measure);
-    sys.result()
-}
-
-/// Run one application alone with a **CPT attached to an S-NUCA machine**:
-/// the configuration of the paper's predictor characterization (Figures
-/// 7–9) — placement is unaffected, but every load is predicted and every
-/// fill/write is attributed to a criticality class.
-pub fn run_single_app_with_cpt(spec: &AppSpec, cpt: CptConfig, budget: Budget) -> SimResult {
+/// Run one application alone on the paper's single-core machine (2 MB
+/// L3) under S-NUCA, with a CPT configured by `cpt` attached and block
+/// criticality tracked: the setup of Table II, Figure 2, Figure 5 and the
+/// predictor characterization (Figures 7–9). S-NUCA placement ignores the
+/// predictions, so the CPT only classifies loads, fills and writes.
+pub fn run_app(spec: &AppSpec, cpt: CptConfig, budget: Budget) -> SimResult {
     let mut cfg = SystemConfig::small(1);
     cfg.track_block_criticality = true;
-    let policy = Scheme::SNuca.build_policy(&cfg);
-    let predictors: Vec<Box<dyn cmp_sim::CriticalityPredictor>> =
-        vec![Box::new(renuca_core::Cpt::new(cpt))];
-    let sources: Vec<Box<dyn cmp_sim::InstrSource>> =
-        vec![Box::new(AppModel::new(*spec, 0x51_000))];
-    let mut sys = System::new(cfg, policy, sources, predictors);
-    sys.prewarm();
-    sys.warmup(budget.warmup);
-    sys.run(budget.measure);
-    sys.result()
+    simulate(
+        cfg,
+        Scheme::SNuca.build_policy(&cfg),
+        vec![Box::new(Cpt::new(cpt))],
+        vec![Box::new(AppModel::new(*spec, 0x51_000))],
+        budget,
+    )
 }
 
-/// Aggregated results of one scheme over all ten workloads.
+/// Aggregated results of one scheme over a set of workloads.
 #[derive(Clone, Debug)]
 pub struct SchemeStudy {
     /// The scheme.
@@ -87,24 +74,20 @@ pub struct SchemeStudy {
 }
 
 impl SchemeStudy {
-    /// Serialize to a compact JSON document (hand-rolled writer: the study
-    /// is small and flat, and the workspace deliberately avoids pulling in
-    /// serde_json for one call site).
-    pub fn to_json(&self) -> String {
-        fn f64s(xs: &[f64]) -> String {
-            let items: Vec<String> = xs.iter().map(|x| format!("{x:.6}")).collect();
-            format!("[{}]", items.join(","))
+    /// Derive the aggregate from per-workload bank lifetimes (years) and
+    /// per-workload total IPC, both in workload order.
+    pub fn new(scheme: Scheme, per_wl_bank_lifetimes: Vec<Vec<f64>>, per_wl_ipc: Vec<f64>) -> Self {
+        let hmean_per_bank = hmean_lifetime_per_bank(&per_wl_bank_lifetimes);
+        let raw_min = raw_min_lifetime(&per_wl_bank_lifetimes);
+        let variation = lifetime_variation(&hmean_per_bank);
+        SchemeStudy {
+            scheme,
+            per_wl_bank_lifetimes,
+            per_wl_ipc,
+            hmean_per_bank,
+            raw_min,
+            variation,
         }
-        let per_wl: Vec<String> = self.per_wl_bank_lifetimes.iter().map(|w| f64s(w)).collect();
-        format!(
-            "{{\"scheme\":\"{}\",\"raw_min\":{:.6},\"variation\":{:.6},\"per_wl_ipc\":{},\"hmean_per_bank\":{},\"per_wl_bank_lifetimes\":[{}]}}",
-            self.scheme.name(),
-            self.raw_min,
-            self.variation,
-            f64s(&self.per_wl_ipc),
-            f64s(&self.hmean_per_bank),
-            per_wl.join(",")
-        )
     }
 
     /// Mean of per-workload total IPC.
@@ -135,42 +118,20 @@ pub fn scheme_study(
     aggregate_study(scheme, &results, lifetime)
 }
 
-/// Aggregate raw per-workload results into a [`SchemeStudy`].
+/// Aggregate per-workload results into a [`SchemeStudy`].
 pub fn aggregate_study(
     scheme: Scheme,
     results: &[SimResult],
     lifetime: &LifetimeModel,
 ) -> SchemeStudy {
-    let per_wl_bank_lifetimes: Vec<Vec<f64>> = results
-        .iter()
-        .map(|r| lifetime.all_bank_lifetimes(&r.wear, r.cycles))
-        .collect();
-    let per_wl_ipc: Vec<f64> = results.iter().map(|r| r.total_ipc()).collect();
-    let hmean_per_bank = hmean_lifetime_per_bank(&per_wl_bank_lifetimes);
-    let raw_min = raw_min_lifetime(&per_wl_bank_lifetimes);
-    let variation = lifetime_variation(&hmean_per_bank);
-    SchemeStudy {
+    SchemeStudy::new(
         scheme,
-        per_wl_bank_lifetimes,
-        per_wl_ipc,
-        hmean_per_bank,
-        raw_min,
-        variation,
-    }
-}
-
-/// Run several schemes over all workloads (the main evaluation loop).
-pub fn all_scheme_studies(
-    schemes: &[Scheme],
-    cfg: SystemConfig,
-    cpt: CptConfig,
-    budget: Budget,
-    lifetime: &LifetimeModel,
-) -> Vec<SchemeStudy> {
-    schemes
-        .iter()
-        .map(|&s| scheme_study(s, cfg, cpt, budget, lifetime))
-        .collect()
+        results
+            .iter()
+            .map(|r| lifetime.all_bank_lifetimes(&r.wear, r.cycles))
+            .collect(),
+        results.iter().map(SimResult::total_ipc).collect(),
+    )
 }
 
 /// The default lifetime model at `cfg`'s clock (paper endurance, uniform
@@ -189,13 +150,7 @@ mod tests {
     #[test]
     fn single_app_run_produces_metrics() {
         let spec = workloads::app_by_name("lbm").unwrap();
-        let r = run_single_app(
-            spec,
-            Scheme::SNuca,
-            CptConfig::default(),
-            Budget::test(),
-            false,
-        );
+        let r = run_app(spec, CptConfig::default(), Budget::test());
         assert_eq!(r.per_core.len(), 1);
         assert!(
             r.per_core[0].mpki > 1.0,
@@ -226,28 +181,6 @@ mod tests {
                 r.bank_writes
             );
         }
-    }
-
-    #[test]
-    fn study_json_roundtrips_structure() {
-        let cfg = SystemConfig::small(4);
-        let model = lifetime_model(&cfg);
-        let wl = workload_mix(1, 4);
-        let r = run_workload(
-            &wl,
-            Scheme::SNuca,
-            cfg,
-            CptConfig::default(),
-            Budget::test(),
-        );
-        let study = aggregate_study(Scheme::SNuca, &[r], &model);
-        let json = study.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"scheme\":\"S-NUCA\""));
-        assert!(json.contains("\"raw_min\":"));
-        // Balanced brackets (cheap well-formedness check).
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

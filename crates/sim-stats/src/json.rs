@@ -14,7 +14,6 @@
 
 use std::fmt::Write as _;
 
-use crate::histogram::Histogram;
 use crate::registry::{StatValue, StatsRegistry};
 
 /// Escape a string for inclusion in a JSON document (without quotes).
@@ -150,30 +149,6 @@ impl StatsRegistry {
         for (k, v) in self.iter() {
             o.field_raw(k, &v.to_json());
         }
-        o.finish()
-    }
-}
-
-impl Histogram {
-    /// Serialize aggregates plus non-empty buckets, key order fixed.
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .nonempty_buckets()
-            .map(|(lo, hi, n)| format!("[{lo},{hi},{n}]"))
-            .collect();
-        let mut o = JsonObject::new();
-        o.field_u64("count", self.count())
-            .field_u64("sum", self.sum());
-        match (self.min(), self.max()) {
-            (Some(lo), Some(hi)) => {
-                o.field_u64("min", lo).field_u64("max", hi);
-            }
-            _ => {
-                o.field_raw("min", "null").field_raw("max", "null");
-            }
-        }
-        o.field_f64("mean", self.mean())
-            .field_raw("buckets", &format!("[{}]", buckets.join(",")));
         o.finish()
     }
 }
@@ -517,21 +492,6 @@ mod tests {
             r.to_json()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn histogram_json_shapes() {
-        let mut h = Histogram::new();
-        for v in [1, 2, 3, 100] {
-            h.record(v);
-        }
-        let j = h.to_json();
-        assert!(j.contains("\"count\":4"));
-        assert!(j.contains("\"sum\":106"));
-        assert!(j.contains("\"buckets\":[["));
-        let empty = Histogram::new().to_json();
-        assert!(empty.contains("\"min\":null"));
-        assert!(empty.contains("\"buckets\":[]"));
     }
 
     #[test]

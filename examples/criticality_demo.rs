@@ -12,7 +12,7 @@
 //! cargo run --release --example criticality_demo
 //! ```
 
-use renuca::experiments::runner::run_single_app_with_cpt;
+use renuca::experiments::run_app;
 use renuca::prelude::*;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     println!("Criticality threshold x = 3% (the paper's choice)\n");
     for name in ["mcf", "lbm", "omnetpp", "povray"] {
         let spec = app_by_name(name).expect("app in table");
-        let r = run_single_app_with_cpt(spec, CptConfig::default(), budget);
+        let r = run_app(spec, CptConfig::default(), budget);
         let c = &r.per_core[0];
         let cs = c.core_stats;
         let pred = c.predictor;

@@ -11,6 +11,16 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== no compiler warnings =="
+# Both builds are cached by now, and cargo replays a cached unit's
+# diagnostics, so this sees every warning of the two builds above.
+WARN_LOG="$( (cargo build --release && cargo test -q --no-run) 2>&1)"
+if printf '%s\n' "$WARN_LOG" | grep -q '^warning'; then
+    printf '%s\n' "$WARN_LOG" | grep -A8 '^warning'
+    echo "FAIL: the build prints compiler warnings" >&2
+    exit 1
+fi
+
 echo "== differential smoke: bounded seeded corpus vs the golden model =="
 # Fixed seeds, all nine schemes, pow2 and non-pow2 meshes
 # (see TESTING.md), plus the per-scheme mutation self-checks. diffcheck

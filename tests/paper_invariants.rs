@@ -121,14 +121,14 @@ fn wear_leveling_and_performance_shape() {
 fn criticality_predictor_separates_app_classes() {
     // lbm (streaming) must classify far more of its fetched blocks
     // non-critical than mcf's chase-heavy stream at the paper's threshold.
-    use renuca::experiments::runner::run_single_app_with_cpt;
+    use renuca::experiments::run_app;
     let budget = Budget {
         warmup: 30_000,
         measure: 120_000,
     };
     let pct_noncrit = |name: &str| {
         let spec = app_by_name(name).unwrap();
-        let r = run_single_app_with_cpt(spec, CptConfig::default(), budget);
+        let r = run_app(spec, CptConfig::default(), budget);
         let h = r.hierarchy;
         h.l3_fills_noncritical.get() as f64 * 100.0 / h.l3_fills.get().max(1) as f64
     };
