@@ -8,14 +8,18 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use campaign::{report, scheduler, CampaignSpec};
+use sim_stats::json::{parse, JsonValue};
 
 /// Tiny but non-degenerate campaign: 1 threshold × 2 schemes × 2 mixes
-/// on the 4-core machine = 4 jobs, each a few hundred instructions.
+/// on the 4-core machine = 4 jobs, under 0.1 s together. The budget wears
+/// every bank and separates the two schemes (see
+/// `report_separates_lifetimes_and_schemes`), so the byte-compares below
+/// can see a fault in the lifetime aggregate or in scheme dispatch.
 const SPEC: &str = "\
 renuca-campaign-v1
 name crashkit
 config small 4
-budget warmup=50 measure=300
+budget warmup=2000 measure=20000
 schemes S-NUCA Re-NUCA
 workloads 1 2
 thresholds 25
@@ -51,6 +55,41 @@ fn uninterrupted_run_is_idempotent_and_verifiable() {
     assert_eq!((s.done, s.grid), (4, 4));
     assert!(s.pending.is_empty());
     assert!(s.report_exists);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// At this budget no group's lifetime is the model's cap and the two
+/// schemes report different IPC on every workload: a report of capped
+/// constants or of one scheme twice would compare equal after any fault.
+#[test]
+fn report_separates_lifetimes_and_schemes() {
+    let spec = CampaignSpec::parse(SPEC).unwrap();
+    let dir = tmp("separates");
+    let doc = parse(&String::from_utf8(baseline(&spec, &dir)).unwrap()).unwrap();
+    let groups = doc.get("groups").and_then(JsonValue::as_array).unwrap();
+    let cap = experiments::runner::lifetime_model(&cmp_sim::SystemConfig::small(4)).cap_years;
+    let ipcs: Vec<Vec<f64>> = groups
+        .iter()
+        .map(|g| {
+            let raw_min = g.get("raw_min_years").and_then(JsonValue::as_f64).unwrap();
+            assert!(
+                raw_min < cap,
+                "raw_min_years {raw_min} is the {cap}-year cap"
+            );
+            let xs = g
+                .get("per_workload_ipc")
+                .and_then(JsonValue::as_array)
+                .unwrap();
+            xs.iter().map(|x| x.as_f64().unwrap()).collect()
+        })
+        .collect();
+    assert_eq!(ipcs.len(), 2, "one group per scheme");
+    for (w, (s, r)) in ipcs[0].iter().zip(&ipcs[1]).enumerate() {
+        assert_ne!(
+            s, r,
+            "S-NUCA and Re-NUCA report the same IPC on workload {w}"
+        );
+    }
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -117,7 +156,7 @@ fn spec_revision_mismatch_is_refused() {
     let spec = CampaignSpec::parse(SPEC).unwrap();
     let dir = tmp("fingerprint");
     baseline(&spec, &dir);
-    let edited = CampaignSpec::parse(&SPEC.replace("measure=300", "measure=301")).unwrap();
+    let edited = CampaignSpec::parse(&SPEC.replace("measure=20000", "measure=20001")).unwrap();
     let err = scheduler::run(&edited, &dir, 1).unwrap_err();
     assert!(err.contains("different campaign or spec revision"), "{err}");
     let err = scheduler::status(&edited, &dir).unwrap_err();

@@ -5,7 +5,12 @@
 //! contents, inclusion, coherence-directory updates, ReRAM wear, DRAM row
 //! buffers — and computes the *timing* of loads functionally: one call
 //! returns the full latency of the access, with shared-resource contention
-//! (mesh links, DRAM banks/buses) carried in `next_free` reservations.
+//! (mesh links, L3 banks, DRAM banks/buses) carried in busy calendars.
+//!
+//! Each L3 install (fill, eviction, rotation flush) runs in two halves. The
+//! *state* half moves lines, compression and policy state; the *charge*
+//! half books bank and mesh calendars and DRAM writebacks and charges wear
+//! and counters. Prewarm runs the state half alone (see `prewarm_fill`).
 //!
 //! Writes into the L3 — the quantity whose spatial distribution the whole
 //! paper is about — happen on exactly two paths, matching §III of the
@@ -113,49 +118,24 @@ impl HierarchyStats {
     /// Register every counter under `<prefix>.<field>` (e.g.
     /// `hierarchy.l3_fills`), in declaration order.
     pub fn register(&self, reg: &mut sim_stats::StatsRegistry, prefix: &str) {
-        reg.set(format!("{prefix}.l3_fills"), self.l3_fills.get());
-        reg.set(
-            format!("{prefix}.l3_fills_noncritical"),
-            self.l3_fills_noncritical.get(),
-        );
-        reg.set(format!("{prefix}.l3_writes"), self.l3_writes.get());
-        reg.set(
-            format!("{prefix}.l3_writes_noncritical"),
-            self.l3_writes_noncritical.get(),
-        );
-        reg.set(
-            format!("{prefix}.l3_writebacks_to_dram"),
-            self.l3_writebacks_to_dram.get(),
-        );
-        reg.set(
-            format!("{prefix}.back_invalidations"),
-            self.back_invalidations.get(),
-        );
-        reg.set(
-            format!("{prefix}.prefetches_issued"),
-            self.prefetches_issued.get(),
-        );
-        reg.set(
-            format!("{prefix}.prefetch_fills"),
-            self.prefetch_fills.get(),
-        );
-        reg.set(
-            format!("{prefix}.prefetch_l3_hits"),
-            self.prefetch_l3_hits.get(),
-        );
-        reg.set(format!("{prefix}.set_rotations"), self.set_rotations.get());
-        reg.set(
-            format!("{prefix}.rotation_flushes"),
-            self.rotation_flushes.get(),
-        );
-        reg.set(
-            format!("{prefix}.secondary_probes"),
-            self.secondary_probes.get(),
-        );
-        reg.set(
-            format!("{prefix}.secondary_hits"),
-            self.secondary_hits.get(),
-        );
+        let fields = [
+            ("l3_fills", self.l3_fills),
+            ("l3_fills_noncritical", self.l3_fills_noncritical),
+            ("l3_writes", self.l3_writes),
+            ("l3_writes_noncritical", self.l3_writes_noncritical),
+            ("l3_writebacks_to_dram", self.l3_writebacks_to_dram),
+            ("back_invalidations", self.back_invalidations),
+            ("prefetches_issued", self.prefetches_issued),
+            ("prefetch_fills", self.prefetch_fills),
+            ("prefetch_l3_hits", self.prefetch_l3_hits),
+            ("set_rotations", self.set_rotations),
+            ("rotation_flushes", self.rotation_flushes),
+            ("secondary_probes", self.secondary_probes),
+            ("secondary_hits", self.secondary_hits),
+        ];
+        for (name, counter) in fields {
+            reg.set(format!("{prefix}.{name}"), counter.get());
+        }
     }
 }
 
@@ -197,6 +177,26 @@ struct CompressState {
     stats: Vec<BankCompressStats>,
 }
 
+/// An L3 data-array write its state half left to price: the slot and,
+/// under compression, the class and version written and any expansion.
+#[derive(Clone, Copy)]
+struct SlotWrite {
+    bank: BankId,
+    slot: usize,
+    line: u64,
+    class: u8,
+    version: u32,
+    expand: bool,
+}
+
+/// An L3 line its state half evicted: the cores whose copies it
+/// back-invalidated (one bit each) and whether its data goes to DRAM.
+struct Victim {
+    line: u64,
+    holders: u32,
+    dirty: bool,
+}
+
 /// One stride-detector entry of a per-core prefetcher.
 #[derive(Clone, Copy, Debug, Default)]
 struct StreamEntry {
@@ -204,6 +204,18 @@ struct StreamEntry {
     stride: i64,
     confidence: u8,
     lru: u64,
+}
+
+/// A non-critical L3 request without a PC (prefetch, prewarm, writeback).
+fn bare_meta(core: CoreId, line: u64, kind: LlcAccessKind) -> AccessMeta {
+    AccessMeta {
+        core,
+        line,
+        page: page_of_line(line),
+        pc: 0,
+        kind,
+        predicted_critical: false,
+    }
 }
 
 /// The full memory system below the cores.
@@ -403,43 +415,42 @@ impl MemoryHierarchy {
             .map(|c| (c.class[bank][slot], c.version[bank][slot]))
     }
 
-    /// Charge one L3 data-array write of `line` at `(bank, slot)` against
-    /// the wear model.
-    ///
-    /// Uncompressed: a full-line write. Compressed: the content model
-    /// yields the write's size class and rotating sub-block mask; only
-    /// those cells age. Returns `true` when a non-fill write outgrew the
-    /// slot's allocated class — the caller must then service the expansion
-    /// re-program through the bank model ([`LlcBanks::expand`]). The
-    /// expansion itself charges *no* extra wear: the triggering write's
-    /// mask already aged every cell this write touches.
-    fn charge_l3_write(&mut self, bank: BankId, slot: usize, line: u64, is_fill: bool) -> bool {
+    /// State half of one L3 data-array write of `line` at `(bank, slot)`:
+    /// a compressed slot's version advances (a fill restarts it) and its
+    /// allocation takes a fill's size class or grows in place (expands).
+    fn write_slot(&mut self, bank: BankId, slot: usize, line: u64, is_fill: bool) -> SlotWrite {
+        let (mut class, mut version, mut expand) = (0, 0, false);
+        if let Some(cs) = self.compress.as_mut() {
+            version = if is_fill { 0 } else { cs.version[bank][slot] };
+            class = cs.spec.class_of(line, version);
+            cs.version[bank][slot] = version + 1;
+            expand = !is_fill && class > cs.class[bank][slot];
+            if is_fill || expand {
+                cs.class[bank][slot] = class;
+            }
+        }
+        SlotWrite {
+            bank,
+            slot,
+            line,
+            class,
+            version,
+            expand,
+        }
+    }
+
+    /// Charge half of one L3 data-array write: wear (compressed, only the
+    /// write's sub-block mask ages; an expansion adds none) and counters.
+    fn charge_l3_write(&mut self, w: SlotWrite) {
+        self.stats.l3_writes.inc();
         let Some(cs) = self.compress.as_mut() else {
-            self.wear.record_write(bank, slot);
-            return false;
+            self.wear.record_write(w.bank, w.slot);
+            return;
         };
-        if is_fill {
-            // A fill installs fresh content: version restarts, and the
-            // slot's allocation is exactly the fill's compressed size.
-            cs.version[bank][slot] = 0;
-        }
-        let v = cs.version[bank][slot];
-        let c = cs.spec.class_of(line, v);
-        self.wear
-            .record_subblock_write(bank, slot, cs.spec.mask_of(line, v));
-        cs.stats[bank].class_writes[c.trailing_zeros() as usize] += 1;
-        cs.version[bank][slot] = v + 1;
-        if is_fill {
-            cs.class[bank][slot] = c;
-            return false;
-        }
-        let alloc = cs.class[bank][slot];
-        let expand = c > alloc;
-        if expand {
-            cs.class[bank][slot] = c;
-            cs.stats[bank].expansions += 1;
-        }
-        expand
+        let mask = cs.spec.mask_of(w.line, w.version);
+        self.wear.record_subblock_write(w.bank, w.slot, mask);
+        cs.stats[w.bank].class_writes[w.class.trailing_zeros() as usize] += 1;
+        cs.stats[w.bank].expansions += w.expand as u64;
     }
 
     /// A demand load from `core` for physical address `phys`.
@@ -543,7 +554,8 @@ impl MemoryHierarchy {
         // Only this path writes the L3 (an L2 hit neither fills nor evicts
         // the L2), so only it can leave a rotation due.
         if self.rotations_due != 0 {
-            self.rotate_due_banks(data_at_core);
+            let flushed = self.rotate_due_banks();
+            self.charge_rotations(flushed, data_at_core);
         }
 
         AccessOutcome {
@@ -585,7 +597,8 @@ impl MemoryHierarchy {
         let t_mc = self.mesh.traverse(bank, mc, self.ctrl_flits, t_miss);
         let t_dram = self.dram.access(line, false, t_mc);
         let t_fill = self.mesh.traverse(mc, fill_bank, self.data_flits, t_dram);
-        self.fill_l3(meta, fill_bank, t_fill);
+        let fill = self.fill_l3(meta, fill_bank);
+        self.charge_l3_fill(fill, meta.predicted_critical, t_fill);
         (fill_bank, t_fill, false)
     }
 
@@ -605,47 +618,52 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Rotate the set mapping of every due bank, flushing its lines (the
-    /// last step of an access, when every level holds a consistent copy).
-    fn rotate_due_banks(&mut self, now: Cycle) {
-        while self.rotations_due != 0 {
-            let bank = self.rotations_due.trailing_zeros() as BankId;
-            self.rotations_due &= self.rotations_due - 1;
-            self.stats.set_rotations.inc();
-            let flushed = self.l3[bank].rotate_set_mapping();
-            self.stats.rotation_flushes.add(flushed.len() as u64);
-            for ev in flushed {
-                self.evict_l3_victim(ev.line, ev.dirty, bank, now);
+    /// State half of the rotations due, run when every level holds a
+    /// consistent copy: rotate each due bank's set mapping and evict the
+    /// lines it flushes. Returns the banks (one bit each) and the victims.
+    fn rotate_due_banks(&mut self) -> (u32, Vec<(BankId, Victim)>) {
+        let due = std::mem::take(&mut self.rotations_due);
+        let mut flushed = Vec::new();
+        for bank in cores_of(due) {
+            for ev in self.l3[bank].rotate_set_mapping() {
+                flushed.push((bank, self.evict_l3_victim(ev.line, ev.dirty, bank)));
             }
+        }
+        (due, flushed)
+    }
+
+    /// Charge half of [`Self::rotate_due_banks`] at `now`.
+    fn charge_rotations(&mut self, (due, flushed): (u32, Vec<(BankId, Victim)>), now: Cycle) {
+        self.stats.set_rotations.add(due.count_ones() as u64);
+        self.stats.rotation_flushes.add(flushed.len() as u64);
+        for (bank, v) in flushed {
+            self.charge_l3_victim(v, bank, now);
         }
     }
 
-    /// State-only install of a line for checkpoint-style prewarming: fills
-    /// L3 (placement policy, wear, inclusion) and the core's L2/L1 without
-    /// any timing-model work. Statistics accumulated here are wiped by the
-    /// warm-up reset.
+    /// Checkpoint-style prewarm: install a line in the L3, the directory
+    /// and the core's L2/L1 through the state halves alone, skipping what
+    /// [`Self::reset_stats`] wipes (bank and mesh calendars, wear,
+    /// counters); that reset must follow. A dirty victim still goes to
+    /// DRAM, whose open rows survive it and do not depend on time.
     pub fn prewarm_fill(&mut self, core: CoreId, phys: u64) {
         let line = crate::types::line_of(phys);
         if self.l1[core].contains(line) {
             return;
         }
-        let meta = AccessMeta {
-            core,
-            line,
-            page: page_of_line(line),
-            pc: 0,
-            kind: LlcAccessKind::Demand,
-            predicted_critical: false,
-        };
+        let meta = bare_meta(core, line, LlcAccessKind::Demand);
         let bank = self.policy.lookup_bank(&meta);
+        let mut victim = None;
         if !matches!(self.l3[bank].access(line, false), LookupResult::Hit { .. }) {
-            self.per_core[core].l3_misses += 1;
             let fill_bank = self.policy.fill_bank(&meta);
-            self.fill_l3(&meta, fill_bank, 0);
+            victim = self.fill_l3(&meta, fill_bank).1;
         }
         self.dir.read(line, core);
         self.fill_l2_l1(core, line, false, 0);
-        self.rotate_due_banks(0);
+        let flushed = self.rotate_due_banks().1.into_iter().map(|(_, v)| v);
+        for v in victim.into_iter().chain(flushed).filter(|v| v.dirty) {
+            self.dram.access(v.line, true, 0);
+        }
     }
 
     /// Stride detection + confidence-gated prefetch issue (see
@@ -710,14 +728,7 @@ impl MemoryHierarchy {
             return;
         }
         self.stats.prefetches_issued.inc();
-        let meta = AccessMeta {
-            core,
-            line,
-            page: page_of_line(line),
-            pc: 0,
-            kind: LlcAccessKind::Demand,
-            predicted_critical: false,
-        };
+        let meta = bare_meta(core, line, LlcAccessKind::Demand);
         let bank = self.policy.lookup_bank(&meta);
         let t_req = self.mesh.traverse(core, bank, self.ctrl_flits, now);
         let (serving_bank, t_data, hit) = self.l3_fetch(&meta, bank, t_req);
@@ -735,9 +746,10 @@ impl MemoryHierarchy {
         self.fill_l2(core, line, t_at_core);
     }
 
-    /// Install a line into one L3 bank, charging wear and handling the
-    /// victim (back-invalidation, dirty writeback to DRAM, policy reset).
-    fn fill_l3(&mut self, meta: &AccessMeta, bank: BankId, now: Cycle) {
+    /// State half of an L3 fill into `bank`: tags, slot compression,
+    /// criticality, the policy's fill and write hooks, the rotation budget
+    /// and the victim's eviction. [`Self::charge_l3_fill`] prices the rest.
+    fn fill_l3(&mut self, meta: &AccessMeta, bank: BankId) -> (SlotWrite, Option<Victim>) {
         #[cfg(debug_assertions)]
         for (b, l3) in self.l3.iter().enumerate() {
             debug_assert!(
@@ -746,53 +758,71 @@ impl MemoryHierarchy {
                 meta.line
             );
         }
-        // The fill programs the ReRAM array: the requester's data forwards
-        // at `now` (write-buffer semantics) but the bank stays busy for the
-        // slow write, delaying later operations.
-        self.banks.fill(bank, now);
         let out = self.l3[bank].fill(meta.line, false);
         let slot = self.l3[bank].slot_index(out.set, out.way);
-        self.charge_l3_write(bank, slot, meta.line, true);
-        self.stats.l3_fills.inc();
-        self.stats.l3_writes.inc();
-        if !meta.predicted_critical {
-            self.stats.l3_fills_noncritical.inc();
-            self.stats.l3_writes_noncritical.inc();
-        }
+        let write = self.write_slot(bank, slot, meta.line, true);
         if let Some(map) = self.block_criticality.as_mut() {
             map.insert(meta.line, meta.predicted_critical);
         }
         self.policy.on_fill(meta, bank);
         self.policy.on_l3_write(bank);
         self.note_bank_write(bank);
+        let victim = out
+            .evicted
+            .map(|ev| self.evict_l3_victim(ev.line, ev.dirty, bank));
+        (write, victim)
+    }
 
-        if let Some(ev) = out.evicted {
-            self.evict_l3_victim(ev.line, ev.dirty, bank, now);
+    /// Charge half of an L3 fill at `now`: the data forwards at `now`
+    /// (write-buffer semantics) but the bank stays busy for the slow write.
+    fn charge_l3_fill(&mut self, fill: (SlotWrite, Option<Victim>), critical: bool, now: Cycle) {
+        let (write, victim) = fill;
+        self.banks.fill(write.bank, now);
+        self.charge_l3_write(write);
+        self.stats.l3_fills.inc();
+        if !critical {
+            self.stats.l3_fills_noncritical.inc();
+            self.stats.l3_writes_noncritical.inc();
+        }
+        if let Some(v) = victim {
+            self.charge_l3_victim(v, write.bank, now);
         }
     }
 
-    /// Handle an L3 capacity victim: back-invalidate private copies,
-    /// write dirty data to DRAM, notify the policy.
-    fn evict_l3_victim(&mut self, victim: u64, l3_dirty: bool, bank: BankId, now: Cycle) {
+    /// State half of an L3 eviction from `bank`: back-invalidate private
+    /// copies via the directory, drop its criticality, notify the policy.
+    fn evict_l3_victim(&mut self, line: u64, l3_dirty: bool, bank: BankId) -> Victim {
+        let holders = self.dir.back_invalidate(line);
         let mut dirty = l3_dirty;
-        for holder in cores_of(self.dir.back_invalidate(victim)) {
-            let d1 = self.l1[holder].invalidate(victim).unwrap_or(false);
-            let d2 = self.l2[holder].invalidate(victim).unwrap_or(false);
+        for holder in cores_of(holders) {
+            let d1 = self.l1[holder].invalidate(line).unwrap_or(false);
+            let d2 = self.l2[holder].invalidate(line).unwrap_or(false);
             dirty |= d1 || d2;
-            self.stats.back_invalidations.inc();
-            // Invalidation control message to the holder tile.
-            self.mesh.traverse(bank, holder, self.ctrl_flits, now);
-        }
-        if dirty {
-            let mc = self.mc_tiles[self.dram.coord_of(victim).channel];
-            let t_mc = self.mesh.traverse(bank, mc, self.data_flits, now);
-            self.dram.access(victim, true, t_mc);
-            self.stats.l3_writebacks_to_dram.inc();
         }
         if let Some(map) = self.block_criticality.as_mut() {
-            map.remove(victim);
+            map.remove(line);
         }
-        self.policy.on_evict(victim, bank);
+        self.policy.on_evict(line, bank);
+        Victim {
+            line,
+            holders,
+            dirty,
+        }
+    }
+
+    /// Charge half of an L3 eviction from `bank` at `now`: an invalidation
+    /// message to each holder tile, and the dirty data's trip to DRAM.
+    fn charge_l3_victim(&mut self, v: Victim, bank: BankId, now: Cycle) {
+        for holder in cores_of(v.holders) {
+            self.stats.back_invalidations.inc();
+            self.mesh.traverse(bank, holder, self.ctrl_flits, now);
+        }
+        if v.dirty {
+            let mc = self.mc_tiles[self.dram.coord_of(v.line).channel];
+            let t_mc = self.mesh.traverse(bank, mc, self.data_flits, now);
+            self.dram.access(v.line, true, t_mc);
+            self.stats.l3_writebacks_to_dram.inc();
+        }
     }
 
     /// Install a line into a core's L2 (a prefetch stops here), handling
@@ -824,16 +854,10 @@ impl MemoryHierarchy {
             }
             LookupResult::Miss => {
                 let out = self.l1[core].fill(line, is_store);
-                if let Some(ev) = out.evicted {
-                    if ev.dirty {
-                        // L1 victim's dirty data merges into the inclusive L2.
-                        let present = self.l2[core].mark_dirty(ev.line);
-                        debug_assert!(
-                            present,
-                            "L1 victim {:#x} missing from inclusive L2",
-                            ev.line
-                        );
-                    }
+                if let Some(ev) = out.evicted.filter(|ev| ev.dirty) {
+                    // L1 victim's dirty data merges into the inclusive L2.
+                    let present = self.l2[core].mark_dirty(ev.line);
+                    debug_assert!(present, "L1 victim {:#x} not in the L2", ev.line);
                 }
             }
         }
@@ -842,14 +866,7 @@ impl MemoryHierarchy {
     /// A dirty L2 victim is written back into the L3 bank that holds the
     /// line — the second of the paper's two L3 write sources.
     fn writeback_to_l3(&mut self, core: CoreId, line: u64, now: Cycle) {
-        let meta = AccessMeta {
-            core,
-            line,
-            page: page_of_line(line),
-            pc: 0,
-            kind: LlcAccessKind::Writeback,
-            predicted_critical: false,
-        };
+        let meta = bare_meta(core, line, LlcAccessKind::Writeback);
         let mut bank = self.policy.lookup_bank(&meta);
         // Residency-state-free policies may hold the line at their second
         // candidate bank.
@@ -871,11 +888,11 @@ impl MemoryHierarchy {
             panic!("writeback {line:#x} missed the inclusive L3");
         };
         self.l3[bank].mark_dirty(line);
-        let slot = self.l3[bank].slot_index(set, way);
-        if self.charge_l3_write(bank, slot, line, false) {
+        let write = self.write_slot(bank, self.l3[bank].slot_index(set, way), line, false);
+        if write.expand {
             self.banks.expand(bank, t_arrive);
         }
-        self.stats.l3_writes.inc();
+        self.charge_l3_write(write);
         if let Some(map) = self.block_criticality.as_ref() {
             if !map.get(line).copied().unwrap_or(false) {
                 self.stats.l3_writes_noncritical.inc();
@@ -885,8 +902,9 @@ impl MemoryHierarchy {
         self.note_bank_write(bank);
     }
 
-    /// Reset every statistic (warm-up boundary) while keeping all cache,
-    /// directory, TLB-payload and policy state.
+    /// Reset every statistic, wear and bank/mesh/DRAM calendar (warm-up
+    /// boundary). Kept: cache, directory, policy and DRAM open-row state,
+    /// the rotation budget, slot compression and block criticality.
     pub fn reset_stats(&mut self) {
         for c in self
             .l1
@@ -904,13 +922,9 @@ impl MemoryHierarchy {
         // Compression *counters* reset; per-slot class/version is cache
         // state and survives the warm-up boundary like the tags do.
         if let Some(cs) = self.compress.as_mut() {
-            cs.stats
-                .iter_mut()
-                .for_each(|s| *s = BankCompressStats::default());
+            cs.stats.fill(BankCompressStats::default());
         }
-        self.per_core
-            .iter_mut()
-            .for_each(|s| *s = PerCoreMemStats::default());
+        self.per_core.fill(PerCoreMemStats::default());
         self.stats = HierarchyStats::default();
     }
 
@@ -1464,6 +1478,120 @@ mod tests {
         }
         // Expansions charge no line wear: the global write identity holds.
         assert_eq!(h.stats.l3_writes.get(), h.wear.total_writes());
+    }
+
+    /// `n` distinct lines from `first` up that all map to bank 0 and one
+    /// L3 set under `Striped`, so installing them evicts from the L3.
+    fn l3_set_colliders(cfg: &SystemConfig, first: u64, n: usize) -> Vec<u64> {
+        let probe = SetAssocCache::new(cfg.l3_bank, true);
+        (first..)
+            .filter(|&l| l % cfg.n_banks as u64 == 0 && probe.set_of(l) == 0)
+            .take(n)
+            .collect()
+    }
+
+    /// Prewarm 256 fresh lines of core 1 into `h` with no `reset_stats`:
+    /// each line lands in its fill bank, the core's L2 and L1 and the
+    /// directory, while no bank, mesh, wear or DRAM work is charged. Then
+    /// L3-set colliders force evictions that back-invalidate private
+    /// copies, still without a mesh message.
+    fn assert_prewarm_installs_state_only(h: &mut MemoryHierarchy) {
+        let charged = |h: &MemoryHierarchy| {
+            let bank_ops: u64 = (0..4).map(|b| h.banks.stats(b).ops()).sum();
+            let dram = h.dram.stats.reads.get() + h.dram.stats.writes.get();
+            (
+                bank_ops,
+                h.mesh.stats.messages.get(),
+                h.wear.total_writes(),
+                dram,
+            )
+        };
+        let lines: Vec<u64> = (0..256u64)
+            .map(|i| crate::types::line_of(phys_addr(1, i * 64)))
+            .collect();
+        for &l in &lines {
+            h.prewarm_fill(1, l * 64);
+        }
+        assert_eq!(charged(h), (0, 0, 0, 0), "(bank ops, messages, wear, dram)");
+        for &l in &lines {
+            assert!(h.l3_bank_contains((l & 3) as usize, l), "{l:#x} not in L3");
+            assert!(
+                h.l2[1].contains(l) && h.l1_contains(1, l),
+                "{l:#x} not private"
+            );
+            assert_eq!(h.dir.entry(l).map(|e| e.n_sharers()), Some(1), "{l:#x}");
+        }
+        // Core 1's tile is one hop from bank 0: a charged eviction would
+        // send it an invalidation message.
+        let first = crate::types::line_of(phys_addr(1, 1 << 26));
+        for l in l3_set_colliders(&SystemConfig::small(4), first, 24) {
+            h.prewarm_fill(1, l * 64);
+        }
+        assert!(
+            h.dir.stats.back_invalidations.get() > 0,
+            "no L3 victim was held"
+        );
+        assert_eq!(charged(h), (0, 0, 0, 0), "(bank ops, messages, wear, dram)");
+    }
+
+    #[test]
+    fn prewarm_installs_state_without_charges() {
+        assert_prewarm_installs_state_only(&mut hier(4));
+    }
+
+    #[test]
+    fn compressed_prewarm_still_advances_slot_state() {
+        let mut h = compressed_hier(4);
+        assert_prewarm_installs_state_only(&mut h);
+        let spec = h.compression_spec().unwrap();
+        // Every resident line's slot holds its fill's size class at
+        // version 1, exactly as a charged fill leaves it.
+        for b in 0..4 {
+            for line in (0..256u64).map(|i| crate::types::line_of(phys_addr(1, i * 64))) {
+                let LookupResult::Hit { set, way } = h.l3[b].probe(line) else {
+                    continue;
+                };
+                let slot = h.l3[b].slot_index(set, way);
+                assert_eq!(h.compress_slot(b, slot), Some((spec.class_of(line, 0), 1)));
+            }
+        }
+    }
+
+    #[test]
+    fn prewarm_leaves_the_state_a_load_leaves() {
+        // Fresh lines, each touched once, no prefetcher and a single-probe
+        // policy: the state half alone must reproduce a demand load's L3,
+        // L2/L1 residency and slot compression state, through L1, L2 and
+        // L3 evictions alike.
+        let mut cfg = SystemConfig::small(4);
+        cfg.prefetch.streams = 0;
+        let build = || {
+            let spec = compress::CompressSpec::new(cfg.l3_subblocks, cfg.compress_seed);
+            MemoryHierarchy::new(&cfg, Box::new(CompressedStriped { nbanks: 4, spec }))
+        };
+        let (mut warm, mut loaded) = (build(), build());
+        let mut lines: Vec<u64> = (1u64 << 20..(1 << 20) + 2_000).collect();
+        lines.extend(l3_set_colliders(&cfg, 0, 40));
+        for (i, &l) in lines.iter().enumerate() {
+            warm.prewarm_fill(0, l * 64);
+            loaded.load(0, l * 64, 1, false, i as u64 * 1_000);
+        }
+        assert!(
+            warm.dir.stats.back_invalidations.get() > 0,
+            "no L3 eviction"
+        );
+        for &l in &lines {
+            for b in 0..4 {
+                assert_eq!(warm.l3_bank_contains(b, l), loaded.l3_bank_contains(b, l));
+            }
+            assert_eq!(warm.l2[0].contains(l), loaded.l2[0].contains(l), "{l:#x}");
+            assert_eq!(warm.l1_contains(0, l), loaded.l1_contains(0, l), "{l:#x}");
+        }
+        for b in 0..4 {
+            for slot in 0..cfg.l3_bank.lines() {
+                assert_eq!(warm.compress_slot(b, slot), loaded.compress_slot(b, slot));
+            }
+        }
     }
 
     #[test]

@@ -339,11 +339,12 @@ impl System {
         self.measure_start = self.now;
     }
 
-    /// Functionally install each source's `warm_ranges` into the hierarchy
-    /// (checkpoint-style cache warming; see
-    /// [`InstrSource::warm_ranges`]).
-    /// Call before `warmup`/`run` — statistics accumulated here are wiped
-    /// by the warm-up reset.
+    /// Install each source's `warm_ranges` into the hierarchy
+    /// (checkpoint-style cache warming; see [`InstrSource::warm_ranges`])
+    /// through [`MemoryHierarchy::prewarm_fill`], which moves cache,
+    /// directory and policy state but books no bank or mesh time and
+    /// charges no wear, then reset the statistics. Call before
+    /// `warmup`/`run`.
     pub fn prewarm(&mut self) {
         use crate::types::{line_of, phys_addr, LINE_BYTES};
         for core in 0..self.cores.len() {

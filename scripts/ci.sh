@@ -144,17 +144,20 @@ fi
 echo "manifest smoke OK ($(wc -c < "$MANIFEST") bytes)"
 
 echo "== bank-queue smoke: write bursts queue, the trickle probe does not =="
-# Under the asymmetric ReRAM default, the WB saturation study must observe
-# bank contention (nonzero read-side queue cycles somewhere in the grid),
-# while the single-core trickle probe — which never reads the L3 data
-# array — must report exactly zero. Both invariants live in DESIGN.md §12.
+# Under the asymmetric ReRAM default, each scheme named below must queue
+# (nonzero read-side queue cycles) on the heaviest write-burst mix, WB4;
+# at this budget all nine schemes of the WB saturation study do. The
+# single-core trickle probe, which never reads the L3 data array, must
+# report exactly zero. Both invariants live in DESIGN.md §12.
 RENUCA_WARMUP=2000 RENUCA_MEASURE=8000 \
     ./target/release/wburst --stats "$MANIFEST" >/dev/null 2>&1
-if ! grep -qE '"llc\.queue_cycles_total":[1-9][0-9]*' "$MANIFEST"; then
-    echo "bank-queue smoke FAILED: wburst saw no queueing under asymmetric default"
-    head -c 400 "$MANIFEST"; echo
-    exit 1
-fi
+for s in Naive S-NUCA Re-NUCA R-NUCA Private WEC Coloring MAC Re-NUCA-C2; do
+    if ! grep -qE "\"scheme\.$s\.wb\[4\]\.queue_cycles_total\":[1-9][0-9]*" "$MANIFEST"; then
+        echo "bank-queue smoke FAILED: $s saw no bank queueing on WB4"
+        head -c 400 "$MANIFEST"; echo
+        exit 1
+    fi
+done
 RENUCA_WARMUP=2000 RENUCA_MEASURE=8000 \
     ./target/release/wburst --trickle --stats "$MANIFEST" >/dev/null 2>&1
 if ! grep -qE '"llc\.queue_cycles_total":0[,}]' "$MANIFEST"; then
@@ -187,7 +190,7 @@ cat >"$CAMP_TMP/smoke.campaign" <<'EOF'
 renuca-campaign-v1
 name cismoke
 config small 4
-budget warmup=50 measure=300
+budget warmup=2000 measure=20000
 schemes S-NUCA Re-NUCA
 workloads 1 2
 thresholds 25
@@ -218,6 +221,25 @@ campaign_resume_smoke() {
     fi
 }
 campaign_resume_smoke campaign "$CAMP_TMP/smoke.campaign" "$CAMP_TMP/smoke" 2
+# The byte-compare can only see a fault in the lifetime aggregate or in
+# scheme dispatch if the report is not made of capped constants: at this
+# budget every raw_min_years must be below the 100-year cap, and S-NUCA
+# and Re-NUCA must report a different IPC on each workload.
+SMOKE_REPORT="$CAMP_TMP/smoke/a/report.json"
+if ! grep -oE '"raw_min_years":[^,]*' "$SMOKE_REPORT" | cut -d: -f2 \
+    | awk '{ n++; if ($1 + 0 >= 100) bad = 1 } END { exit (n != 2 || bad) }'; then
+    echo "campaign smoke FAILED: a raw_min_years is at the 100-year lifetime cap"
+    cat "$SMOKE_REPORT"; echo
+    exit 1
+fi
+if ! grep -oE '"per_workload_ipc":\[[^]]*\]' "$SMOKE_REPORT" | sed -E 's/.*\[(.*)\]/\1/' \
+    | awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) a[i] = $i }
+               NR == 2 { for (i = 1; i <= NF; i++) if ($i == a[i]) bad = 1 }
+               END { exit (NR != 2 || bad) }'; then
+    echo "campaign smoke FAILED: S-NUCA and Re-NUCA report the same IPC on a workload"
+    cat "$SMOKE_REPORT"; echo
+    exit 1
+fi
 # A spec whose `set` override gives an invalid machine must be a spec
 # error naming its line — non-zero exit, no panic.
 sed 's/^thresholds 25$/set rob_entries 1/' "$CAMP_TMP/smoke.campaign" \
