@@ -1,7 +1,7 @@
 //! Resumable experiment campaigns over the Re-NUCA stack.
 //!
-//! The `experiments` crate gives one-shot binaries: run a figure, print
-//! it, write a manifest. A *campaign* is a declared grid of simulation
+//! The `experiments` crate gives one-shot studies (`all <study>`): run a
+//! figure, print it, write a manifest. A *campaign* is a declared grid of simulation
 //! jobs that survives interruption and still produces one deterministic
 //! aggregate:
 //!

@@ -1,14 +1,140 @@
-//! Regenerate every table and figure of the paper in one run, sharing
-//! simulations where possible (the main study feeds Figures 3, 4b, 11, 12
-//! and Table III's first row; each sensitivity study feeds two figures and
-//! one Table III row).
-use experiments::figures::{criticality, lifetime, predictor_study, sensitivity, table2, table3};
-use experiments::obs;
+//! Regenerate the paper's tables and figures: `all [--stats <path>] [STUDY]`.
+//!
+//! With no study name, run every study in one pass, sharing simulations
+//! where possible (the main study feeds Figures 3, 4b, 11, 12 and Table
+//! III's first row; each sensitivity study feeds two figures and one Table
+//! III row). With one study name, run that study alone; its manifest's
+//! `binary` field is the study name. An unknown name, a second name or an
+//! unknown flag exits with status 2 before any simulation.
+use experiments::figures::sensitivity::{self, Sensitivity};
+use experiments::figures::{
+    ablations, capacity, criticality, lifetime, predictor_study, table2, table3,
+};
+use experiments::{obs, Budget, StatsSink};
 use renuca_core::CptConfig;
 use std::time::Instant;
 
+/// Every study name `all` accepts, in paper order.
+const STUDIES: &str = "table2 fig2 fig3 fig4b fig5 fig7 fig8 fig9 fig11 fig12 \
+                       fig13 fig14 fig15 fig16 fig17 fig18 table3 ablations capacity";
+
+/// The study named on the command line, if any. `--stats <path>` and
+/// `--stats=<path>` are left to [`StatsSink`]; every other argument is a
+/// study name, and more than one, or one not in [`STUDIES`], is an input
+/// error.
+fn parse_study() -> Result<Option<String>, String> {
+    let mut study = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match (a.as_str(), &study) {
+            ("--stats", _) => drop(args.next()),
+            (s, _) if s.starts_with("--stats=") => {}
+            (s, _) if !STUDIES.split(' ').any(|n| n == s) => {
+                return Err(format!("unknown study or flag `{s}`"))
+            }
+            (s, Some(first)) => return Err(format!("one study per run, got `{first}` and `{s}`")),
+            (_, None) => study = Some(a),
+        }
+    }
+    Ok(study)
+}
+
 fn main() {
+    let study = parse_study().unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: all [--stats <path>] [STUDY]\nstudies: {STUDIES}");
+        std::process::exit(2)
+    });
     let (sink, budget) = obs::standard_args();
+    match study {
+        Some(name) => run_study(&name, &sink, budget),
+        None => run_all(&sink, budget),
+    }
+}
+
+/// Run the one study `name` (a member of [`STUDIES`]).
+fn run_study(name: &str, sink: &StatsSink, budget: Budget) {
+    match name {
+        "table2" | "fig2" => {
+            let rows = table2::run(budget);
+            let text = match name {
+                "fig2" => table2::format_fig2(&rows),
+                _ => table2::format_table2(&rows),
+            };
+            println!("{text}");
+            sink.emit_with(name, "app characteristics", None, budget, |m| {
+                obs::register_table2(m.stats_mut(), &rows)
+            });
+        }
+        "fig3" | "fig4b" | "fig11" | "fig12" | "capacity" => {
+            let cfg = obs::default_config();
+            let study = lifetime::run("Actual Results", cfg, budget);
+            let text = match name {
+                "fig3" => lifetime::format_fig3(&study),
+                "fig4b" => lifetime::format_fig4b(&study),
+                "fig11" => lifetime::format_fig11(&study) + "\n" + &lifetime::headline(&study),
+                "fig12" => lifetime::format_fig12(&study) + "\n" + &lifetime::headline(&study),
+                _ => capacity::format_retention(&study, 16.0, 9),
+            };
+            println!("{text}");
+            obs::emit_study_manifest(sink, name, Some(&cfg), budget, &study);
+        }
+        "fig5" => {
+            let rows = criticality::run(budget);
+            println!("{}", criticality::format_fig5(&rows));
+            println!("Average: {:.1}% (paper: >80%)", criticality::average(&rows));
+            sink.emit_with(name, "ROB-stall criticality", None, budget, |m| {
+                obs::register_fig5(m.stats_mut(), &rows, criticality::average(&rows))
+            });
+        }
+        "fig7" | "fig8" | "fig9" => {
+            let study = predictor_study::run(budget, &CptConfig::THRESHOLD_SWEEP);
+            let text = match name {
+                "fig7" => predictor_study::format_fig7(&study),
+                "fig8" => predictor_study::format_fig8(&study),
+                _ => predictor_study::format_fig9(&study),
+            };
+            println!("{text}");
+            sink.emit_with(name, "predictor threshold sweep", None, budget, |m| {
+                obs::register_predictor(m.stats_mut(), &study)
+            });
+        }
+        "table3" => {
+            let t3 = table3::run(obs::default_config(), budget);
+            println!("{}", table3::format_table3(&t3));
+            sink.emit_with(name, "raw minimum lifetimes", None, budget, |m| {
+                obs::register_multi_study(m, &t3.studies)
+            });
+        }
+        "ablations" => {
+            let budget = budget.sweep();
+            let text = ablations::run_all(budget);
+            println!("{text}");
+            sink.emit_with(name, "DESIGN.md §7 ablations", None, budget, |m| {
+                m.stats_mut().set("output.bytes", text.len() as u64);
+            });
+        }
+        // fig13..fig18: each sensitivity study's wear and IPC figures.
+        _ => {
+            let fig = |n: u32| name == format!("fig{n}");
+            let which = Sensitivity::ALL
+                .into_iter()
+                .find(|s| fig(s.wear_figure()) || fig(s.ipc_figure()))
+                .expect("every study name has a dispatch arm");
+            let base = obs::default_config();
+            let study = sensitivity::run(which, base, budget);
+            let text = if fig(which.wear_figure()) {
+                sensitivity::format_wear(which, &study)
+            } else {
+                sensitivity::format_ipc(which, &study)
+            };
+            println!("{text}");
+            obs::emit_study_manifest(sink, name, Some(&which.config(base)), budget, &study);
+        }
+    }
+}
+
+/// The full paper run: every study, sharing simulations.
+fn run_all(sink: &StatsSink, budget: Budget) {
     let t0 = Instant::now();
 
     let rows = table2::run(budget);
@@ -32,11 +158,7 @@ fn main() {
     println!("{}", lifetime::headline(&main_study));
 
     let mut studies = vec![main_study];
-    for s in [
-        sensitivity::Sensitivity::L2Small,
-        sensitivity::Sensitivity::L3Small,
-        sensitivity::Sensitivity::RobLarge,
-    ] {
+    for s in Sensitivity::ALL {
         let st = sensitivity::run(s, base, budget);
         println!("{}", sensitivity::format_wear(s, &st));
         println!("{}", sensitivity::format_ipc(s, &st));

@@ -22,6 +22,13 @@ pub enum Sensitivity {
 }
 
 impl Sensitivity {
+    /// The three studies in Table III row order.
+    pub const ALL: [Sensitivity; 3] = [
+        Sensitivity::L2Small,
+        Sensitivity::L3Small,
+        Sensitivity::RobLarge,
+    ];
+
     /// `base` with this study's knob turned. Every other field — the L3
     /// bank model included — is `base`'s, so a study's row sits beside the
     /// "Actual Results" row run under the same `base`.

@@ -29,11 +29,7 @@ pub struct Table3 {
 /// sweep budget).
 pub fn run(base: SystemConfig, budget: Budget) -> Table3 {
     let mut studies = vec![lifetime::run("Actual Results", base, budget)];
-    for s in [
-        Sensitivity::L2Small,
-        Sensitivity::L3Small,
-        Sensitivity::RobLarge,
-    ] {
+    for s in Sensitivity::ALL {
         studies.push(sensitivity::run(s, base, budget));
     }
     Table3 { studies }

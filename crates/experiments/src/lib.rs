@@ -3,8 +3,9 @@
 //!
 //! Each experiment is a pure function from a configuration + instruction
 //! budget to a typed result struct, plus a formatter that prints the same
-//! rows/series the paper plots. The binaries in `src/bin/` are thin
-//! wrappers.
+//! rows/series the paper plots. The `all` binary runs them: `all <study>`
+//! regenerates one artifact, `all` with no study name regenerates every
+//! one, sharing simulations.
 //!
 //! Every simulation goes through one path in [`runner`]: [`run_workload`]
 //! for a multiprogrammed mix, [`run_app`] for one application alone on
@@ -12,7 +13,7 @@
 //! lifetime/IPC aggregate is a [`SchemeStudy`], derived by
 //! [`SchemeStudy::new`] alone; the campaign report builds the same one.
 //!
-//! | paper artifact | module | binary |
+//! | paper artifact | module | study |
 //! |---|---|---|
 //! | Table I (config) | `cmp_sim::config` (defaults) | — |
 //! | Table II (app characteristics) | [`figures::table2`] | `table2` |
@@ -25,13 +26,15 @@
 //! | Figure 12 (Re-NUCA wearout) | [`figures::lifetime`] | `fig12` |
 //! | Figures 13–18 (sensitivity) | [`figures::sensitivity`] | `fig13` … `fig18` |
 //! | Table III (raw min lifetimes) | [`figures::table3`] | `table3` |
+//! | ablations (DESIGN.md §7) | [`figures::ablations`] | `ablations` |
+//! | capacity-retention curves | [`figures::capacity`] | `capacity` |
 //!
 //! Instruction budgets scale with the environment variables
 //! `RENUCA_MEASURE` and `RENUCA_WARMUP` (instructions per core); the
 //! defaults keep a full figure regeneration tractable on one CPU while the
 //! statistical workload models stay in their converged steady state.
 //!
-//! Every binary additionally accepts `--stats <path>` (or the
+//! Every study additionally accepts `--stats <path>` (or the
 //! `RENUCA_STATS` environment variable) and then writes a JSON *run
 //! manifest* — config echo, stats-registry snapshot, per-bank wear
 //! heatmap — through the shared [`obs`] helper; the schema is documented

@@ -90,7 +90,7 @@ pub fn standard_args() -> (StatsSink, Budget) {
     (StatsSink::from_env_args(), budget)
 }
 
-/// The default 16-core machine for the study-family binaries, honouring
+/// The default 16-core machine for the experiment binaries, honouring
 /// the `RENUCA_SYMMETRIC_LLC` escape hatch: set it to `1` (or `true`) to
 /// map the L3 banks back to the legacy flat-latency model
 /// ([`SystemConfig::with_symmetric_llc`]). The symmetric mapping is
@@ -234,7 +234,7 @@ pub struct Manifest {
 impl Manifest {
     /// Start a manifest for `binary` with run label `label`. When the run
     /// uses a single [`SystemConfig`], pass it for the `config` echo;
-    /// multi-config binaries (sweeps, ablations) pass `None` and the
+    /// multi-config studies (sweeps, ablations) pass `None` and the
     /// `config` key is emitted as JSON `null`.
     pub fn new(binary: &str, label: &str, cfg: Option<&SystemConfig>, budget: Budget) -> Self {
         let config = cfg.map(|c| {
@@ -330,8 +330,8 @@ pub fn register_scheme(reg: &mut StatsRegistry, s: &SchemeStudy) {
 
 /// Fill a manifest from a [`MainStudy`]: per-scheme metrics in the registry
 /// plus one wear-heatmap row per scheme (harmonic-mean per-bank lifetime in
-/// years). This is the shared body of every study-family binary (fig3,
-/// fig4b, fig11, fig12, the sensitivity sweeps, capacity, table3, all).
+/// years). This is the shared body of every lifetime study (fig3, fig4b,
+/// fig11, fig12, the sensitivity sweeps, capacity, table3, all).
 pub fn register_study(m: &mut Manifest, study: &MainStudy) {
     for s in &study.studies {
         register_scheme(m.stats_mut(), s);
@@ -342,13 +342,13 @@ pub fn register_study(m: &mut Manifest, study: &MainStudy) {
     }
 }
 
-/// The whole manifest path of a study-family binary in one call: build a
-/// manifest for `binary` labelled with the study's own label, echo `cfg`,
-/// register every scheme's metrics and the per-scheme wear heatmap, and
-/// write it through `sink` (a no-op when no destination is configured).
-/// Shared by fig3/fig4b/fig11/fig12, the six sensitivity binaries and
-/// `capacity`; the campaign job runner uses the same sink machinery with
-/// [`StatsSink::to`].
+/// The whole manifest path of a lifetime study in one call: build a
+/// manifest for `binary` (the study name) labelled with the study's own
+/// label, echo `cfg`, register every scheme's metrics and the per-scheme
+/// wear heatmap, and write it through `sink` (a no-op when no destination
+/// is configured). Shared by fig3/fig4b/fig11/fig12, the six sensitivity
+/// studies and `capacity`; the campaign job runner uses the same sink
+/// machinery with [`StatsSink::to`].
 pub fn emit_study_manifest(
     sink: &StatsSink,
     binary: &str,

@@ -1,6 +1,6 @@
 //! Determinism regression: a figure run must produce a byte-identical
 //! `renuca-manifest-v1` regardless of the worker-pool width. The check
-//! runs the real `fig3` binary in subprocesses (one per thread count, each
+//! runs the real `all fig3` study in subprocesses (one per thread count, each
 //! with its own `RENUCA_THREADS`) so the comparison covers the whole
 //! pipeline: workload models, all five schemes, stats registry and
 //! manifest serialization. A second check holds the instruction supply to
@@ -15,18 +15,18 @@ use renuca_core::{CptConfig, Scheme};
 use workloads::workload_mix;
 
 fn run_fig3(threads: &str, out: &PathBuf) {
-    let status = Command::new(env!("CARGO_BIN_EXE_fig3"))
-        .args(["--stats", out.to_str().unwrap()])
+    let status = Command::new(env!("CARGO_BIN_EXE_all"))
+        .args(["fig3", "--stats", out.to_str().unwrap()])
         .env("RENUCA_THREADS", threads)
         // A small budget keeps the full five-scheme study under a few
         // seconds while still exercising every simulator component.
         .env("RENUCA_WARMUP", "20000")
         .env("RENUCA_MEASURE", "10000")
         .status()
-        .expect("spawn fig3");
+        .expect("spawn all fig3");
     assert!(
         status.success(),
-        "fig3 with RENUCA_THREADS={threads} failed"
+        "all fig3 with RENUCA_THREADS={threads} failed"
     );
 }
 

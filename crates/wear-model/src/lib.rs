@@ -24,13 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod endurance;
-pub mod energy;
 pub mod lifetime;
 pub mod metrics;
 pub mod tracker;
 
 pub use endurance::EnduranceSpec;
-pub use energy::{EnergyBreakdown, EnergyModel};
 pub use lifetime::{IntraBankWear, LifetimeModel};
 pub use metrics::{
     capacity_retention, hmean_lifetime_per_bank, lifetime_variation, raw_min_lifetime,

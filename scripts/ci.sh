@@ -132,7 +132,7 @@ echo "== manifest smoke: --stats emits a schema-conformant run manifest =="
 MANIFEST="$(mktemp)"
 trap 'rm -f "$MANIFEST"' EXIT
 RENUCA_WARMUP=500 RENUCA_MEASURE=2000 \
-    ./target/release/fig3 --stats "$MANIFEST" >/dev/null 2>&1
+    ./target/release/all fig3 --stats "$MANIFEST" >/dev/null 2>&1
 # Top-level keys must appear in the documented order (EXPERIMENTS.md,
 # "Observability: run manifests").
 if ! grep -qE '^\{"schema":"renuca-manifest-v1","binary":"fig3","label":"[^"]+","version":"[^"]+","budget":\{"warmup":500,"measure":2000\},"config":\{.*\},"stats":\{.*\},"wear_heatmap":\{"unit":"years","rows":\[.*\]\}\}$' \
@@ -259,8 +259,10 @@ echo "== head-to-head smoke: competitor campaign run, lose manifests, resume, ve
 # Same resume/byte-compare discipline over the committed head-to-head
 # spec (Re-NUCA vs WEC / Coloring / MAC with the S-NUCA reference, WL
 # grid + WB write-burst family). The spec carries no budget line, so the
-# environment shrinks it for CI.
-export RENUCA_WARMUP=50 RENUCA_MEASURE=300
+# environment sets one: large enough that the schemes' results differ (at
+# 50+300, five schemes reported the same IPC row), small enough that the
+# 84-job campaign runs in a few seconds.
+export RENUCA_WARMUP=2000 RENUCA_MEASURE=20000
 campaign_resume_smoke head-to-head campaigns/headtohead.campaign "$CAMP_TMP/h2h" 3
 unset RENUCA_WARMUP RENUCA_MEASURE
 for s in Re-NUCA Re-NUCA-C2 S-NUCA WEC Coloring MAC; do
@@ -269,6 +271,28 @@ for s in Re-NUCA Re-NUCA-C2 S-NUCA WEC Coloring MAC; do
         exit 1
     fi
 done
+# The byte-compare only sees a dispatch fault if the schemes differ: every
+# raw_min_years must be below the 100-year cap, Re-NUCA, WEC and Coloring
+# must each report an IPC row unlike S-NUCA's, and compression must move
+# Re-NUCA-C2's raw minimum lifetime off Re-NUCA's. MAC's rows equal
+# S-NUCA's at this budget (TESTING.md, "Smokes that can fail").
+H2H_REPORT="$CAMP_TMP/h2h/a/report.json"
+h2h_field() { grep -oE "\"$1\":$2" "$H2H_REPORT" | cut -d: -f2- | tr -d '"'; }
+if ! paste -d' ' <(h2h_field scheme '"[^"]*"') <(h2h_field raw_min_years '[^,]*') \
+    <(h2h_field per_workload_ipc '\[[^]]*\]') | awk '
+    { raw[$1] = $2; ipc[$1] = $3; n++
+      if ($2 + 0 >= 100) { print $1 ": raw_min_years at the 100-year cap"; bad = 1 } }
+    END {
+        if (n != 6) { print "want 6 scheme groups, got " n; bad = 1 }
+        split("Re-NUCA WEC Coloring", s, " ")
+        for (i in s) if (ipc[s[i]] == ipc["S-NUCA"]) { print s[i] ": same IPC row as S-NUCA"; bad = 1 }
+        if (raw["Re-NUCA-C2"] == raw["Re-NUCA"]) { print "Re-NUCA-C2: same raw_min_years as Re-NUCA"; bad = 1 }
+        exit bad
+    }'; then
+    echo "head-to-head smoke FAILED"
+    cat "$H2H_REPORT"; echo
+    exit 1
+fi
 echo "head-to-head smoke OK ($(wc -c < "$CAMP_TMP/h2h/a/report.json") byte report)"
 
 echo "== formatting =="
