@@ -1,50 +1,70 @@
-//! Regenerate the paper's tables and figures: `all [--stats <path>] [STUDY]`.
+//! Regenerate the paper's tables and figures, and run the related-work
+//! studies: `all [--stats <path>] [STUDY]`.
 //!
-//! With no study name, run every study in one pass, sharing simulations
-//! where possible (the main study feeds Figures 3, 4b, 11, 12 and Table
-//! III's first row; each sensitivity study feeds two figures and one Table
-//! III row). With one study name, run that study alone; its manifest's
-//! `binary` field is the study name. An unknown name, a second name or an
-//! unknown flag exits with status 2 before any simulation.
+//! With no study name, run every paper study in one pass, sharing
+//! simulations where possible (the main study feeds Figures 3, 4b, 11, 12
+//! and Table III's first row; each sensitivity study feeds two figures and
+//! one Table III row). With one study name, run that study alone; its
+//! manifest's `binary` field is the study name. An unknown name, a second
+//! name, an unknown flag or `--stats` without a path exits with status 2
+//! before any simulation; the `forecast` study exits with status 1 when
+//! its gate fails.
+use cmp_sim::SystemConfig;
 use experiments::figures::sensitivity::{self, Sensitivity};
 use experiments::figures::{
-    ablations, capacity, criticality, lifetime, predictor_study, table2, table3,
+    ablations, capacity, criticality, headtohead, lifetime, predictor_study, table2, table3, wburst,
 };
+use experiments::forecast::{forecast_study, format_forecast, register_forecast};
 use experiments::{obs, Budget, StatsSink};
 use renuca_core::CptConfig;
 use std::time::Instant;
 
-/// Every study name `all` accepts, in paper order.
+/// Every study name `all` accepts: the paper's in paper order, then the
+/// related-work studies.
 const STUDIES: &str = "table2 fig2 fig3 fig4b fig5 fig7 fig8 fig9 fig11 fig12 \
-                       fig13 fig14 fig15 fig16 fig17 fig18 table3 ablations capacity";
+                       fig13 fig14 fig15 fig16 fig17 fig18 table3 ablations capacity \
+                       headtohead wburst trickle forecast";
 
-/// The study named on the command line, if any. `--stats <path>` and
-/// `--stats=<path>` are left to [`StatsSink`]; every other argument is a
-/// study name, and more than one, or one not in [`STUDIES`], is an input
+/// The command line: at most one study name from [`STUDIES`], and where
+/// the manifest goes: `--stats <path>` or `--stats=<path>`, else the
+/// `RENUCA_STATS` environment variable, else nowhere. Any other argument,
+/// a second name, a second `--stats` or one without a path is an input
 /// error.
-fn parse_study() -> Result<Option<String>, String> {
-    let mut study = None;
+fn parse_args() -> Result<(Option<String>, StatsSink), String> {
+    let (mut study, mut stats) = (None, None);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        match (a.as_str(), &study) {
-            ("--stats", _) => drop(args.next()),
-            (s, _) if s.starts_with("--stats=") => {}
-            (s, _) if !STUDIES.split(' ').any(|n| n == s) => {
-                return Err(format!("unknown study or flag `{s}`"))
+        let path = match a.strip_prefix("--stats=") {
+            Some(p) => Some(p.to_owned()),
+            None if a == "--stats" => Some(args.next().unwrap_or_default()),
+            None => None,
+        };
+        match (path, &study) {
+            (Some(p), _) if p.is_empty() => return Err("--stats requires a path".into()),
+            (Some(_), _) if stats.is_some() => return Err("--stats given twice".into()),
+            (Some(p), _) => stats = Some(p),
+            (None, _) if !STUDIES.split_whitespace().any(|n| n == a) => {
+                return Err(format!("unknown study or flag `{a}`"))
             }
-            (s, Some(first)) => return Err(format!("one study per run, got `{first}` and `{s}`")),
-            (_, None) => study = Some(a),
+            (None, Some(first)) => {
+                return Err(format!("one study per run, got `{first}` and `{a}`"))
+            }
+            (None, None) => study = Some(a),
         }
     }
-    Ok(study)
+    let stats = stats.or_else(|| std::env::var("RENUCA_STATS").ok().filter(|p| !p.is_empty()));
+    Ok((study, stats.map_or_else(StatsSink::default, StatsSink::to)))
 }
 
 fn main() {
-    let study = parse_study().unwrap_or_else(|e| {
+    let (study, sink) = parse_args().unwrap_or_else(|e| {
         eprintln!("error: {e}\nusage: all [--stats <path>] [STUDY]\nstudies: {STUDIES}");
         std::process::exit(2)
     });
-    let (sink, budget) = obs::standard_args();
+    let budget = Budget::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     match study {
         Some(name) => run_study(&name, &sink, budget),
         None => run_all(&sink, budget),
@@ -112,6 +132,46 @@ fn run_study(name: &str, sink: &StatsSink, budget: Budget) {
             sink.emit_with(name, "DESIGN.md §7 ablations", None, budget, |m| {
                 m.stats_mut().set("output.bytes", text.len() as u64);
             });
+        }
+        "headtohead" => {
+            let cfg = obs::default_config();
+            let rows = headtohead::run(cfg, budget);
+            println!("{}", headtohead::format(&rows));
+            sink.emit_with(name, "Head-to-head", Some(&cfg), budget, |m| {
+                headtohead::register(m, &rows)
+            });
+        }
+        "wburst" => {
+            let cfg = obs::default_config();
+            let cells = wburst::run(cfg, budget);
+            println!("{}", wburst::format(&cells));
+            sink.emit_with(name, "Write-burst saturation", Some(&cfg), budget, |m| {
+                wburst::register(m, &cells)
+            });
+        }
+        "trickle" => {
+            let cfg = SystemConfig::small(1);
+            let r = wburst::run_trickle(cfg, budget);
+            println!("{}", wburst::format_trickle(&r));
+            sink.emit_with(name, "trickle", Some(&cfg), budget, |m| {
+                wburst::register_trickle(m, &r)
+            });
+        }
+        "forecast" => {
+            let cfg = obs::default_config();
+            let study = forecast_study(cfg, budget);
+            println!("{}", format_forecast(&study));
+            sink.emit_with(name, "Forecast vs simulation", Some(&cfg), budget, |m| {
+                register_forecast(m, &study)
+            });
+            if !study.all_within_tolerance() {
+                eprintln!(
+                    "error: forecast outside the {:.0}% tolerance — the closed form no longer \
+                     describes the simulated compressed cache",
+                    study.tolerance * 100.0
+                );
+                std::process::exit(1);
+            }
         }
         // fig13..fig18: each sensitivity study's wear and IPC figures.
         _ => {

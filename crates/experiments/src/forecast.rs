@@ -18,30 +18,29 @@
 //! That timing effect is surfaced separately as [`ForecastRow::slowdown`]
 //! rather than being allowed to contaminate the wear cross-check.
 //!
-//! The `forecast` binary sweeps WL1–WL10 and WB1–WB4 and **fails** (exit 1)
-//! when any workload's error exceeds [`compress::FORECAST_TOLERANCE`]; the
-//! CI forecast smoke runs the same gate at a reduced budget. Together with
-//! the golden-model differential check this gives the compression subsystem
-//! two independent verification paths: state-exact (golden) and
-//! closed-form (forecast).
+//! The `forecast` study (`all forecast`) sweeps WL1–WL10 and WB1–WB4 and
+//! **fails** (exit 1) when any workload's error exceeds
+//! [`compress::FORECAST_TOLERANCE`]; the CI forecast smoke runs the same
+//! gate at a reduced budget. Together with the golden-model differential
+//! check this gives the compression subsystem two independent
+//! verification paths: state-exact (golden) and closed-form (forecast).
 
 use cmp_sim::config::SystemConfig;
 use renuca_core::{CptConfig, Scheme};
-use sim_stats::hmean;
+use sim_stats::{hmean, Table};
 use wear_model::LifetimeModel;
-use workloads::workload_mix;
+use workloads::{workload_mix, N_WBURST, N_WORKLOADS, WBURST_ID_BASE};
 
 use crate::budget::Budget;
+use crate::obs::Manifest;
 use crate::pool::parallel_map;
-use crate::runner::run_workload;
+use crate::runner::{lifetime_model, run_workload};
 
 /// One workload's forecast-vs-simulation comparison.
 #[derive(Clone, Debug)]
 pub struct ForecastRow {
     /// Workload label (`WL3`, `WB2`, `trickle`; `WorkloadMix::name`).
     pub label: String,
-    /// Workload id (as accepted by `workloads::workload_mix`).
-    pub id: usize,
     /// Uncompressed (Re-NUCA) raw-minimum bank lifetime in years — the
     /// forecast's only input.
     pub base_min_years: f64,
@@ -88,7 +87,7 @@ impl ForecastStudy {
     }
 
     /// Whether every workload is inside the tolerance — the gate the
-    /// `forecast` binary and the CI smoke enforce.
+    /// `forecast` study and the CI smoke enforce.
     pub fn all_within_tolerance(&self) -> bool {
         self.rows.iter().all(|r| r.rel_err <= self.tolerance)
     }
@@ -106,27 +105,23 @@ fn rel_err(forecast: f64, sim: f64) -> f64 {
 }
 
 /// Cross-check one workload: simulate Re-NUCA (forecast input) and
-/// Re-NUCA-C2 (ground truth) and apply the closed form per bank.
+/// Re-NUCA-C2 (ground truth), both with the default CPT, and apply the
+/// closed form per bank.
 ///
-/// The comparison lifts `model`'s lifetime cap: the cap is a plotting
-/// convenience that saturates lightly-written banks at `cap_years` and
-/// would break the forecast's linear scaling exactly there (a capped
-/// baseline forecasts past a capped simulation). Unwritten banks are
-/// infinite on both sides and compare as exact agreement.
-pub fn forecast_workload(
-    id: usize,
-    cfg: SystemConfig,
-    cpt: CptConfig,
-    budget: Budget,
-    model: &LifetimeModel,
-) -> ForecastRow {
+/// The comparison uses `cfg`'s lifetime model with its cap lifted: the
+/// cap is a plotting convenience that saturates lightly-written banks at
+/// `cap_years` and would break the forecast's linear scaling exactly
+/// there (a capped baseline forecasts past a capped simulation).
+/// Unwritten banks are infinite on both sides and compare as exact
+/// agreement.
+pub fn forecast_workload(id: usize, cfg: SystemConfig, budget: Budget) -> ForecastRow {
     let wl = workload_mix(id, cfg.n_cores);
-    let base = run_workload(&wl, Scheme::ReNuca, cfg, cpt, budget);
-    let sim = run_workload(&wl, Scheme::ReNucaC2, cfg, cpt, budget);
+    let base = run_workload(&wl, Scheme::ReNuca, cfg, CptConfig::default(), budget);
+    let sim = run_workload(&wl, Scheme::ReNucaC2, cfg, CptConfig::default(), budget);
 
     let uncapped = LifetimeModel {
         cap_years: f64::INFINITY,
-        ..*model
+        ..lifetime_model(&cfg)
     };
     // Iso-timing: both sides ran the same instruction budget; evaluating
     // the compressed wear over the baseline's window isolates the wear
@@ -145,7 +140,6 @@ pub fn forecast_workload(
     );
     ForecastRow {
         label: wl.name(),
-        id,
         base_min_years: min(&base_years),
         sim_min_years: min(&sim_years),
         forecast_min_years: min(&forecast_years),
@@ -155,18 +149,12 @@ pub fn forecast_workload(
     }
 }
 
-/// Run the cross-check over `ids` (typically WL1–WL10 then WB1–WB4),
-/// workloads in parallel.
-pub fn forecast_study(
-    ids: &[usize],
-    cfg: SystemConfig,
-    cpt: CptConfig,
-    budget: Budget,
-    model: &LifetimeModel,
-) -> ForecastStudy {
-    let rows = parallel_map(&ids.to_vec(), |&id| {
-        forecast_workload(id, cfg, cpt, budget, model)
-    });
+/// The `forecast` study: the cross-check over WL1–WL10 then WB1–WB4 on
+/// `cfg`, workloads in parallel.
+pub fn forecast_study(cfg: SystemConfig, budget: Budget) -> ForecastStudy {
+    let mut ids: Vec<usize> = (1..=N_WORKLOADS).collect();
+    ids.extend((1..=N_WBURST).map(|l| WBURST_ID_BASE + l));
+    let rows = parallel_map(&ids, |&id| forecast_workload(id, cfg, budget));
     ForecastStudy {
         sub_blocks: cfg.l3_subblocks,
         gain: compress::lifetime_gain(cfg.l3_subblocks),
@@ -175,10 +163,63 @@ pub fn forecast_study(
     }
 }
 
+/// Render the per-workload table and the max-error line.
+pub fn format_forecast(study: &ForecastStudy) -> String {
+    let mut t = Table::new(&[
+        "Workload",
+        "Re-NUCA raw-min [y]",
+        "C2 sim raw-min [y]",
+        "forecast [y]",
+        "rel err (min/hmean)",
+        "C2 slowdown",
+    ]);
+    for r in &study.rows {
+        t.row(&[
+            r.label.clone(),
+            format!("{:.2}", r.base_min_years),
+            format!("{:.2}", r.sim_min_years),
+            format!("{:.2}", r.forecast_min_years),
+            format!("{:.1}%", r.rel_err * 100.0),
+            format!("{:.2}x", r.slowdown),
+        ]);
+    }
+    format!(
+        "L2C2 lifetime forecast vs simulation — gain {:.2}x ({} sub-blocks)\n{}\n\
+         max relative error {:.1}% over {} workloads (tolerance {:.0}%)",
+        study.gain,
+        study.sub_blocks,
+        t.render(),
+        study.max_rel_err() * 100.0,
+        study.rows.len(),
+        study.tolerance * 100.0
+    )
+}
+
+/// Fill the study's manifest: `forecast.*` scalars, `forecast.<label>.*`
+/// per workload, and a simulated-lifetime heatmap row per workload.
+pub fn register_forecast(m: &mut Manifest, study: &ForecastStudy) {
+    m.set_wear_unit("years");
+    let reg = m.stats_mut();
+    reg.set("forecast.sub_blocks", study.sub_blocks as u64);
+    reg.set("forecast.gain", study.gain);
+    reg.set("forecast.tolerance", study.tolerance);
+    reg.set("forecast.max_rel_err", study.max_rel_err());
+    for r in &study.rows {
+        let p = format!("forecast.{}", r.label);
+        reg.set(format!("{p}.base_min_years"), r.base_min_years);
+        reg.set(format!("{p}.sim_min_years"), r.sim_min_years);
+        reg.set(format!("{p}.forecast_min_years"), r.forecast_min_years);
+        reg.set(format!("{p}.rel_err"), r.rel_err);
+        reg.set(format!("{p}.slowdown"), r.slowdown);
+    }
+    for r in &study.rows {
+        m.push_wear_row(&r.label, &r.sim_per_bank);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::lifetime_model;
 
     /// A budget big enough for the realized class distribution to settle
     /// but still cheap for a unit test.
@@ -196,8 +237,7 @@ mod tests {
         // modulo — geometry must not leak into the lifetime scaling.
         for (cols, rows) in [(1usize, 1usize), (3, 1), (3, 2), (4, 3)] {
             let cfg = SystemConfig::mesh(cols, rows);
-            let model = lifetime_model(&cfg);
-            let row = forecast_workload(1, cfg, CptConfig::default(), prop_budget(), &model);
+            let row = forecast_workload(1, cfg, prop_budget());
             assert!(
                 row.rel_err <= compress::FORECAST_TOLERANCE,
                 "{cols}x{rows}: forecast off by {:.1}% (> {:.0}%): {row:?}",

@@ -1,11 +1,11 @@
 //! Experiment harness reproducing every table and figure of the Re-NUCA
-//! paper's evaluation (§III and §V).
+//! paper's evaluation (§III and §V), plus the related-work studies.
 //!
 //! Each experiment is a pure function from a configuration + instruction
 //! budget to a typed result struct, plus a formatter that prints the same
 //! rows/series the paper plots. The `all` binary runs them: `all <study>`
-//! regenerates one artifact, `all` with no study name regenerates every
-//! one, sharing simulations.
+//! runs one study, `all` with no study name regenerates every paper
+//! artifact, sharing simulations.
 //!
 //! Every simulation goes through one path in [`runner`]: [`run_workload`]
 //! for a multiprogrammed mix, [`run_app`] for one application alone on
@@ -28,6 +28,10 @@
 //! | Table III (raw min lifetimes) | [`figures::table3`] | `table3` |
 //! | ablations (DESIGN.md §7) | [`figures::ablations`] | `ablations` |
 //! | capacity-retention curves | [`figures::capacity`] | `capacity` |
+//! | head-to-head vs the related work | [`figures::headtohead`] | `headtohead` |
+//! | write-burst saturation grid | [`figures::wburst`] | `wburst` |
+//! | trickle probe (no bank queueing) | [`figures::wburst`] | `trickle` |
+//! | L2C2 lifetime forecast gate | [`forecast`] | `forecast` |
 //!
 //! Instruction budgets scale with the environment variables
 //! `RENUCA_MEASURE` and `RENUCA_WARMUP` (instructions per core); the

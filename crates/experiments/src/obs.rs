@@ -1,6 +1,6 @@
-//! Shared observability plumbing for the experiment binaries.
+//! Shared observability plumbing for the experiment studies.
 //!
-//! Every binary in `src/bin/` accepts a common `--stats <path>` flag (or the
+//! Every study of `all` accepts a common `--stats <path>` flag (or the
 //! `RENUCA_STATS` environment variable) and, when it is given, writes a *run
 //! manifest* next to its normal stdout output: a single JSON document that
 //! echoes the configuration, the instruction budget, a full
@@ -75,21 +75,6 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     result
 }
 
-/// Shared startup for every experiment binary: resolve the manifest
-/// destination (`--stats <path>` / `--stats=<path>` / `RENUCA_STATS`) and
-/// the instruction budget (`RENUCA_WARMUP` / `RENUCA_MEASURE`) in one
-/// call. The campaign runner resolves the same pair per job — with
-/// [`StatsSink::to`] instead of the command line — so every job manifest
-/// goes through exactly this machinery. A malformed budget variable
-/// prints the error and exits with status 2.
-pub fn standard_args() -> (StatsSink, Budget) {
-    let budget = Budget::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    });
-    (StatsSink::from_env_args(), budget)
-}
-
 /// The default 16-core machine for the experiment binaries, honouring
 /// the `RENUCA_SYMMETRIC_LLC` escape hatch: set it to `1` (or `true`) to
 /// map the L3 banks back to the legacy flat-latency model
@@ -131,72 +116,32 @@ fn symmetric_llc(value: Option<&str>) -> Result<bool, String> {
     }
 }
 
-/// Where (if anywhere) a binary should write its run manifest.
+/// Where (if anywhere) a study should write its run manifest.
 ///
-/// Resolved once at startup from the command line and environment by
-/// [`StatsSink::from_env_args`]; every experiment binary constructs one and
-/// routes its manifest through [`StatsSink::emit_with`].
+/// `all` resolves one at startup from `--stats` or `RENUCA_STATS`; the
+/// campaign runner builds one per job with [`StatsSink::to`]. Every
+/// manifest goes through [`StatsSink::emit_with`], a no-op for the
+/// default sink.
 #[derive(Clone, Debug, Default)]
 pub struct StatsSink {
     path: Option<PathBuf>,
 }
 
 impl StatsSink {
-    /// Resolve the manifest destination: `--stats <path>` or `--stats=<path>`
-    /// on the command line wins, else the `RENUCA_STATS` environment
-    /// variable, else no destination (manifest emission disabled).
-    pub fn from_env_args() -> Self {
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == "--stats" {
-                match args.next() {
-                    Some(p) => {
-                        return StatsSink {
-                            path: Some(p.into()),
-                        }
-                    }
-                    None => {
-                        eprintln!("error: --stats requires a path argument");
-                        std::process::exit(2);
-                    }
-                }
-            } else if let Some(p) = a.strip_prefix("--stats=") {
-                return StatsSink {
-                    path: Some(p.into()),
-                };
-            }
-        }
-        match std::env::var("RENUCA_STATS") {
-            Ok(p) if !p.is_empty() => StatsSink {
-                path: Some(p.into()),
-            },
-            _ => StatsSink { path: None },
-        }
-    }
-
-    /// A sink that writes to `path` (used by tests and the CI smoke check).
+    /// A sink that writes to `path`.
     pub fn to(path: impl Into<PathBuf>) -> Self {
         StatsSink {
             path: Some(path.into()),
         }
     }
 
-    /// A disabled sink: [`StatsSink::emit_with`] becomes a no-op.
-    pub fn none() -> Self {
-        StatsSink { path: None }
-    }
-
-    /// The configured destination, if any.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
-    }
-
     /// Build and write a manifest — but only when a destination is
     /// configured. `build` receives a [`Manifest`] pre-filled with the
-    /// binary name, run label, version, budget and config echo; it fills in
-    /// the stats registry and wear-heatmap rows. Parent directories are
-    /// created as needed; a one-line note goes to stderr so the manifest
-    /// path never pollutes the figure text on stdout.
+    /// study name (the `binary` field), run label, version, budget and
+    /// config echo; it fills in the stats registry and wear-heatmap rows.
+    /// Parent directories are created as needed; a one-line note goes to
+    /// stderr so the manifest path never pollutes the figure text on
+    /// stdout.
     pub fn emit_with(
         &self,
         binary: &str,

@@ -150,7 +150,7 @@ echo "== bank-queue smoke: write bursts queue, the trickle probe does not =="
 # single-core trickle probe, which never reads the L3 data array, must
 # report exactly zero. Both invariants live in DESIGN.md §12.
 RENUCA_WARMUP=2000 RENUCA_MEASURE=8000 \
-    ./target/release/wburst --stats "$MANIFEST" >/dev/null 2>&1
+    ./target/release/all wburst --stats "$MANIFEST" >/dev/null 2>&1
 for s in Naive S-NUCA Re-NUCA R-NUCA Private WEC Coloring MAC Re-NUCA-C2; do
     if ! grep -qE "\"scheme\.$s\.wb\[4\]\.queue_cycles_total\":[1-9][0-9]*" "$MANIFEST"; then
         echo "bank-queue smoke FAILED: $s saw no bank queueing on WB4"
@@ -158,8 +158,27 @@ for s in Naive S-NUCA Re-NUCA R-NUCA Private WEC Coloring MAC Re-NUCA-C2; do
         exit 1
     fi
 done
+# A scheme-dispatch fault (one scheme built as another) only shows if the
+# schemes differ: the seven placements below must each queue a different
+# number of WB4 cycles, and compression must move Re-NUCA-C2's WB4 raw
+# minimum lifetime off Re-NUCA's. MAC's rows equal S-NUCA's at this
+# budget, so MAC is left out (TESTING.md, "Smokes that can fail").
+wb4_field() { grep -oE "\"scheme\.$1\.wb\[4\]\.$2\":[^,}]*" "$MANIFEST" | cut -d: -f2; }
+WB4_QUEUES="$(for s in Naive S-NUCA Re-NUCA R-NUCA Private WEC Coloring; do
+    echo "$s $(wb4_field "$s" queue_cycles_total)"; done)"
+if ! printf '%s\n' "$WB4_QUEUES" | awk '
+    { n++; if ($2 in seen) { print $1 ": same WB4 queue cycles as " seen[$2]; bad = 1 }; seen[$2] = $1 }
+    END { exit (n != 7 || bad) }'; then
+    echo "bank-queue smoke FAILED: two schemes queue the same WB4 cycles"
+    printf '%s\n' "$WB4_QUEUES"
+    exit 1
+fi
+if [ "$(wb4_field Re-NUCA-C2 raw_min_years)" = "$(wb4_field Re-NUCA raw_min_years)" ]; then
+    echo "bank-queue smoke FAILED: Re-NUCA-C2 has Re-NUCA's WB4 raw_min_years"
+    exit 1
+fi
 RENUCA_WARMUP=2000 RENUCA_MEASURE=8000 \
-    ./target/release/wburst --trickle --stats "$MANIFEST" >/dev/null 2>&1
+    ./target/release/all trickle --stats "$MANIFEST" >/dev/null 2>&1
 if ! grep -qE '"llc\.queue_cycles_total":0[,}]' "$MANIFEST"; then
     echo "bank-queue smoke FAILED: trickle probe reported nonzero queue cycles"
     head -c 400 "$MANIFEST"; echo
@@ -169,13 +188,14 @@ echo "bank-queue smoke OK"
 
 echo "== forecast smoke: closed-form lifetime forecast within tolerance =="
 # The L2C2 analytical forecast must describe the simulated compressed
-# cache on every WL/WB workload: the forecast binary itself exits
+# cache on every WL/WB workload: the forecast study itself exits
 # non-zero when any workload's iso-timing error on the lifetime
 # aggregates exceeds compress::FORECAST_TOLERANCE (DESIGN.md §15). The
 # committed full-budget numbers live in docs/forecast.report.json; this
-# runs the same hard gate at a CI-sized budget.
+# runs the same hard gate at a CI-sized budget. A Re-NUCA-C2 built
+# without compression fails it (TESTING.md, "Smokes that can fail").
 RENUCA_WARMUP=5000 RENUCA_MEASURE=60000 \
-    ./target/release/forecast --stats "$MANIFEST" >/dev/null
+    ./target/release/all forecast --stats "$MANIFEST" >/dev/null
 if ! grep -q '"forecast.max_rel_err"' "$MANIFEST"; then
     echo "forecast smoke FAILED: manifest carries no forecast.max_rel_err"
     head -c 400 "$MANIFEST"; echo

@@ -3,7 +3,6 @@
 //! ```text
 //! renuca run   [--scheme S] [--workload N] [--warmup I] [--measure I]
 //!              [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]
-//! renuca apps                       # Table II style characterization
 //! renuca schemes [--workload N] ... # compare all nine schemes on one mix
 //! ```
 //!
@@ -17,7 +16,7 @@ use renuca::workloads::{is_workload_id, workload_ids};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  renuca run     [--scheme snuca|rnuca|private|naive|renuca|wec|coloring|mac|renuca-c2]\n                 [--workload 1..10|101..105] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca apps    [--measure N]\n  renuca schemes [--workload 1..10|101..105] [--warmup N] [--measure N]"
+        "usage:\n  renuca run     [--scheme snuca|rnuca|private|naive|renuca|wec|coloring|mac|renuca-c2]\n                 [--workload 1..10|101..105] [--warmup N] [--measure N]\n                 [--l2-128k] [--l3-1m] [--rob-168] [--no-prefetch]\n  renuca schemes [--workload 1..10|101..105] [--warmup N] [--measure N]"
     );
     std::process::exit(2)
 }
@@ -143,14 +142,6 @@ fn main() {
                     c.label, "", c.ipc, c.mpki, c.wpki, c.l3_hit_rate
                 );
             }
-        }
-        "apps" => {
-            let a = parse(rest);
-            let rows = renuca::experiments::figures::table2::run(a.budget);
-            println!(
-                "{}",
-                renuca::experiments::figures::table2::format_table2(&rows)
-            );
         }
         "schemes" => {
             let a = parse(rest);
