@@ -18,6 +18,8 @@
 //!    without residency bits must probe two banks.
 //! 6. **Prefetcher** — the reproduction's main added substrate; its effect
 //!    on the criticality mix and on Re-NUCA's lifetime gain.
+//!
+//! Each ablation takes the base machine it perturbs (`all`'s base).
 
 use cmp_sim::config::SystemConfig;
 use cmp_sim::system::SimResult;
@@ -44,8 +46,7 @@ fn run_wls(scheme: Scheme, cfg: SystemConfig, cpt: CptConfig, budget: Budget) ->
 }
 
 /// Ablation 1: the criticality threshold's end-to-end lifetime/IPC trade.
-pub fn threshold_end_to_end(budget: Budget) -> String {
-    let cfg = SystemConfig::default();
+pub fn threshold_end_to_end(cfg: SystemConfig, budget: Budget) -> String {
     let model = lifetime_model(&cfg);
     let mut t = Table::new(&[
         "x [%]",
@@ -83,7 +84,7 @@ pub fn threshold_end_to_end(budget: Budget) -> String {
 }
 
 /// Ablation 2: CPT capacity vs prediction quality.
-pub fn cpt_capacity(budget: Budget) -> String {
+pub fn cpt_capacity(base: SystemConfig, budget: Budget) -> String {
     let apps = ["mcf", "lbm", "omnetpp", "bzip2"];
     let mut t = Table::new(&["entries", "avg recall [%]", "avg accuracy [%]"]);
     for entries in [64usize, 256, 1024, 8192] {
@@ -95,7 +96,7 @@ pub fn cpt_capacity(budget: Budget) -> String {
                 entries,
                 ..CptConfig::default()
             };
-            let r = run_app(spec, cpt, budget);
+            let r = run_app(spec, base, cpt, budget);
             let cs = r.per_core[0].core_stats;
             recalls.push(cs.critical_recall() * 100.0);
             accs.push(cs.prediction_accuracy() * 100.0);
@@ -115,7 +116,7 @@ pub fn cpt_capacity(budget: Budget) -> String {
 /// Ablation 3: composing Re-NUCA with i2wap-style intra-bank leveling,
 /// evaluated under the pessimistic max-slot lifetime model (where intra-bank
 /// variation actually shows).
-pub fn intra_bank_composition(budget: Budget) -> String {
+pub fn intra_bank_composition(base: SystemConfig, budget: Budget) -> String {
     let mut t = Table::new(&["scheme", "rotation", "raw-min life [y] (max-slot)", "IPC"]);
     for scheme in [Scheme::ReNuca, Scheme::RNuca] {
         // The rotation period is scaled to the measured window: a real
@@ -123,7 +124,7 @@ pub fn intra_bank_composition(budget: Budget) -> String {
         // window lengths each bank absorbs a few thousand, so the period
         // is chosen to give several rotations per bank per run.
         for rotation in [None, Some(2_000)] {
-            let mut cfg = SystemConfig::default();
+            let mut cfg = base;
             cfg.intra_bank_rotation_writes = rotation;
             let model = LifetimeModel {
                 intra_bank: IntraBankWear::MaxSlot,
@@ -146,13 +147,12 @@ pub fn intra_bank_composition(budget: Budget) -> String {
 }
 
 /// Ablation 4: the Naive oracle's directory latency.
-pub fn naive_latency(budget: Budget) -> String {
-    let base_cfg = SystemConfig::default();
-    let snuca = run_wls(Scheme::SNuca, base_cfg, CptConfig::default(), budget);
+pub fn naive_latency(base: SystemConfig, budget: Budget) -> String {
+    let snuca = run_wls(Scheme::SNuca, base, CptConfig::default(), budget);
     let snuca_ipc: f64 = snuca.iter().map(SimResult::total_ipc).sum::<f64>() / snuca.len() as f64;
     let mut t = Table::new(&["dir latency [cyc]", "IPC", "vs S-NUCA [%]"]);
     for lat in [0u64, 60, 150, 300] {
-        let mut cfg = base_cfg;
+        let mut cfg = base;
         cfg.naive_dir_latency = lat;
         let results = run_wls(Scheme::Naive, cfg, CptConfig::default(), budget);
         let ipc: f64 = results.iter().map(SimResult::total_ipc).sum::<f64>() / results.len() as f64;
@@ -169,8 +169,7 @@ pub fn naive_latency(budget: Budget) -> String {
 }
 
 /// Ablation 5: the enhanced TLB's value — MBV routing vs two-probe search.
-pub fn mbv_vs_two_probe(budget: Budget) -> String {
-    let cfg = SystemConfig::default();
+pub fn mbv_vs_two_probe(cfg: SystemConfig, budget: Budget) -> String {
     let cpt = CptConfig::default();
     let mut t = Table::new(&["lookup", "IPC", "2nd probes", "2nd-probe hits"]);
 
@@ -212,7 +211,7 @@ pub fn mbv_vs_two_probe(budget: Budget) -> String {
 
 /// Ablation 6: the stride prefetcher's role in the criticality mix and in
 /// Re-NUCA's lifetime gain over R-NUCA.
-pub fn prefetcher_ablation(budget: Budget) -> String {
+pub fn prefetcher_ablation(base: SystemConfig, budget: Budget) -> String {
     let mut t = Table::new(&[
         "prefetcher",
         "noncrit fills [%]",
@@ -221,7 +220,7 @@ pub fn prefetcher_ablation(budget: Budget) -> String {
         "gain [%]",
     ]);
     for enabled in [true, false] {
-        let mut cfg = SystemConfig::default();
+        let mut cfg = base;
         if !enabled {
             cfg.prefetch.streams = 0;
         }
@@ -249,21 +248,17 @@ pub fn prefetcher_ablation(budget: Budget) -> String {
     )
 }
 
-/// Run every ablation and concatenate the reports.
-pub fn run_all(budget: Budget) -> String {
-    let mut out = String::new();
-    out.push_str(&threshold_end_to_end(budget));
-    out.push('\n');
-    out.push_str(&cpt_capacity(budget));
-    out.push('\n');
-    out.push_str(&intra_bank_composition(budget));
-    out.push('\n');
-    out.push_str(&naive_latency(budget));
-    out.push('\n');
-    out.push_str(&mbv_vs_two_probe(budget));
-    out.push('\n');
-    out.push_str(&prefetcher_ablation(budget));
-    out
+/// Run every ablation on `base` and concatenate the reports.
+pub fn run_all(base: SystemConfig, budget: Budget) -> String {
+    let ablations: [fn(SystemConfig, Budget) -> String; 6] = [
+        threshold_end_to_end,
+        cpt_capacity,
+        intra_bank_composition,
+        naive_latency,
+        mbv_vs_two_probe,
+        prefetcher_ablation,
+    ];
+    ablations.map(|ablation| ablation(base, budget)).join("\n")
 }
 
 #[cfg(test)]
@@ -273,7 +268,7 @@ mod tests {
     #[test]
     fn mbv_ablation_counts_probes() {
         // The two-probe variant must actually issue secondary probes.
-        let report = mbv_vs_two_probe(Budget::test());
+        let report = mbv_vs_two_probe(SystemConfig::default(), Budget::test());
         assert!(report.contains("two-probe"));
         // The probes column of the second data row is non-zero.
         let line = report
@@ -288,7 +283,7 @@ mod tests {
 
     #[test]
     fn threshold_ablation_renders() {
-        let report = threshold_end_to_end(Budget::test());
+        let report = threshold_end_to_end(SystemConfig::default(), Budget::test());
         assert!(report.contains("x [%]"));
         assert!(report.contains("100"));
     }

@@ -17,6 +17,7 @@
 //! * **Figure 9** — the percentage of L3 *writes* (fills + writebacks)
 //!   landing in blocks recorded non-critical (paper: ~50% at x=3%).
 
+use cmp_sim::config::SystemConfig;
 use renuca_core::criticality::CptConfig;
 use sim_stats::Table;
 use workloads::app_by_name;
@@ -65,8 +66,8 @@ impl PredictorStudy {
     }
 }
 
-/// Run the sweep. `thresholds` defaults to the paper's nine values.
-pub fn run(budget: Budget, thresholds: &[f64]) -> PredictorStudy {
+/// Run the sweep on `base`'s one-core machine at each of `thresholds`.
+pub fn run(base: SystemConfig, budget: Budget, thresholds: &[f64]) -> PredictorStudy {
     let apps: Vec<&'static str> = PREDICTOR_STUDY_APPS.to_vec();
     let mut recall = Vec::with_capacity(apps.len());
     let mut blocks = Vec::with_capacity(apps.len());
@@ -77,7 +78,7 @@ pub fn run(budget: Budget, thresholds: &[f64]) -> PredictorStudy {
         let mut b_row = Vec::with_capacity(thresholds.len());
         let mut w_row = Vec::with_capacity(thresholds.len());
         for &x in thresholds {
-            let result = run_app(spec, CptConfig::with_threshold(x), budget);
+            let result = run_app(spec, base, CptConfig::with_threshold(x), budget);
             let cs = result.per_core[0].core_stats;
             r_row.push(cs.critical_recall() * 100.0);
             let h = result.hierarchy;
@@ -150,7 +151,7 @@ mod tests {
     fn sweep_shapes_and_monotonicity() {
         // Two thresholds, tiny budget: recall at 3% must be >= recall at
         // 100% for every app (lower thresholds predict critical more).
-        let study = run(Budget::test(), &[3.0, 100.0]);
+        let study = run(SystemConfig::default(), Budget::test(), &[3.0, 100.0]);
         assert_eq!(study.apps.len(), 8);
         for (i, app) in study.apps.iter().enumerate() {
             assert!(

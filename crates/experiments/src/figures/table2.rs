@@ -1,10 +1,12 @@
 //! Table II and Figure 2: per-application characterization.
 //!
-//! Each of the 22 applications runs alone on the paper's single-core
-//! machine (256 KB L2, one 2 MB L3 bank) and we report WPKI, MPKI, L3 hit
-//! rate and IPC next to Table II's reference values. Figure 2 is the same
-//! data presented as the WPKI+MPKI intensity chart.
+//! Each of the 22 applications runs alone on the single-core machine
+//! ([`run_app`]: 256 KB L2, one 2 MB L3 bank on the default base); we
+//! report WPKI, MPKI, L3 hit rate and IPC next to Table II's values, and
+//! Figure 2 charts WPKI+MPKI. The rows also carry Figure 5's non-critical
+//! load share, which [`super::criticality`] renders.
 
+use cmp_sim::config::SystemConfig;
 use renuca_core::CptConfig;
 use sim_stats::{bar_chart, Table};
 use workloads::{WriteIntensity, SPEC_TABLE};
@@ -33,6 +35,9 @@ pub struct Table2Row {
     pub paper_hitrate: f64,
     /// Table II reference IPC.
     pub paper_ipc: f64,
+    /// Percentage of committed loads that never blocked the ROB head
+    /// (Figure 5).
+    pub noncritical_pct: f64,
 }
 
 impl Table2Row {
@@ -47,12 +52,13 @@ impl Table2Row {
     }
 }
 
-/// Run the characterization for all 22 applications.
-pub fn run(budget: Budget) -> Vec<Table2Row> {
+/// Run the characterization for all 22 applications on `base`'s one-core
+/// machine.
+pub fn run(base: SystemConfig, budget: Budget) -> Vec<Table2Row> {
     SPEC_TABLE
         .iter()
         .map(|spec| {
-            let r = run_app(spec, CptConfig::default(), budget.single_core());
+            let r = run_app(spec, base, CptConfig::default(), budget.single_core());
             let c = &r.per_core[0];
             Table2Row {
                 name: spec.name,
@@ -64,6 +70,7 @@ pub fn run(budget: Budget) -> Vec<Table2Row> {
                 paper_mpki: spec.paper_mpki,
                 paper_hitrate: spec.paper_hitrate,
                 paper_ipc: spec.paper_ipc,
+                noncritical_pct: c.core_stats.noncritical_load_fraction() * 100.0,
             }
         })
         .collect()
@@ -103,14 +110,16 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
     )
 }
 
-/// Render Figure 2: WPKI+MPKI per application, sorted descending like the
-/// paper's x-axis.
-pub fn format_fig2(rows: &[Table2Row]) -> String {
-    let mut data: Vec<(String, f64)> = rows
-        .iter()
-        .map(|r| (r.name.to_owned(), r.wpki + r.mpki))
-        .collect();
+/// One bar per application, sorted descending like the paper's x-axis.
+pub fn sorted_bars(rows: &[Table2Row], value: impl Fn(&Table2Row) -> f64) -> Vec<(String, f64)> {
+    let mut data: Vec<(String, f64)> = rows.iter().map(|r| (r.name.to_owned(), value(r))).collect();
     data.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    data
+}
+
+/// Render Figure 2: WPKI+MPKI per application.
+pub fn format_fig2(rows: &[Table2Row]) -> String {
+    let data = sorted_bars(rows, |r| r.wpki + r.mpki);
     bar_chart("Figure 2 — WPKI+MPKI per application (measured)", &data, 50)
 }
 
@@ -120,7 +129,7 @@ mod tests {
 
     #[test]
     fn rows_cover_all_apps() {
-        let rows = run(Budget::test());
+        let rows = run(SystemConfig::default(), Budget::test());
         assert_eq!(rows.len(), 22);
         let table = format_table2(&rows);
         assert!(table.contains("mcf"));

@@ -1,12 +1,12 @@
 //! Table III: raw minimum lifetimes for all five schemes under the actual
-//! configuration and the three sensitivity variants.
+//! configuration and the three sensitivity variants: one row per study,
+//! the "Actual Results" study first, then [`Sensitivity::ALL`] in order.
+//!
+//! [`Sensitivity::ALL`]: crate::figures::sensitivity::Sensitivity::ALL
 
-use cmp_sim::config::SystemConfig;
 use sim_stats::Table;
 
-use crate::budget::Budget;
-use crate::figures::lifetime::{self, MainStudy};
-use crate::figures::sensitivity::{self, Sensitivity};
+use crate::figures::lifetime::MainStudy;
 
 /// The paper's Table III reference values, `[config][scheme]` in the order
 /// Naive / S-NUCA / Re-NUCA / R-NUCA / Private.
@@ -17,26 +17,8 @@ pub const PAPER_TABLE3: [(&str, [f64; 5]); 4] = [
     ("ROB-168", [7.06, 3.26, 3.26, 2.33, 2.32]),
 ];
 
-/// All four configuration studies.
-#[derive(Clone, Debug)]
-pub struct Table3 {
-    /// The "Actual Results" study plus the three sensitivity studies.
-    pub studies: Vec<MainStudy>,
-}
-
-/// Run all four rows of Table III on `base` (the most expensive
-/// experiment: 200 simulations — the sensitivity rows use the reduced
-/// sweep budget).
-pub fn run(base: SystemConfig, budget: Budget) -> Table3 {
-    let mut studies = vec![lifetime::run("Actual Results", base, budget)];
-    for s in Sensitivity::ALL {
-        studies.push(sensitivity::run(s, base, budget));
-    }
-    Table3 { studies }
-}
-
 /// Render Table III, measured values alongside the paper's.
-pub fn format_table3(t3: &Table3) -> String {
+pub fn format_table3(studies: &[&MainStudy]) -> String {
     let mut t = Table::new(&[
         "Config",
         "Naive",
@@ -50,7 +32,7 @@ pub fn format_table3(t3: &Table3) -> String {
         "R-NUCA",
         "Private",
     ]);
-    for (i, study) in t3.studies.iter().enumerate() {
+    for (i, study) in studies.iter().enumerate() {
         let mut cells = vec![study.label.to_owned()];
         cells.extend(study.table3_row().iter().map(|(_, v)| format!("{v:.2}")));
         let paper = PAPER_TABLE3
@@ -70,6 +52,9 @@ pub fn format_table3(t3: &Table3) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
+    use crate::figures::lifetime;
+    use cmp_sim::config::SystemConfig;
 
     #[test]
     fn paper_values_ordering() {
@@ -90,10 +75,7 @@ mod tests {
         // Formatting is cheap to test with a fabricated study set.
         let cfg = SystemConfig::small(4);
         let study = lifetime::run("Actual Results", cfg, Budget::test());
-        let t3 = Table3 {
-            studies: vec![study],
-        };
-        let s = format_table3(&t3);
+        let s = format_table3(&[&study]);
         assert!(s.contains("Actual Results"));
         assert!(s.contains("4.95"), "paper reference column present");
     }

@@ -3,13 +3,14 @@
 //!
 //! Each experiment is a pure function from a configuration + instruction
 //! budget to a typed result struct, plus a formatter that prints the same
-//! rows/series the paper plots. The `all` binary runs them: `all <study>`
-//! runs one study, `all` with no study name regenerates every paper
-//! artifact, sharing simulations.
+//! rows/series the paper plots. The `all` binary runs them: `all <study>
+//! ...` runs the named studies in order, simulating each sweep they share
+//! once, and `all` with no study name runs the paper's list.
 //!
 //! Every simulation goes through one path in [`runner`]: [`run_workload`]
 //! for a multiprogrammed mix, [`run_app`] for one application alone on
-//! the single-core S-NUCA machine with a CPT attached. Every per-scheme
+//! one tile of the caller's base machine, under S-NUCA with a CPT
+//! attached. Every per-scheme
 //! lifetime/IPC aggregate is a [`SchemeStudy`], derived by
 //! [`SchemeStudy::new`] alone; the campaign report builds the same one.
 //!

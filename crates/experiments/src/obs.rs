@@ -20,7 +20,7 @@ use sim_stats::json::{f64_array, raw_array, JsonObject};
 use sim_stats::StatsRegistry;
 
 use crate::budget::Budget;
-use crate::figures::criticality::Fig5Row;
+use crate::figures::criticality;
 use crate::figures::lifetime::MainStudy;
 use crate::figures::predictor_study::PredictorStudy;
 use crate::figures::table2::Table2Row;
@@ -310,7 +310,7 @@ pub fn emit_study_manifest(
 /// configurations (table3, the `all` run): metrics go under
 /// `cfg.<label>.scheme.<name>.*` and the heatmap gets one row per
 /// (config, scheme) pair labelled `<label>/<scheme>`.
-pub fn register_multi_study(m: &mut Manifest, studies: &[MainStudy]) {
+pub fn register_multi_study(m: &mut Manifest, studies: &[&MainStudy]) {
     for st in studies {
         for s in &st.studies {
             let p = format!("cfg.{}.scheme.{}", st.label, s.scheme.name());
@@ -344,14 +344,17 @@ pub fn register_table2(reg: &mut StatsRegistry, rows: &[Table2Row]) {
 
 /// Register Figure 5 rows: `app.<name>.noncritical_load_pct` per
 /// application plus the cross-application `average.noncritical_load_pct`.
-pub fn register_fig5(reg: &mut StatsRegistry, rows: &[Fig5Row], average: f64) {
+pub fn register_fig5(reg: &mut StatsRegistry, rows: &[Table2Row]) {
     for r in rows {
         reg.set(
             format!("app.{}.noncritical_load_pct", r.name),
             r.noncritical_pct,
         );
     }
-    reg.set("average.noncritical_load_pct", average);
+    reg.set(
+        "average.noncritical_load_pct",
+        criticality::average_noncritical(rows),
+    );
 }
 
 /// Register a predictor study (Figures 7–9). The threshold sweep is echoed

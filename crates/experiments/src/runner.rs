@@ -39,14 +39,24 @@ pub fn run_workload(
     simulate(cfg, policy, predictors, wl.build_sources(), budget)
 }
 
-/// Run one application alone on the paper's single-core machine (2 MB
-/// L3) under S-NUCA, with a CPT configured by `cpt` attached and block
-/// criticality tracked: the setup of Table II, Figure 2, Figure 5 and the
-/// predictor characterization (Figures 7–9). S-NUCA placement ignores the
+/// `base` narrowed to one tile: one core, one L3 bank, a 1×1 mesh. On the
+/// default base this is `SystemConfig::small(1)`, the paper's single-core
+/// machine (2 MB L3).
+pub fn one_core(mut base: SystemConfig) -> SystemConfig {
+    (base.n_cores, base.n_banks, base.noc.cols, base.noc.rows) = (1, 1, 1, 1);
+    base
+}
+
+/// Run one application alone on [`one_core`]`(base)` under S-NUCA, with a
+/// CPT configured by `cpt` attached and block criticality tracked: the
+/// setup of Table II, Figure 2, Figure 5 and the predictor
+/// characterization (Figures 7–9). S-NUCA placement ignores the
 /// predictions, so the CPT only classifies loads, fills and writes.
-pub fn run_app(spec: &AppSpec, cpt: CptConfig, budget: Budget) -> SimResult {
-    let mut cfg = SystemConfig::small(1);
-    cfg.track_block_criticality = true;
+pub fn run_app(spec: &AppSpec, base: SystemConfig, cpt: CptConfig, budget: Budget) -> SimResult {
+    let cfg = SystemConfig {
+        track_block_criticality: true,
+        ..one_core(base)
+    };
     simulate(
         cfg,
         Scheme::SNuca.build_policy(&cfg),
@@ -150,7 +160,12 @@ mod tests {
     #[test]
     fn single_app_run_produces_metrics() {
         let spec = workloads::app_by_name("lbm").unwrap();
-        let r = run_app(spec, CptConfig::default(), Budget::test());
+        let r = run_app(
+            spec,
+            SystemConfig::default(),
+            CptConfig::default(),
+            Budget::test(),
+        );
         assert_eq!(r.per_core.len(), 1);
         assert!(
             r.per_core[0].mpki > 1.0,
@@ -158,6 +173,25 @@ mod tests {
             r.per_core[0].mpki
         );
         assert!(r.per_core[0].ipc > 0.0);
+    }
+
+    #[test]
+    fn one_core_of_the_default_is_the_small_machine() {
+        assert_eq!(one_core(SystemConfig::default()), SystemConfig::small(1));
+    }
+
+    #[test]
+    fn single_app_run_takes_the_callers_base() {
+        let spec = workloads::app_by_name("lbm").unwrap();
+        let run = |base| run_app(spec, base, CptConfig::default(), Budget::test());
+        let (asym, sym) = (
+            run(SystemConfig::default()),
+            run(SystemConfig::default().with_symmetric_llc()),
+        );
+        assert!(sym.config.l3_bank.is_symmetric());
+        assert!(!sym.config.l3_bank_occupancy);
+        assert!(!asym.config.l3_bank.is_symmetric());
+        assert_ne!(sym.total_ipc(), asym.total_ipc());
     }
 
     #[test]

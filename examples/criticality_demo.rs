@@ -24,7 +24,7 @@ fn main() {
     println!("Criticality threshold x = 3% (the paper's choice)\n");
     for name in ["mcf", "lbm", "omnetpp", "povray"] {
         let spec = app_by_name(name).expect("app in table");
-        let r = run_app(spec, CptConfig::default(), budget);
+        let r = run_app(spec, SystemConfig::default(), CptConfig::default(), budget);
         let c = &r.per_core[0];
         let cs = c.core_stats;
         let pred = c.predictor;

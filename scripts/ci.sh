@@ -162,7 +162,9 @@ done
 # schemes differ: the seven placements below must each queue a different
 # number of WB4 cycles, and compression must move Re-NUCA-C2's WB4 raw
 # minimum lifetime off Re-NUCA's. MAC's rows equal S-NUCA's at this
-# budget, so MAC is left out (TESTING.md, "Smokes that can fail").
+# budget, which evicts no dirty L3 line, so MAC is left out; the
+# end_to_end test `mac_replacement_moves_a_run_that_evicts_dirty_l3_lines`
+# checks it where one is (TESTING.md, "Smokes that can fail").
 wb4_field() { grep -oE "\"scheme\.$1\.wb\[4\]\.$2\":[^,}]*" "$MANIFEST" | cut -d: -f2; }
 WB4_QUEUES="$(for s in Naive S-NUCA Re-NUCA R-NUCA Private WEC Coloring; do
     echo "$s $(wb4_field "$s" queue_cycles_total)"; done)"
@@ -177,8 +179,15 @@ if [ "$(wb4_field Re-NUCA-C2 raw_min_years)" = "$(wb4_field Re-NUCA raw_min_year
     echo "bank-queue smoke FAILED: Re-NUCA-C2 has Re-NUCA's WB4 raw_min_years"
     exit 1
 fi
-RENUCA_WARMUP=2000 RENUCA_MEASURE=8000 \
+# The probe runs long enough to make at least 500 L3 fills (about 600
+# at this budget, in ~20 ms), so a bank model that queued them would show.
+RENUCA_WARMUP=200000 RENUCA_MEASURE=1000000 \
     ./target/release/all trickle --stats "$MANIFEST" >/dev/null 2>&1
+TRICKLE_FILLS="$(grep -oE '"l3_fills":[0-9]+' "$MANIFEST" | cut -d: -f2)"
+if [ "${TRICKLE_FILLS:-0}" -lt 500 ]; then
+    echo "bank-queue smoke FAILED: trickle probe made ${TRICKLE_FILLS:-no} L3 fills, want >= 500"
+    exit 1
+fi
 if ! grep -qE '"llc\.queue_cycles_total":0[,}]' "$MANIFEST"; then
     echo "bank-queue smoke FAILED: trickle probe reported nonzero queue cycles"
     head -c 400 "$MANIFEST"; echo
@@ -295,7 +304,8 @@ done
 # raw_min_years must be below the 100-year cap, Re-NUCA, WEC and Coloring
 # must each report an IPC row unlike S-NUCA's, and compression must move
 # Re-NUCA-C2's raw minimum lifetime off Re-NUCA's. MAC's rows equal
-# S-NUCA's at this budget (TESTING.md, "Smokes that can fail").
+# S-NUCA's at this budget, which evicts no dirty L3 line (TESTING.md,
+# "Smokes that can fail").
 H2H_REPORT="$CAMP_TMP/h2h/a/report.json"
 h2h_field() { grep -oE "\"$1\":$2" "$H2H_REPORT" | cut -d: -f2- | tr -d '"'; }
 if ! paste -d' ' <(h2h_field scheme '"[^"]*"') <(h2h_field raw_min_years '[^,]*') \

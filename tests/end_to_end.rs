@@ -128,3 +128,26 @@ fn sixteen_core_paper_machine_smoke() {
     assert_eq!(r.bank_writes.len(), 16);
     assert!(r.total_ipc() > 1.0);
 }
+
+#[test]
+fn mac_replacement_moves_a_run_that_evicts_dirty_l3_lines() {
+    // MAC is S-NUCA placement with write-aware L3 victim choice, so it can
+    // only differ from S-NUCA once a set evicts a dirty line. Short windows
+    // on the 16-core machine never do; 1 MB banks under the heaviest
+    // write-burst mix, WB4, do within 100 k + 100 k instructions per core.
+    use renuca::experiments::run_workload;
+    let cfg = SystemConfig::small(4).with_l3_1m();
+    let wl = workload_mix(workloads::WBURST_ID_BASE + 4, cfg.n_cores);
+    let budget = Budget {
+        warmup: 100_000,
+        measure: 100_000,
+    };
+    let run = |s: Scheme| {
+        let r = run_workload(&wl, s, cfg, CptConfig::default(), budget);
+        let dirty: u64 = r.l3_banks.iter().map(|b| b.dirty_evictions.get()).sum();
+        (dirty, r.total_ipc())
+    };
+    let (snuca, mac) = (run(Scheme::SNuca), run(Scheme::Mac));
+    assert!(snuca.0 > 0, "S-NUCA evicts no dirty L3 line: {snuca:?}");
+    assert_ne!(snuca, mac, "MAC's (dirty L3 evictions, IPC) equal S-NUCA's");
+}

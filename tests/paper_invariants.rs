@@ -128,7 +128,7 @@ fn criticality_predictor_separates_app_classes() {
     };
     let pct_noncrit = |name: &str| {
         let spec = app_by_name(name).unwrap();
-        let r = run_app(spec, CptConfig::default(), budget);
+        let r = run_app(spec, SystemConfig::default(), CptConfig::default(), budget);
         let h = r.hierarchy;
         h.l3_fills_noncritical.get() as f64 * 100.0 / h.l3_fills.get().max(1) as f64
     };
@@ -148,10 +148,13 @@ fn criticality_predictor_separates_app_classes() {
 fn table2_intensity_classes_reproduce() {
     use renuca::experiments::figures::table2;
     use renuca::workloads::WriteIntensity;
-    let rows = table2::run(Budget {
-        warmup: 40_000,
-        measure: 150_000,
-    });
+    let rows = table2::run(
+        SystemConfig::default(),
+        Budget {
+            warmup: 40_000,
+            measure: 150_000,
+        },
+    );
     // Spot-check the anchors of each class.
     let get = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
     assert_eq!(get("mcf").intensity(), WriteIntensity::High);
