@@ -448,13 +448,18 @@ impl SetAssocCache {
     /// Returns false if the line is absent.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
         let set = self.set_of(line);
-        if let Some(w) = self.find(set, line) {
-            let slot = set * self.assoc + w;
-            self.dirty[slot] = true;
-            self.stamps[slot] = self.clock; // a writeback is a use
-            return true;
-        }
-        false
+        self.find(set, line)
+            .map(|way| self.mark_dirty_at(set, way))
+            .is_some()
+    }
+
+    /// [`Self::mark_dirty`] for the line a [`Self::probe`] found at
+    /// `(set, way)`, without scanning the set again.
+    pub fn mark_dirty_at(&mut self, set: usize, way: usize) {
+        let slot = set * self.assoc + way;
+        debug_assert_ne!(self.tags[slot], INVALID_TAG, "mark_dirty_at an empty way");
+        self.dirty[slot] = true;
+        self.stamps[slot] = self.clock; // a writeback is a use
     }
 
     /// Number of valid lines currently resident (O(capacity); test helper).

@@ -495,7 +495,7 @@ impl MemoryHierarchy {
 
         // L2.
         if let LookupResult::Hit { .. } = self.l2[core].access(line, false) {
-            self.fill_l2_l1(core, line, is_store, now + latency);
+            self.fill_l1(core, line, is_store);
             return AccessOutcome {
                 latency,
                 l1_hit: false,
@@ -545,7 +545,8 @@ impl MemoryHierarchy {
         } else {
             self.dir.read(line, core);
         }
-        self.fill_l2_l1(core, line, is_store, data_at_core);
+        self.fill_l2(core, line, data_at_core);
+        self.fill_l1(core, line, is_store);
 
         // Train the stride prefetcher on demand loads that left the L1.
         if !is_store {
@@ -659,7 +660,10 @@ impl MemoryHierarchy {
             victim = self.fill_l3(&meta, fill_bank).1;
         }
         self.dir.read(line, core);
-        self.fill_l2_l1(core, line, false, 0);
+        if !self.l2[core].contains(line) {
+            self.fill_l2(core, line, 0);
+        }
+        self.fill_l1(core, line, false);
         let flushed = self.rotate_due_banks().1.into_iter().map(|(_, v)| v);
         for v in victim.into_iter().chain(flushed).filter(|v| v.dirty) {
             self.dram.access(v.line, true, 0);
@@ -825,12 +829,11 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Install a line into a core's L2 (a prefetch stops here), handling
-    /// inclusion and the dirty writeback of the victim.
+    /// Install a line the core's L2 does not hold (a prefetch stops here),
+    /// handling inclusion and the dirty writeback of the victim. Demand
+    /// fills and prefetches saw the L2 miss the line on their way out, and
+    /// nothing on the L3 route installs it.
     fn fill_l2(&mut self, core: CoreId, line: u64, now: Cycle) {
-        if self.l2[core].contains(line) {
-            return;
-        }
         let out = self.l2[core].fill(line, false);
         if let Some(ev) = out.evicted {
             // Inclusion: the L2 victim's L1 copy must go too.
@@ -842,24 +845,15 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Install a line into a core's L2 and L1 after the data returned,
-    /// handling inclusion and dirty writebacks of victims.
-    fn fill_l2_l1(&mut self, core: CoreId, line: u64, is_store: bool, now: Cycle) {
-        self.fill_l2(core, line, now);
-        match self.l1[core].probe(line) {
-            LookupResult::Hit { .. } => {
-                // Already present (e.g. race between coalesced accesses):
-                // just set the dirty bit for stores.
-                self.l1[core].access(line, is_store);
-            }
-            LookupResult::Miss => {
-                let out = self.l1[core].fill(line, is_store);
-                if let Some(ev) = out.evicted.filter(|ev| ev.dirty) {
-                    // L1 victim's dirty data merges into the inclusive L2.
-                    let present = self.l2[core].mark_dirty(ev.line);
-                    debug_assert!(present, "L1 victim {:#x} not in the L2", ev.line);
-                }
-            }
+    /// Install a line into a core's L1 once the L2 holds it. The L1 has
+    /// just missed the line and nothing since installs it, which
+    /// [`SetAssocCache::fill`] debug-asserts. A dirty L1 victim merges into
+    /// the inclusive L2.
+    fn fill_l1(&mut self, core: CoreId, line: u64, is_store: bool) {
+        let out = self.l1[core].fill(line, is_store);
+        if let Some(ev) = out.evicted.filter(|ev| ev.dirty) {
+            let present = self.l2[core].mark_dirty(ev.line);
+            debug_assert!(present, "L1 victim {:#x} not in the L2", ev.line);
         }
     }
 
@@ -868,15 +862,20 @@ impl MemoryHierarchy {
     fn writeback_to_l3(&mut self, core: CoreId, line: u64, now: Cycle) {
         let meta = bare_meta(core, line, LlcAccessKind::Writeback);
         let mut bank = self.policy.lookup_bank(&meta);
+        let mut found = self.l3[bank].probe(line);
         // Residency-state-free policies may hold the line at their second
         // candidate bank.
-        if matches!(self.l3[bank].probe(line), LookupResult::Miss) {
+        if found == LookupResult::Miss {
             if let Some(second) = self.policy.secondary_bank(&meta) {
-                if self.l3[second].contains(line) {
-                    bank = second;
+                let at_second = self.l3[second].probe(line);
+                if at_second != LookupResult::Miss {
+                    (bank, found) = (second, at_second);
                 }
             }
         }
+        let LookupResult::Hit { set, way } = found else {
+            panic!("writeback {line:#x} missed the inclusive L3");
+        };
         // The dirty line arrives at the bank when the data message lands,
         // then programs the ReRAM array (occupying it for the write
         // latency — nothing waits on the completion, but later reads of
@@ -884,10 +883,7 @@ impl MemoryHierarchy {
         let t_arrive = self.mesh.traverse(core, bank, self.data_flits, now);
         self.banks.write(bank, t_arrive);
         self.per_core[core].l2_writebacks += 1;
-        let LookupResult::Hit { set, way } = self.l3[bank].probe(line) else {
-            panic!("writeback {line:#x} missed the inclusive L3");
-        };
-        self.l3[bank].mark_dirty(line);
+        self.l3[bank].mark_dirty_at(set, way);
         let write = self.write_slot(bank, self.l3[bank].slot_index(set, way), line, false);
         if write.expand {
             self.banks.expand(bank, t_arrive);

@@ -27,15 +27,6 @@ use sim_stats::Counter;
 /// floor, so this drops live link reservations too (see [`crate::reserve`]).
 const GC_SLACK: Cycle = 100_000;
 
-/// Mesh tile coordinate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Tile {
-    /// Column, `0..cols`.
-    pub x: usize,
-    /// Row, `0..rows`.
-    pub y: usize,
-}
-
 /// NoC traffic statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NocStats {
@@ -76,6 +67,12 @@ pub struct Mesh {
     cfg: NocConfig,
     /// Busy intervals per directed link; 4 links (N/E/S/W output) per node.
     links: Vec<Calendar>,
+    /// Link indices of every XY route, in hop order: the route from `src`
+    /// to `dst` is `routes[route_start[p]..route_start[p + 1]]` with
+    /// `p = src * nodes + dst`.
+    routes: Vec<u16>,
+    /// Offsets into `routes`, one per (src, dst) pair plus the end.
+    route_start: Vec<u32>,
     /// Largest arrival time seen (garbage-collection horizon driver).
     max_now: Cycle,
     /// Horizon of the last GC sweep (amortization).
@@ -88,20 +85,43 @@ pub struct Mesh {
     pub stats: NocStats,
 }
 
-/// Output directions from a router.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Dir {
-    North = 0,
-    East = 1,
-    South = 2,
-    West = 3,
-}
-
 impl Mesh {
-    /// Build a mesh from its configuration.
+    /// Build a mesh from its configuration, with the dimension-ordered
+    /// (XY) route of every (src, dst) pair: x is resolved first, then y.
+    /// Nodes are numbered row-major, and the output link of a router
+    /// toward north, east, south or west is `node * 4 + 0, 1, 2 or 3`.
     pub fn new(cfg: NocConfig) -> Self {
+        let (cols, nodes) = (cfg.cols, cfg.cols * cfg.rows);
+        let mut routes = Vec::new();
+        let mut route_start = vec![0u32];
+        for src in 0..nodes {
+            for dst in 0..nodes {
+                let (mut x, mut y) = (src % cols, src / cols);
+                let (dx, dy) = (dst % cols, dst / cols);
+                while (x, y) != (dx, dy) {
+                    let here = y * cols + x;
+                    let port = if x < dx {
+                        x += 1;
+                        1
+                    } else if x > dx {
+                        x -= 1;
+                        3
+                    } else if y < dy {
+                        y += 1;
+                        2
+                    } else {
+                        y -= 1;
+                        0
+                    };
+                    routes.push(u16::try_from(here * 4 + port).expect("mesh link index fits u16"));
+                }
+                route_start.push(routes.len() as u32);
+            }
+        }
         Mesh {
-            links: vec![Calendar::new(); cfg.cols * cfg.rows * 4],
+            links: vec![Calendar::new(); nodes * 4],
+            routes,
+            route_start,
             max_now: 0,
             last_gc: 0,
             floor: 0,
@@ -122,31 +142,16 @@ impl Mesh {
         &self.cfg
     }
 
-    /// Tile of a node id (row-major).
+    /// The links of the XY route from `src` to `dst`, in hop order.
     #[inline]
-    pub fn tile_of(&self, node: usize) -> Tile {
-        Tile {
-            x: node % self.cfg.cols,
-            y: node / self.cfg.cols,
-        }
-    }
-
-    /// Node id of a tile.
-    #[inline]
-    pub fn node_of(&self, t: Tile) -> usize {
-        t.y * self.cfg.cols + t.x
+    fn route(&self, src: usize, dst: usize) -> std::ops::Range<usize> {
+        let p = src * self.cfg.cols * self.cfg.rows + dst;
+        self.route_start[p] as usize..self.route_start[p + 1] as usize
     }
 
     /// Manhattan hop distance between two nodes.
     pub fn hop_distance(&self, src: usize, dst: usize) -> u64 {
-        let a = self.tile_of(src);
-        let b = self.tile_of(dst);
-        (a.x.abs_diff(b.x) + a.y.abs_diff(b.y)) as u64
-    }
-
-    #[inline]
-    fn link_index(&self, node: usize, dir: Dir) -> usize {
-        node * 4 + dir as usize
+        self.route(src, dst).len() as u64
     }
 
     /// Send a message of `flits` flits from `src` to `dst`, starting at
@@ -167,46 +172,18 @@ impl Mesh {
                 }
             }
         }
-        let mut t = now;
-        let mut cur = self.tile_of(src);
-        let dst_t = self.tile_of(dst);
+        let route = self.route(src, dst);
+        let hops = route.len() as u64;
         let hold = flits as u64 * self.cfg.cycles_per_flit;
-        let mut hops = 0u64;
-        // Dimension-ordered (XY) routing: fully resolve x, then y.
-        while cur.x != dst_t.x || cur.y != dst_t.y {
-            let dir = if cur.x < dst_t.x {
-                Dir::East
-            } else if cur.x > dst_t.x {
-                Dir::West
-            } else if cur.y < dst_t.y {
-                Dir::South
-            } else {
-                Dir::North
-            };
-            let link = self.link_index(self.node_of(cur), dir);
-            let depart = reserve(&mut self.links[link], t, hold, self.floor);
-            self.stats.contention_cycles.add(depart - t);
-            t = depart + self.cfg.hop_cycles;
-            cur = match dir {
-                Dir::East => Tile {
-                    x: cur.x + 1,
-                    ..cur
-                },
-                Dir::West => Tile {
-                    x: cur.x - 1,
-                    ..cur
-                },
-                Dir::South => Tile {
-                    y: cur.y + 1,
-                    ..cur
-                },
-                Dir::North => Tile {
-                    y: cur.y - 1,
-                    ..cur
-                },
-            };
-            hops += 1;
+        let mut t = now;
+        for &link in &self.routes[route] {
+            t = reserve(&mut self.links[link as usize], t, hold, self.floor) + self.cfg.hop_cycles;
         }
+        // Whatever the hops did not spend in the router pipeline, the
+        // message spent waiting for busy links.
+        self.stats
+            .contention_cycles
+            .add(t - now - hops * self.cfg.hop_cycles);
         self.stats.hops.add(hops);
         self.stats.flit_hops.add(hops * flits as u64);
         t
@@ -225,18 +202,119 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
 
     fn mesh4x4() -> Mesh {
         Mesh::new(NocConfig::default())
     }
 
-    #[test]
-    fn tile_node_roundtrip() {
-        let m = mesh4x4();
-        for node in 0..16 {
-            assert_eq!(m.node_of(m.tile_of(node)), node);
+    /// The per-hop XY walk the route table replaced: at each router,
+    /// step east or west until the column matches, then south or north,
+    /// and take that router's output link (N/E/S/W = 0..4).
+    fn xy_walk(cols: usize, src: usize, dst: usize) -> Vec<usize> {
+        let (mut x, mut y) = (src % cols, src / cols);
+        let (dx, dy) = (dst % cols, dst / cols);
+        let mut links = Vec::new();
+        while x != dx || y != dy {
+            let node = y * cols + x;
+            let (dir, nx, ny) = match (x.cmp(&dx), y.cmp(&dy)) {
+                (Ordering::Less, _) => (1, x + 1, y),
+                (Ordering::Greater, _) => (3, x - 1, y),
+                (_, Ordering::Less) => (2, x, y + 1),
+                _ => (0, x, y - 1),
+            };
+            links.push(node * 4 + dir);
+            (x, y) = (nx, ny);
         }
-        assert_eq!(m.tile_of(5), Tile { x: 1, y: 1 });
+        links
+    }
+
+    fn mesh(cols: usize, rows: usize) -> Mesh {
+        Mesh::new(NocConfig {
+            cols,
+            rows,
+            ..NocConfig::default()
+        })
+    }
+
+    #[test]
+    fn route_table_lists_the_xy_walk() {
+        for (cols, rows) in [(4, 4), (2, 1), (3, 2)] {
+            let m = mesh(cols, rows);
+            let n = cols * rows;
+            for src in 0..n {
+                for dst in 0..n {
+                    let table: Vec<usize> = m.routes[m.route(src, dst)]
+                        .iter()
+                        .map(|&l| l as usize)
+                        .collect();
+                    assert_eq!(
+                        table,
+                        xy_walk(cols, src, dst),
+                        "{cols}x{rows}: {src}->{dst}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn contended_replay_matches_per_hop_accounting() {
+        // The same seeded message stream through the table-driven mesh and
+        // through a per-hop replay of the XY walk (its own calendars,
+        // contention charged hop by hop, the same slack-horizon sweeps):
+        // arrivals, hops, flit-hops and contention cycles all agree.
+        for (cols, rows) in [(4, 4), (2, 1), (3, 2)] {
+            let mut m = mesh(cols, rows);
+            let cfg = *m.config();
+            let n = cols * rows;
+            let mut links = vec![Calendar::new(); n * 4];
+            let (mut max_now, mut last_gc) = (0, 0);
+            let (mut hops, mut flit_hops, mut contention) = (0u64, 0u64, 0u64);
+            let mut x: u64 = 0xC0FF_EE00 + n as u64;
+            let mut clock = 0u64;
+            for i in 0..40_000u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                clock += (x >> 60) % 4;
+                let (src, dst) = ((x >> 20) as usize % n, (x >> 30) as usize % n);
+                let flits = 1 + (x >> 40) as u32 % 5;
+                // One message in eight is booked far ahead, past the sweeps.
+                let ahead = (x >> 48) % 150_000 * u64::from((x >> 45) % 8 == 0);
+                let now = clock + ahead;
+                if i % 64 == 0 {
+                    m.set_floor(clock);
+                }
+                let got = m.traverse(src, dst, flits, now);
+                let mut t = now;
+                if src != dst {
+                    if now > max_now {
+                        max_now = now;
+                        let horizon = max_now.saturating_sub(GC_SLACK);
+                        if horizon > last_gc + GC_SLACK / 4 {
+                            last_gc = horizon;
+                            links.iter_mut().for_each(|l| gc(l, horizon));
+                        }
+                    }
+                    for link in xy_walk(cols, src, dst) {
+                        let depart = reserve(
+                            &mut links[link],
+                            t,
+                            flits as u64 * cfg.cycles_per_flit,
+                            m.floor,
+                        );
+                        contention += depart - t;
+                        t = depart + cfg.hop_cycles;
+                        hops += 1;
+                        flit_hops += flits as u64;
+                    }
+                }
+                assert_eq!(got, t, "{cols}x{rows} message {i}: {src}->{dst}");
+            }
+            assert_eq!(m.stats.hops.get(), hops);
+            assert_eq!(m.stats.flit_hops.get(), flit_hops);
+            assert_eq!(m.stats.contention_cycles.get(), contention);
+            assert!(contention > 0, "{cols}x{rows}: the replay never contended");
+        }
     }
 
     #[test]

@@ -69,12 +69,15 @@ env ${E2E_UNSET[@]+"${E2E_UNSET[@]}"} cargo test --release --offline \
     --manifest-path e2e-bench/Cargo.toml
 echo "e2e benchmark tests OK"
 
-echo "== e2e speed gate: same-window A/B of scheme-zoo against the parent =="
+echo "== e2e speed gate: same-window A/Bs of scheme-zoo and write-burst against the parent =="
 # scripts/bench_ab.sh builds the base revision and this tree and runs 5
-# alternating pairs of the scheme-zoo workload (all nine schemes). The
-# base is the revision this tree changes: HEAD when the tree has
-# uncommitted changes, else HEAD~1. Measuring both sides in the same
-# window leaves no committed, host-bound baseline to go stale.
+# alternating pairs of one workload. The base is the revision this tree
+# changes: HEAD when the tree has uncommitted changes, else HEAD~1.
+# Measuring both sides in the same window leaves no committed, host-bound
+# baseline to go stale. Two workloads, because they load different
+# layers: scheme-zoo runs all nine schemes on light L3 traffic, and
+# write-burst is the memory side (about 5x scheme-zoo's calendar
+# reservations per pass), where a NoC, bank or DRAM slowdown shows.
 #
 # A run-time metric fails when the tree wins at most 1 of the 5 pairs AND
 # its median is more than 10 % worse than the base's. 10 % is half of the
@@ -86,31 +89,33 @@ if ! git rev-parse --quiet --verify "$AB_BASE^{commit}" >/dev/null; then
     echo "e2e speed gate FAILED: cannot resolve base $AB_BASE (shallow clone?)"
     exit 1
 fi
-if ! env ${E2E_UNSET[@]+"${E2E_UNSET[@]}"} scripts/bench_ab.sh -n 5 -w scheme-zoo "$AB_BASE"; then
-    echo "e2e speed gate FAILED: the A/B did not complete (see out/ab/runs/)"
-    exit 1
-fi
-if ! awk '
-    BEGIN { better["sim_mips"] = "higher"; better["warmup_mips"] = "higher"; better["pass_s"] = "lower" }
-    $1 in better && $6 ~ /^[0-9]+\/[0-9]+$/ {
-        seen[$1] = 1; split($6, w, "/")
-        worse = (better[$1] == "higher") ? ($2 - $4) / $2 : ($4 - $2) / $2
-        if (w[1] <= 1 && worse > 0.10) {
-            printf "%s: %d/%d wins, median %.1f %% worse\n", $1, w[1], w[2], 100 * worse
-            bad = 1
+for AB_WORKLOAD in scheme-zoo write-burst; do
+    if ! env ${E2E_UNSET[@]+"${E2E_UNSET[@]}"} scripts/bench_ab.sh -n 5 -w "$AB_WORKLOAD" "$AB_BASE"; then
+        echo "e2e speed gate FAILED: the $AB_WORKLOAD A/B did not complete (see out/ab/runs/)"
+        exit 1
+    fi
+    if ! awk '
+        BEGIN { better["sim_mips"] = "higher"; better["warmup_mips"] = "higher"; better["pass_s"] = "lower" }
+        $1 in better && $6 ~ /^[0-9]+\/[0-9]+$/ {
+            seen[$1] = 1; split($6, w, "/")
+            worse = (better[$1] == "higher") ? ($2 - $4) / $2 : ($4 - $2) / $2
+            if (w[1] <= 1 && worse > 0.10) {
+                printf "%s: %d/%d wins, median %.1f %% worse\n", $1, w[1], w[2], 100 * worse
+                bad = 1
+            }
         }
-    }
-    /^failed points:/ { fb = $4 + 0; fh = $6 + 0; pts = 1 }
-    END {
-        for (m in better) if (!(m in seen)) { print m ": missing from the summary"; bad = 1 }
-        if (!pts) { print "failed-points line missing"; bad = 1 }
-        else if (fh > fb) { printf "head fails %d points, base %d\n", fh, fb; bad = 1 }
-        exit bad
-    }' out/ab/summary.txt; then
-    echo "e2e speed gate FAILED (out/ab/summary.txt)"
-    exit 1
-fi
-echo "e2e speed gate OK"
+        /^failed points:/ { fb = $4 + 0; fh = $6 + 0; pts = 1 }
+        END {
+            for (m in better) if (!(m in seen)) { print m ": missing from the summary"; bad = 1 }
+            if (!pts) { print "failed-points line missing"; bad = 1 }
+            else if (fh > fb) { printf "head fails %d points, base %d\n", fh, fb; bad = 1 }
+            exit bad
+        }' out/ab/summary.txt; then
+        echo "e2e speed gate FAILED on $AB_WORKLOAD (out/ab/summary.txt)"
+        exit 1
+    fi
+    echo "e2e speed gate OK on $AB_WORKLOAD"
+done
 
 echo "== examples: build and run every example =="
 # The examples are the public-API drivers of System::run; running them
