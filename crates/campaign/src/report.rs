@@ -197,20 +197,20 @@ pub fn verify(spec: &CampaignSpec, dir: &Path) -> Result<usize, String> {
 mod tests {
     use super::*;
     use cmp_sim::SystemConfig;
-    use experiments::runner::{aggregate_study, lifetime_model, run_workload};
+    use experiments::runner::{lifetime_model, Points};
     use experiments::Budget;
-    use renuca_core::CptConfig;
-    use workloads::workload_mix;
 
-    /// A campaign's report groups and the in-process aggregate of the same
-    /// grid agree bit for bit: both go through `SchemeStudy::new`, and
-    /// `fmt_f64` round-trips every f64 the manifests and the report carry.
+    /// A campaign's report groups and the memoised grid path of `all` agree
+    /// bit for bit on the same grid: both go through `SchemeStudy::new`,
+    /// and `fmt_f64` round-trips every f64 the manifests and the report
+    /// carry. The grid runs the default CPT, so the spec's threshold is
+    /// the default 3%.
     #[test]
     fn report_groups_equal_in_process_studies() {
         let spec = CampaignSpec::parse(
             "renuca-campaign-v1\nname agree\nconfig small 4\n\
              budget warmup=2000 measure=20000\nschemes S-NUCA Re-NUCA\n\
-             workloads 1 2\nthresholds 25\n",
+             workloads 1 2\nthresholds 3\n",
         )
         .unwrap();
         let dir = std::env::temp_dir().join(format!("campaign-agree-{}", std::process::id()));
@@ -225,13 +225,9 @@ mod tests {
             warmup: 2000,
             measure: 20000,
         };
-        let cpt = CptConfig::with_threshold(25.0);
-        for (g, &scheme) in groups.iter().zip(&spec.schemes) {
-            let results: Vec<_> = [1, 2]
-                .iter()
-                .map(|&id| run_workload(&workload_mix(id, 4), scheme, cfg, cpt, budget))
-                .collect();
-            let study = aggregate_study(scheme, &results, &lifetime_model(&cfg));
+        let grid = Points::default().grid(&spec.schemes, &[1, 2], cfg, budget);
+        for ((g, &scheme), points) in groups.iter().zip(&spec.schemes).zip(&grid) {
+            let study = SchemeStudy::from_points(scheme, points, &lifetime_model(&cfg));
             let num = |k| g.get(k).and_then(JsonValue::as_f64).unwrap();
             let nums = |k| -> Vec<f64> {
                 let xs = g.get(k).and_then(JsonValue::as_array).unwrap();

@@ -2,8 +2,8 @@
 //! studies: `all [--stats <path>] [STUDY ...]`.
 //!
 //! The named studies run in order, each printing exactly what it prints
-//! alone, and share their sweeps ([`Sweeps`]). With no name, `all` runs
-//! the [`PAPER`] list, the full paper run. A manifest describes one study
+//! alone, and share their sweeps and grid points ([`Sweeps`]). With no
+//! name, `all` runs the [`PAPER`] list, the full paper run. A manifest describes one study
 //! (`binary` is the study name) or the full paper run (`binary` is `all`).
 //! An unknown name, a repeated name, an unknown flag, `--stats` without a
 //! path or a manifest for two or more studies exits with status 2 before
@@ -15,7 +15,7 @@ use experiments::figures::sensitivity::{self, Sensitivity};
 use experiments::figures::table2::{self, Table2Row};
 use experiments::figures::{ablations, capacity, criticality, headtohead, table3, wburst};
 use experiments::forecast::{forecast_study, format_forecast, register_forecast};
-use experiments::runner::one_core;
+use experiments::runner::{one_core, Points};
 use experiments::{obs, Budget, StatsSink};
 use renuca_core::CptConfig;
 use std::cell::OnceCell;
@@ -77,8 +77,7 @@ fn main() {
         budget,
         apps: OnceCell::new(),
         predictor: OnceCell::new(),
-        main: OnceCell::new(),
-        sensitivity: Default::default(),
+        points: Points::default(),
     };
     if names.is_empty() {
         let t0 = Instant::now();
@@ -103,19 +102,16 @@ fn main() {
     }
 }
 
-/// The sweeps the studies read, all on one base machine, each simulated
-/// on first use and so at most once per call: the 22 single-app runs
-/// (Table II, Figures 2 and 5), the predictor sweep (Figures 7–9) and
-/// WL1–WL10 on the base (Figures 3, 4b, 11, 12, `capacity`) and on each
-/// sensitivity variant in [`Sensitivity::ALL`] order (Figures 13–18).
-/// Table III reads the last two.
+/// What the studies read, all on one base machine, each simulated on first
+/// use and so at most once per call: the 22 single-app runs (Table II,
+/// Figures 2 and 5), the predictor sweep (Figures 7–9) and the multi-core
+/// grid [`Points`] that every other study but `ablations` reads.
 struct Sweeps {
     base: SystemConfig,
     budget: Budget,
     apps: OnceCell<Vec<Table2Row>>,
     predictor: OnceCell<PredictorStudy>,
-    main: OnceCell<MainStudy>,
-    sensitivity: [OnceCell<MainStudy>; 3],
+    points: Points,
 }
 
 impl Sweeps {
@@ -130,19 +126,16 @@ impl Sweeps {
         })
     }
 
-    fn main(&self) -> &MainStudy {
-        self.main
-            .get_or_init(|| lifetime::run("Actual Results", self.base, self.budget))
+    fn main(&self) -> MainStudy {
+        lifetime::run(&self.points, "Actual Results", self.base, self.budget)
     }
 
-    fn sensitivity(&self, which: Sensitivity) -> &MainStudy {
-        // `Sensitivity::ALL` lists the variants in declaration order.
-        self.sensitivity[which as usize]
-            .get_or_init(|| sensitivity::run(which, self.base, self.budget))
+    fn sensitivity(&self, which: Sensitivity) -> MainStudy {
+        sensitivity::run(&self.points, which, self.base, self.budget)
     }
 
     /// Table III's rows: the main study, then each sensitivity study.
-    fn table3(&self) -> Vec<&MainStudy> {
+    fn table3(&self) -> Vec<MainStudy> {
         let sensitivity = Sensitivity::ALL.map(|s| self.sensitivity(s));
         std::iter::once(self.main()).chain(sensitivity).collect()
     }
@@ -151,7 +144,7 @@ impl Sweeps {
 /// Run the one study `name` (a member of [`STUDIES`]) on `sweeps`, print
 /// it and write its manifest through `sink`. False when its gate failed.
 fn run_study(name: &str, sweeps: &Sweeps, sink: &StatsSink) -> bool {
-    let (base, budget) = (sweeps.base, sweeps.budget);
+    let (base, budget, points) = (sweeps.base, sweeps.budget, &sweeps.points);
     match name {
         "table2" | "fig2" => {
             let rows = sweeps.apps();
@@ -172,7 +165,7 @@ fn run_study(name: &str, sweeps: &Sweeps, sink: &StatsSink) -> bool {
             });
         }
         "fig3" | "fig4b" | "fig11" | "fig12" | "capacity" => {
-            let study = sweeps.main();
+            let study = &sweeps.main();
             let text = match name {
                 "fig3" => lifetime::format_fig3(study),
                 "fig4b" => lifetime::format_fig4b(study),
@@ -181,7 +174,9 @@ fn run_study(name: &str, sweeps: &Sweeps, sink: &StatsSink) -> bool {
                 _ => capacity::format_retention(study, 16.0, 9),
             };
             println!("{text}");
-            obs::emit_study_manifest(sink, name, Some(&base), budget, study);
+            sink.emit_with(name, study.label, Some(&base), budget, |m| {
+                obs::register_study(m, study)
+            });
         }
         "fig7" | "fig8" | "fig9" => {
             let study = sweeps.predictor();
@@ -211,14 +206,14 @@ fn run_study(name: &str, sweeps: &Sweeps, sink: &StatsSink) -> bool {
             });
         }
         "headtohead" => {
-            let rows = headtohead::run(base, budget);
+            let rows = headtohead::run(points, base, budget);
             println!("{}", headtohead::format(&rows));
             sink.emit_with(name, "Head-to-head", Some(&base), budget, |m| {
                 headtohead::register(m, &rows)
             });
         }
         "wburst" => {
-            let cells = wburst::run(base, budget);
+            let cells = wburst::run(points, base, budget);
             println!("{}", wburst::format(&cells));
             sink.emit_with(name, "Write-burst saturation", Some(&base), budget, |m| {
                 wburst::register(m, &cells)
@@ -226,14 +221,14 @@ fn run_study(name: &str, sweeps: &Sweeps, sink: &StatsSink) -> bool {
         }
         "trickle" => {
             let cfg = one_core(base);
-            let r = wburst::run_trickle(cfg, budget);
-            println!("{}", wburst::format_trickle(&r));
+            let p = wburst::trickle(points, cfg, budget);
+            println!("{}", wburst::format_trickle(&p));
             sink.emit_with(name, "trickle", Some(&cfg), budget, |m| {
-                wburst::register_trickle(m, &r)
+                wburst::register_trickle(m, &p)
             });
         }
         "forecast" => {
-            let study = forecast_study(base, budget);
+            let study = forecast_study(points, base, budget);
             println!("{}", format_forecast(&study));
             sink.emit_with(name, "Forecast vs simulation", Some(&base), budget, |m| {
                 register_forecast(m, &study)
@@ -254,14 +249,17 @@ fn run_study(name: &str, sweeps: &Sweeps, sink: &StatsSink) -> bool {
                 .into_iter()
                 .find(|s| fig(s.wear_figure()) || fig(s.ipc_figure()))
                 .expect("every study name has a dispatch arm");
-            let study = sweeps.sensitivity(which);
+            let study = &sweeps.sensitivity(which);
             let text = if fig(which.wear_figure()) {
                 sensitivity::format_wear(which, study)
             } else {
                 sensitivity::format_ipc(which, study)
             };
             println!("{text}");
-            obs::emit_study_manifest(sink, name, Some(&which.config(base)), budget, study);
+            let cfg = which.config(base);
+            sink.emit_with(name, study.label, Some(&cfg), budget, |m| {
+                obs::register_study(m, study)
+            });
         }
     }
     true

@@ -15,7 +15,7 @@ impl Budget {
     /// The paper simulates 100 M instructions per core after warming; the
     /// synthetic workload models are stationary, so bank write *rates* and
     /// criticality mixes converge within a few hundred thousand
-    /// instructions — which is what one CPU can sweep over 5 schemes × 10
+    /// instructions — which is what one CPU can sweep over 9 schemes × 10
     /// workloads × 4 configurations in minutes rather than days.
     ///
     /// An unset variable means the default. A set one must be a decimal
@@ -59,10 +59,10 @@ impl Budget {
     }
 
     /// A reduced budget for the multi-configuration sweeps (sensitivity
-    /// studies run 150 extra simulations).
+    /// studies run 270 extra simulations: 9 schemes × 10 workloads × 3).
     pub fn sweep(self) -> Self {
         Budget {
-            warmup: (self.warmup * 3 / 5).max(10_000),
+            warmup: (self.warmup.saturating_mul(3) / 5).max(10_000),
             measure: (self.measure / 2).max(20_000),
         }
     }
@@ -81,7 +81,7 @@ impl Budget {
     pub fn single_core(self) -> Self {
         Budget {
             warmup: self.warmup.min(200_000),
-            measure: self.measure * 4,
+            measure: self.measure.saturating_mul(4),
         }
     }
 }
@@ -129,6 +129,37 @@ mod tests {
         let s = b.sweep();
         assert!(s.measure < b.measure);
         assert!(s.warmup <= b.warmup);
+    }
+
+    #[test]
+    fn derived_budgets_saturate_instead_of_wrapping() {
+        let max = Budget {
+            warmup: u64::MAX,
+            measure: u64::MAX,
+        };
+        assert_eq!(max.sweep().warmup, u64::MAX / 5);
+        assert_eq!(max.sweep().measure, u64::MAX / 2);
+        assert_eq!(max.single_core().measure, u64::MAX);
+        // A measure that wrapped to 0 would be a window `from_vars` refuses.
+        let b = Budget::from_vars(
+            ("RENUCA_WARMUP", None),
+            ("RENUCA_MEASURE", Some("4611686018427387904")),
+        )
+        .unwrap();
+        assert_eq!(b.single_core().measure, u64::MAX);
+        // Every realistic budget is unchanged.
+        let b = Budget {
+            warmup: 500_000,
+            measure: 300_000,
+        };
+        assert_eq!(
+            b.sweep(),
+            Budget {
+                warmup: 300_000,
+                measure: 150_000
+            }
+        );
+        assert_eq!(b.single_core().measure, 1_200_000);
     }
 
     #[test]

@@ -51,7 +51,8 @@ mod tests {
 
     #[test]
     fn retention_table_renders() {
-        let study = lifetime::run("test", SystemConfig::small(4), Budget::test());
+        let points = crate::runner::Points::default();
+        let study = lifetime::run(&points, "test", SystemConfig::small(4), Budget::test());
         let s = format_retention(&study, 20.0, 5);
         assert!(s.contains("Capacity retention"));
         assert!(s.contains("Re-NUCA"));

@@ -10,22 +10,21 @@
 //!   raw-minimum lifetime, per-bank lifetime CV (the paper's "variation")
 //!   and the inter-set / intra-set write-variation CVs that the
 //!   competitors specifically target;
-//! * the WB1–WB4 write-burst family ([`wb_cells`]), reported as IPC and
-//!   raw-minimum lifetime per pressure level.
+//! * the WB1–WB4 write-burst family, reported as IPC and raw-minimum
+//!   lifetime per pressure level.
 //!
 //! The durable/resumable equivalent of this study is
 //! `campaigns/headtohead.campaign`.
 
 use cmp_sim::config::SystemConfig;
-use renuca_core::{CptConfig, Scheme};
+use renuca_core::Scheme;
 use sim_stats::Table;
-use workloads::{workload_mix, N_WORKLOADS};
+use workloads::N_WORKLOADS;
 
 use crate::budget::Budget;
-use crate::figures::wburst::{level_table, wb_cells, WbCell};
+use crate::figures::wburst::level_table;
 use crate::obs::Manifest;
-use crate::pool::parallel_map;
-use crate::runner::{aggregate_study, lifetime_model, run_workload, SchemeStudy};
+use crate::runner::{grid_ids, lifetime_model, Point, Points, SchemeStudy};
 
 /// One contender's results on both grids.
 #[derive(Clone, Debug)]
@@ -36,32 +35,31 @@ pub struct Contender {
     pub interset_cv: f64,
     /// Mean over WL1–WL10 of the intra-set write-variation CV.
     pub intraset_cv: f64,
-    /// The WB1–WB4 cells (index 0 = WB1).
-    pub wb: Vec<WbCell>,
+    /// The WB1–WB4 points (index 0 = WB1).
+    pub wb: Vec<Point>,
 }
 
-/// Run Re-NUCA, Re-NUCA-C2, S-NUCA and the competitors over both grids,
-/// in that order.
-pub fn run(cfg: SystemConfig, budget: Budget) -> Vec<Contender> {
+/// Re-NUCA, Re-NUCA-C2, S-NUCA and the competitors over both grids, in
+/// that order, read from `points`.
+pub fn run(points: &Points, cfg: SystemConfig, budget: Budget) -> Vec<Contender> {
     let model = lifetime_model(&cfg);
-    let cpt = CptConfig::default();
-    let assoc = cfg.l3_bank.assoc;
-
-    let wl_ids: Vec<usize> = (1..=N_WORKLOADS).collect();
-    [Scheme::ReNuca, Scheme::ReNucaC2, Scheme::SNuca]
+    let schemes: Vec<Scheme> = [Scheme::ReNuca, Scheme::ReNucaC2, Scheme::SNuca]
         .into_iter()
         .chain(Scheme::COMPETITORS)
-        .map(|s| {
-            let results = parallel_map(&wl_ids, |&id| {
-                run_workload(&workload_mix(id, cfg.n_cores), s, cfg, cpt, budget)
-            });
-            let interset: Vec<f64> = results.iter().map(|r| r.wear.interset_cv(assoc)).collect();
-            let intraset: Vec<f64> = results.iter().map(|r| r.wear.intraset_cv(assoc)).collect();
+        .collect();
+    let grid = points.grid(&schemes, &grid_ids(), cfg, budget);
+    schemes
+        .into_iter()
+        .zip(grid)
+        .map(|(s, mut wl)| {
+            let wb = wl.split_off(N_WORKLOADS);
+            let mean =
+                |cv: fn(&Point) -> f64| sim_stats::amean(&wl.iter().map(cv).collect::<Vec<_>>());
             Contender {
-                study: aggregate_study(s, &results, &model),
-                interset_cv: sim_stats::amean(&interset),
-                intraset_cv: sim_stats::amean(&intraset),
-                wb: wb_cells(s, cfg, budget, &model),
+                study: SchemeStudy::from_points(s, &wl, &model),
+                interset_cv: mean(|p| p.interset_cv),
+                intraset_cv: mean(|p| p.intraset_cv),
+                wb,
             }
         })
         .collect()
@@ -90,7 +88,7 @@ pub fn format(rows: &[Contender]) -> String {
             format!("{:.3}", row.intraset_cv),
         ]);
     }
-    let wb_table = |metric: fn(&WbCell) -> f64| {
+    let wb_table = |metric: fn(&Point) -> f64| {
         level_table(
             rows.iter().map(|r| (r.study.scheme, r.wb.as_slice())),
             metric,

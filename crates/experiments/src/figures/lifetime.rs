@@ -6,16 +6,17 @@
 //! * **Figure 4b**: the performance-vs-lifetime trade-off scatter.
 //! * **Figure 11**: per-workload IPC improvement over S-NUCA for R-NUCA,
 //!   Private and Re-NUCA.
-//! * **Figure 12**: per-bank harmonic-mean lifetime for all five schemes —
+//! * **Figure 12**: per-bank harmonic-mean lifetime for all nine schemes —
 //!   showing Re-NUCA lifting R-NUCA's worst banks.
 //! * **Table III, "Actual Results"**: raw minimum lifetimes.
 
 use cmp_sim::config::SystemConfig;
-use renuca_core::{CptConfig, Scheme};
+use renuca_core::Scheme;
 use sim_stats::{grouped_series, percent_change, Table};
+use workloads::N_WORKLOADS;
 
 use crate::budget::Budget;
-use crate::runner::{lifetime_model, scheme_study, SchemeStudy};
+use crate::runner::{grid_ids, lifetime_model, Point, Points, SchemeStudy};
 
 /// The full all-scheme (paper five + competitors), ten-workload study
 /// under one configuration.
@@ -47,13 +48,13 @@ impl MainStudy {
     }
 }
 
-/// Run the main study: every scheme in [`Scheme::ALL`] over WL1–WL10.
-pub fn run(label: &'static str, cfg: SystemConfig, budget: Budget) -> MainStudy {
+/// The main study: every scheme in [`Scheme::ALL`] over WL1–WL10, read
+/// from `points`.
+pub fn run(points: &Points, label: &'static str, cfg: SystemConfig, budget: Budget) -> MainStudy {
     let model = lifetime_model(&cfg);
-    let studies = Scheme::ALL
-        .iter()
-        .map(|&s| scheme_study(s, cfg, CptConfig::default(), budget, &model))
-        .collect();
+    let grid = points.grid(&Scheme::ALL, &grid_ids()[..N_WORKLOADS], cfg, budget);
+    let study = |(&s, row): (&Scheme, Vec<Point>)| SchemeStudy::from_points(s, &row, &model);
+    let studies = Scheme::ALL.iter().zip(grid).map(study).collect();
     MainStudy { label, studies }
 }
 
@@ -87,7 +88,7 @@ pub fn format_fig3(study: &MainStudy) -> String {
     )
 }
 
-/// Render Figure 12 (all five schemes; Re-NUCA wear-levels R-NUCA).
+/// Render Figure 12 (all nine schemes; Re-NUCA wear-levels R-NUCA).
 pub fn format_fig12(study: &MainStudy) -> String {
     per_bank_table(
         "Figure 12 — harmonic-mean lifetime per cache bank [years], all schemes",
@@ -171,7 +172,7 @@ mod tests {
     #[test]
     fn small_study_runs_and_formats() {
         let cfg = SystemConfig::small(4);
-        let study = run("test", cfg, Budget::test());
+        let study = run(&Points::default(), "test", cfg, Budget::test());
         assert_eq!(study.studies.len(), Scheme::ALL.len());
         assert!(format_fig3(&study).contains("CB-0"));
         assert!(format_fig12(&study).contains("Re-NUCA"));

@@ -1,7 +1,7 @@
 //! The sensitivity studies of §V.C: Figures 13/14 (L2 = 128 KB),
 //! Figures 15/16 (L3 bank = 1 MB) and Figures 17/18 (ROB = 168 entries).
 //!
-//! Each study is the main five-scheme × ten-workload sweep under a
+//! Each study is the main nine-scheme × ten-workload sweep under a
 //! perturbed configuration; the wear-leveling figures reuse the Figure 12
 //! renderer and the IPC figures reuse Figure 11's.
 
@@ -9,6 +9,7 @@ use cmp_sim::config::SystemConfig;
 
 use crate::budget::Budget;
 use crate::figures::lifetime::{self, MainStudy};
+use crate::runner::Points;
 
 /// Which sensitivity knob to turn.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,10 +65,10 @@ impl Sensitivity {
     }
 }
 
-/// Run one sensitivity study on `base` perturbed (uses the reduced sweep
-/// budget).
-pub fn run(which: Sensitivity, base: SystemConfig, budget: Budget) -> MainStudy {
-    lifetime::run(which.label(), which.config(base), budget.sweep())
+/// One sensitivity study on `base` perturbed, read from `points` (uses
+/// the reduced sweep budget).
+pub fn run(points: &Points, which: Sensitivity, base: SystemConfig, budget: Budget) -> MainStudy {
+    lifetime::run(points, which.label(), which.config(base), budget.sweep())
 }
 
 /// Render the study's wear-leveling figure (13, 15 or 17).

@@ -18,7 +18,7 @@ pub const PAPER_TABLE3: [(&str, [f64; 5]); 4] = [
 ];
 
 /// Render Table III, measured values alongside the paper's.
-pub fn format_table3(studies: &[&MainStudy]) -> String {
+pub fn format_table3(studies: &[MainStudy]) -> String {
     let mut t = Table::new(&[
         "Config",
         "Naive",
@@ -54,6 +54,7 @@ mod tests {
     use super::*;
     use crate::budget::Budget;
     use crate::figures::lifetime;
+    use crate::runner::Points;
     use cmp_sim::config::SystemConfig;
 
     #[test]
@@ -74,8 +75,8 @@ mod tests {
     fn format_includes_all_rows() {
         // Formatting is cheap to test with a fabricated study set.
         let cfg = SystemConfig::small(4);
-        let study = lifetime::run("Actual Results", cfg, Budget::test());
-        let s = format_table3(&[&study]);
+        let study = lifetime::run(&Points::default(), "Actual Results", cfg, Budget::test());
+        let s = format_table3(&[study]);
         assert!(s.contains("Actual Results"));
         assert!(s.contains("4.95"), "paper reference column present");
     }

@@ -6,90 +6,36 @@
 //! (`workloads::wburst`), whose escalating fill/writeback pressure makes
 //! reads queue behind slow ReRAM writes in the per-bank service model. It
 //! reports per-level IPC, per-level total bank queueing and the raw
-//! minimum lifetime, plus a per-bank queue-cycle heatmap per scheme.
-//! [`wb_cells`] is the one WB1–WB4 grid runner; the head-to-head study
-//! reads it too.
+//! minimum lifetime, plus a per-bank queue-cycle heatmap per scheme. Its
+//! points come from the shared [`Points`] memo, which the head-to-head
+//! and forecast studies read too.
 //!
-//! [`run_trickle`] is the zero-contention control: the single-core
+//! [`trickle`] is the zero-contention control: the single-core
 //! trickle probe (isolated read-only misses spaced far wider than the
 //! write latency), on which even the asymmetric default must report
 //! **zero** queue cycles in every bank. The CI smoke asserts both
 //! directions.
 
 use cmp_sim::config::SystemConfig;
-use cmp_sim::system::SimResult;
-use renuca_core::{CptConfig, Scheme};
+use renuca_core::Scheme;
 use sim_stats::Table;
-use wear_model::LifetimeModel;
-use workloads::{workload_mix, N_WBURST, TRICKLE_ID, WBURST_ID_BASE};
+use workloads::{N_WBURST, N_WORKLOADS, TRICKLE_ID};
 
 use crate::budget::Budget;
 use crate::obs::Manifest;
-use crate::pool::parallel_map;
-use crate::runner::{lifetime_model, run_workload};
+use crate::runner::{grid_ids, Point, Points};
 
-/// One scheme on one write-burst level.
-#[derive(Clone, Debug)]
-pub struct WbCell {
-    /// Total IPC.
-    pub ipc: f64,
-    /// Read-side queue cycles per L3 bank.
-    pub per_bank_queue: Vec<u64>,
-    /// Raw minimum bank lifetime in years.
-    pub raw_min_years: f64,
-}
-
-impl WbCell {
-    /// Queue cycles summed over banks.
-    pub fn queue_total(&self) -> u64 {
-        self.per_bank_queue.iter().sum()
-    }
-}
-
-/// Read-side queue cycles per L3 bank.
-fn bank_queue(r: &SimResult) -> Vec<u64> {
-    r.bank_service
-        .iter()
-        .map(|b| b.queue_cycles.get())
-        .collect()
-}
-
-/// Run `scheme` on WB1–WB4 under `cfg`, the levels in parallel. Index 0
-/// is WB1.
-pub fn wb_cells(
-    scheme: Scheme,
-    cfg: SystemConfig,
-    budget: Budget,
-    model: &LifetimeModel,
-) -> Vec<WbCell> {
-    let levels: Vec<usize> = (1..=N_WBURST).collect();
-    parallel_map(&levels, |&level| {
-        let wl = workload_mix(WBURST_ID_BASE + level, cfg.n_cores);
-        let r = run_workload(&wl, scheme, cfg, CptConfig::default(), budget);
-        WbCell {
-            ipc: r.total_ipc(),
-            per_bank_queue: bank_queue(&r),
-            raw_min_years: model
-                .all_bank_lifetimes(&r.wear, r.cycles)
-                .into_iter()
-                .fold(f64::INFINITY, f64::min),
-        }
-    })
-}
-
-/// Every scheme's WB1–WB4 cells, in [`Scheme::ALL`] order.
-pub fn run(cfg: SystemConfig, budget: Budget) -> Vec<(Scheme, Vec<WbCell>)> {
-    let model = lifetime_model(&cfg);
-    Scheme::ALL
-        .iter()
-        .map(|&s| (s, wb_cells(s, cfg, budget, &model)))
-        .collect()
+/// Every scheme's WB1–WB4 points (index 0 = WB1), in [`Scheme::ALL`]
+/// order, read from `points`.
+pub fn run(points: &Points, cfg: SystemConfig, budget: Budget) -> Vec<(Scheme, Vec<Point>)> {
+    let grid = points.grid(&Scheme::ALL, &grid_ids()[N_WORKLOADS..], cfg, budget);
+    Scheme::ALL.into_iter().zip(grid).collect()
 }
 
 /// Render one per-level metric: a column per WB level, a row per scheme.
 pub fn level_table<'a>(
-    rows: impl IntoIterator<Item = (Scheme, &'a [WbCell])>,
-    metric: impl Fn(&WbCell) -> f64,
+    rows: impl IntoIterator<Item = (Scheme, &'a [Point])>,
+    metric: impl Fn(&Point) -> f64,
     precision: usize,
 ) -> String {
     let level_names: Vec<String> = (1..=N_WBURST).map(|l| format!("WB{l}")).collect();
@@ -105,8 +51,8 @@ pub fn level_table<'a>(
 
 /// Render the study: IPC, queue-cycle and lifetime tables, then the IPC
 /// spread at the saturating level.
-pub fn format(cells: &[(Scheme, Vec<WbCell>)]) -> String {
-    let table = |metric: fn(&WbCell) -> f64, precision| {
+pub fn format(cells: &[(Scheme, Vec<Point>)]) -> String {
+    let table = |metric: fn(&Point) -> f64, precision| {
         level_table(
             cells.iter().map(|(s, row)| (*s, row.as_slice())),
             metric,
@@ -142,24 +88,21 @@ pub fn format(cells: &[(Scheme, Vec<WbCell>)]) -> String {
 /// Fill the study's manifest: `scheme.<s>.wb[<level>].*`, per-bank and
 /// per-scheme queue totals, the grand total, and a queue-cycle heatmap
 /// row per scheme.
-pub fn register(m: &mut Manifest, cells: &[(Scheme, Vec<WbCell>)]) {
+pub fn register(m: &mut Manifest, cells: &[(Scheme, Vec<Point>)]) {
     m.set_wear_unit("queue_cycles");
     let mut grand_total = 0u64;
     for (s, row) in cells {
         let p = format!("scheme.{}", s.name());
         let reg = m.stats_mut();
         for (i, c) in row.iter().enumerate() {
-            let level = i + 1;
+            let (level, queue) = (i + 1, c.queue_total());
             reg.set(format!("{p}.wb[{level}].ipc"), c.ipc);
-            reg.set(
-                format!("{p}.wb[{level}].queue_cycles_total"),
-                c.queue_total(),
-            );
+            reg.set(format!("{p}.wb[{level}].queue_cycles_total"), queue);
             reg.set(format!("{p}.wb[{level}].raw_min_years"), c.raw_min_years);
         }
         // Per bank, summed over the levels.
-        let per_bank: Vec<u64> = (0..row[0].per_bank_queue.len())
-            .map(|b| row.iter().map(|c| c.per_bank_queue[b]).sum())
+        let per_bank: Vec<u64> = (0..row[0].queue_cycles.len())
+            .map(|b| row.iter().map(|c| c.queue_cycles[b]).sum())
             .collect();
         for (b, q) in per_bank.iter().enumerate() {
             reg.set(format!("{p}.llc.bank[{b}].queue_cycles"), *q);
@@ -173,31 +116,30 @@ pub fn register(m: &mut Manifest, cells: &[(Scheme, Vec<WbCell>)]) {
     m.stats_mut().set("llc.queue_cycles_total", grand_total);
 }
 
-/// The trickle probe: the trickle workload alone on `cfg` under S-NUCA.
-pub fn run_trickle(cfg: SystemConfig, budget: Budget) -> SimResult {
-    let wl = workload_mix(TRICKLE_ID, cfg.n_cores);
-    run_workload(&wl, Scheme::SNuca, cfg, CptConfig::default(), budget)
+/// The trickle probe: the trickle workload alone on `cfg` under S-NUCA,
+/// read from `points`.
+pub fn trickle(points: &Points, cfg: SystemConfig, budget: Budget) -> Point {
+    points.grid(&[Scheme::SNuca], &[TRICKLE_ID], cfg, budget)[0][0].clone()
 }
 
 /// Render the trickle probe's one line.
-pub fn format_trickle(r: &SimResult) -> String {
+pub fn format_trickle(p: &Point) -> String {
     format!(
         "trickle probe (1 core, S-NUCA): ipc={:.3} fills={} llc.queue_cycles_total={}",
-        r.total_ipc(),
-        r.hierarchy.l3_fills.get(),
-        bank_queue(r).iter().sum::<u64>()
+        p.ipc,
+        p.l3_fills,
+        p.queue_total()
     )
 }
 
 /// Fill the trickle probe's manifest: IPC, L3 fills and the per-bank and
 /// total queue cycles.
-pub fn register_trickle(m: &mut Manifest, r: &SimResult) {
-    let per_bank = bank_queue(r);
+pub fn register_trickle(m: &mut Manifest, p: &Point) {
     let reg = m.stats_mut();
-    reg.set("ipc", r.total_ipc());
-    reg.set("l3_fills", r.hierarchy.l3_fills.get());
-    for (b, q) in per_bank.iter().enumerate() {
+    reg.set("ipc", p.ipc);
+    reg.set("l3_fills", p.l3_fills);
+    for (b, q) in p.queue_cycles.iter().enumerate() {
         reg.set(format!("llc.bank[{b}].queue_cycles"), *q);
     }
-    reg.set("llc.queue_cycles_total", per_bank.iter().sum::<u64>());
+    reg.set("llc.queue_cycles_total", p.queue_total());
 }

@@ -3,10 +3,11 @@
 //! The L2C2 analytical procedure (`compress::forecast`) predicts the
 //! compressed cache's per-bank lifetime from the *uncompressed* run alone:
 //! `forecast(bank) = lifetime_uncompressed(bank) × S / E[c]`. This module
-//! runs both sides of the prediction — Re-NUCA uncompressed as the input,
-//! Re-NUCA-C2 fully simulated (sub-block wear, expansions, bank occupancy)
-//! as the ground truth — and reports the relative error on the lifetime
-//! aggregates (raw minimum and harmonic mean over banks) per workload.
+//! reads both sides of the prediction from the shared [`Points`] memo —
+//! Re-NUCA uncompressed as the input, Re-NUCA-C2 fully simulated
+//! (sub-block wear, expansions, bank occupancy) as the ground truth — and
+//! reports the relative error on the lifetime aggregates (raw minimum
+//! and harmonic mean over banks) per workload.
 //!
 //! The comparison is **iso-timing**: simulated compressed wear is evaluated
 //! over the *baseline's* cycle window, because the closed form predicts the
@@ -26,15 +27,14 @@
 //! verification paths: state-exact (golden) and closed-form (forecast).
 
 use cmp_sim::config::SystemConfig;
-use renuca_core::{CptConfig, Scheme};
+use renuca_core::Scheme;
 use sim_stats::{hmean, Table};
 use wear_model::LifetimeModel;
-use workloads::{workload_mix, N_WBURST, N_WORKLOADS, WBURST_ID_BASE};
+use workloads::workload_mix;
 
 use crate::budget::Budget;
 use crate::obs::Manifest;
-use crate::pool::parallel_map;
-use crate::runner::{lifetime_model, run_workload};
+use crate::runner::{grid_ids, lifetime_model, Point, Points};
 
 /// One workload's forecast-vs-simulation comparison.
 #[derive(Clone, Debug)]
@@ -104,9 +104,9 @@ fn rel_err(forecast: f64, sim: f64) -> f64 {
     }
 }
 
-/// Cross-check one workload: simulate Re-NUCA (forecast input) and
-/// Re-NUCA-C2 (ground truth), both with the default CPT, and apply the
-/// closed form per bank.
+/// Cross-check workload `id` on `cfg` from its Re-NUCA point `base`
+/// (forecast input) and its Re-NUCA-C2 point `sim` (ground truth), both
+/// run with the default CPT, applying the closed form per bank.
 ///
 /// The comparison uses `cfg`'s lifetime model with its cap lifted: the
 /// cap is a plotting convenience that saturates lightly-written banks at
@@ -114,11 +114,7 @@ fn rel_err(forecast: f64, sim: f64) -> f64 {
 /// there (a capped baseline forecasts past a capped simulation).
 /// Unwritten banks are infinite on both sides and compare as exact
 /// agreement.
-pub fn forecast_workload(id: usize, cfg: SystemConfig, budget: Budget) -> ForecastRow {
-    let wl = workload_mix(id, cfg.n_cores);
-    let base = run_workload(&wl, Scheme::ReNuca, cfg, CptConfig::default(), budget);
-    let sim = run_workload(&wl, Scheme::ReNucaC2, cfg, CptConfig::default(), budget);
-
+pub fn forecast_workload(id: usize, cfg: SystemConfig, base: &Point, sim: &Point) -> ForecastRow {
     let uncapped = LifetimeModel {
         cap_years: f64::INFINITY,
         ..lifetime_model(&cfg)
@@ -127,8 +123,8 @@ pub fn forecast_workload(id: usize, cfg: SystemConfig, budget: Budget) -> Foreca
     // the compressed wear over the baseline's window isolates the wear
     // effect the closed form predicts from the timing effect it omits
     // (see the module docs). The timing term survives as `slowdown`.
-    let base_years = uncapped.all_bank_lifetimes(&base.wear, base.cycles);
-    let sim_years = uncapped.all_bank_lifetimes(&sim.wear, base.cycles);
+    let base_years = base.lifetimes(&uncapped, base.cycles);
+    let sim_years = sim.lifetimes(&uncapped, base.cycles);
     let forecast_years = compress::forecast_bank_lifetimes(&base_years, cfg.l3_subblocks);
 
     let min = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
@@ -139,7 +135,7 @@ pub fn forecast_workload(id: usize, cfg: SystemConfig, budget: Budget) -> Foreca
         rel_err(hmean(&forecast_years), hmean(&sim_years)),
     );
     ForecastRow {
-        label: wl.name(),
+        label: workload_mix(id, cfg.n_cores).name(),
         base_min_years: min(&base_years),
         sim_min_years: min(&sim_years),
         forecast_min_years: min(&forecast_years),
@@ -150,16 +146,17 @@ pub fn forecast_workload(id: usize, cfg: SystemConfig, budget: Budget) -> Foreca
 }
 
 /// The `forecast` study: the cross-check over WL1–WL10 then WB1–WB4 on
-/// `cfg`, workloads in parallel.
-pub fn forecast_study(cfg: SystemConfig, budget: Budget) -> ForecastStudy {
-    let mut ids: Vec<usize> = (1..=N_WORKLOADS).collect();
-    ids.extend((1..=N_WBURST).map(|l| WBURST_ID_BASE + l));
-    let rows = parallel_map(&ids, |&id| forecast_workload(id, cfg, budget));
+/// `cfg`, read from `points`.
+pub fn forecast_study(points: &Points, cfg: SystemConfig, budget: Budget) -> ForecastStudy {
+    let ids = grid_ids();
+    let grid = points.grid(&[Scheme::ReNuca, Scheme::ReNucaC2], &ids, cfg, budget);
+    let pairs = ids.iter().zip(grid[0].iter().zip(&grid[1]));
+    let rows = pairs.map(|(&id, (base, sim))| forecast_workload(id, cfg, base, sim));
     ForecastStudy {
         sub_blocks: cfg.l3_subblocks,
         gain: compress::lifetime_gain(cfg.l3_subblocks),
         tolerance: compress::FORECAST_TOLERANCE,
-        rows,
+        rows: rows.collect(),
     }
 }
 
@@ -220,6 +217,8 @@ pub fn register_forecast(m: &mut Manifest, study: &ForecastStudy) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_workload;
+    use renuca_core::CptConfig;
 
     /// A budget big enough for the realized class distribution to settle
     /// but still cheap for a unit test.
@@ -237,7 +236,13 @@ mod tests {
         // modulo — geometry must not leak into the lifetime scaling.
         for (cols, rows) in [(1usize, 1usize), (3, 1), (3, 2), (4, 3)] {
             let cfg = SystemConfig::mesh(cols, rows);
-            let row = forecast_workload(1, cfg, prop_budget());
+            let grid = Points::default().grid(
+                &[Scheme::ReNuca, Scheme::ReNucaC2],
+                &[1],
+                cfg,
+                prop_budget(),
+            );
+            let row = forecast_workload(1, cfg, &grid[0][0], &grid[1][0]);
             assert!(
                 row.rel_err <= compress::FORECAST_TOLERANCE,
                 "{cols}x{rows}: forecast off by {:.1}% (> {:.0}%): {row:?}",

@@ -4,15 +4,15 @@
 //! Each experiment is a pure function from a configuration + instruction
 //! budget to a typed result struct, plus a formatter that prints the same
 //! rows/series the paper plots. The `all` binary runs them: `all <study>
-//! ...` runs the named studies in order, simulating each sweep they share
+//! ...` runs the named studies in order, simulating each point they share
 //! once, and `all` with no study name runs the paper's list.
 //!
 //! Every simulation goes through one path in [`runner`]: [`run_workload`]
 //! for a multiprogrammed mix, [`run_app`] for one application alone on
 //! one tile of the caller's base machine, under S-NUCA with a CPT
-//! attached. Every per-scheme
-//! lifetime/IPC aggregate is a [`SchemeStudy`], derived by
-//! [`SchemeStudy::new`] alone; the campaign report builds the same one.
+//! attached. Every multi-core study but the ablations reads memoised
+//! [`Point`]s from [`Points`]. Every per-scheme lifetime/IPC aggregate is a
+//! [`SchemeStudy`] built by [`SchemeStudy::new`]; so is a campaign's.
 //!
 //! | paper artifact | module | study |
 //! |---|---|---|
@@ -61,4 +61,4 @@ pub use diff::{replay, ReplayReport};
 pub use forecast::{forecast_study, forecast_workload, ForecastRow, ForecastStudy};
 pub use obs::{Manifest, StatsSink};
 pub use pool::{parallel_map, parallel_map_threads};
-pub use runner::{run_app, run_workload, SchemeStudy};
+pub use runner::{run_app, run_workload, Point, Points, SchemeStudy};

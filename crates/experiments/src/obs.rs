@@ -262,55 +262,31 @@ fn register_aggregate(reg: &mut StatsRegistry, p: &str, s: &SchemeStudy) {
     reg.set(format!("{p}.mean_ipc"), s.mean_ipc());
 }
 
-/// Register one scheme's aggregate metrics under `scheme.<name>.*`:
-/// `raw_min_years`, `hmean_lifetime_years`, `variation`, `mean_ipc`, then
-/// per-workload `ipc.wl[i]` (1-based, matching WL1–WL10 naming).
-pub fn register_scheme(reg: &mut StatsRegistry, s: &SchemeStudy) {
-    let p = format!("scheme.{}", s.scheme.name());
-    register_aggregate(reg, &p, s);
-    for (i, ipc) in s.per_wl_ipc.iter().enumerate() {
-        reg.set(format!("{p}.ipc.wl[{}]", i + 1), *ipc);
-    }
-}
-
-/// Fill a manifest from a [`MainStudy`]: per-scheme metrics in the registry
-/// plus one wear-heatmap row per scheme (harmonic-mean per-bank lifetime in
-/// years). This is the shared body of every lifetime study (fig3, fig4b,
-/// fig11, fig12, the sensitivity sweeps, capacity, table3, all).
+/// Fill a manifest from a [`MainStudy`]: each scheme's four aggregate keys
+/// and per-workload `ipc.wl[i]` (1-based, matching WL1–WL10 naming) under
+/// `scheme.<name>.*`, plus one wear-heatmap row per scheme (harmonic-mean
+/// per-bank lifetime in years). This is the shared body of every
+/// single-configuration lifetime study (fig3, fig4b, fig11–fig18,
+/// capacity).
 pub fn register_study(m: &mut Manifest, study: &MainStudy) {
+    let reg = m.stats_mut();
     for s in &study.studies {
-        register_scheme(m.stats_mut(), s);
+        let p = format!("scheme.{}", s.scheme.name());
+        register_aggregate(reg, &p, s);
+        for (i, ipc) in s.per_wl_ipc.iter().enumerate() {
+            reg.set(format!("{p}.ipc.wl[{}]", i + 1), *ipc);
+        }
     }
     for s in &study.studies {
-        let name = s.scheme.name().to_string();
-        m.push_wear_row(&name, &s.hmean_per_bank);
+        m.push_wear_row(s.scheme.name(), &s.hmean_per_bank);
     }
-}
-
-/// The whole manifest path of a lifetime study in one call: build a
-/// manifest for `binary` (the study name) labelled with the study's own
-/// label, echo `cfg`, register every scheme's metrics and the per-scheme
-/// wear heatmap, and write it through `sink` (a no-op when no destination
-/// is configured). Shared by fig3/fig4b/fig11/fig12, the six sensitivity
-/// studies and `capacity`; the campaign job runner uses the same sink
-/// machinery with [`StatsSink::to`].
-pub fn emit_study_manifest(
-    sink: &StatsSink,
-    binary: &str,
-    cfg: Option<&SystemConfig>,
-    budget: Budget,
-    study: &MainStudy,
-) {
-    sink.emit_with(binary, study.label, cfg, budget, |m| {
-        register_study(m, study)
-    });
 }
 
 /// Fill a manifest from several [`MainStudy`]s under different
 /// configurations (table3, the `all` run): metrics go under
 /// `cfg.<label>.scheme.<name>.*` and the heatmap gets one row per
 /// (config, scheme) pair labelled `<label>/<scheme>`.
-pub fn register_multi_study(m: &mut Manifest, studies: &[&MainStudy]) {
+pub fn register_multi_study(m: &mut Manifest, studies: &[MainStudy]) {
     for st in studies {
         for s in &st.studies {
             let p = format!("cfg.{}.scheme.{}", st.label, s.scheme.name());

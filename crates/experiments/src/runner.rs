@@ -1,12 +1,15 @@
 //! Simulation code shared by all experiments: one simulate path, a
-//! multi-core and a single-core entry point, and the per-scheme aggregate.
+//! multi-core and a single-core entry point, the memoised grid of
+//! multi-core [`Point`]s and the per-scheme aggregate.
 
 use cmp_sim::config::SystemConfig;
 use cmp_sim::system::{SimResult, System};
 use cmp_sim::{CriticalityPredictor, InstrSource, LlcPlacement};
 use renuca_core::{Cpt, CptConfig, Scheme};
 use wear_model::{hmean_lifetime_per_bank, lifetime_variation, raw_min_lifetime, LifetimeModel};
-use workloads::{workload_mix, AppModel, AppSpec, WorkloadMix, N_WORKLOADS};
+use workloads::{
+    workload_mix, AppModel, AppSpec, WorkloadMix, N_WBURST, N_WORKLOADS, WBURST_ID_BASE,
+};
 
 use crate::budget::Budget;
 use crate::pool::parallel_map;
@@ -110,22 +113,102 @@ impl SchemeStudy {
     pub fn hmean_lifetime(&self) -> f64 {
         sim_stats::hmean(&self.hmean_per_bank)
     }
+
+    /// Derive the aggregate from per-workload [`Point`]s in workload order,
+    /// each point's lifetimes taken over its own window.
+    pub fn from_points(scheme: Scheme, points: &[Point], model: &LifetimeModel) -> Self {
+        let lifetimes = points.iter().map(|p| p.lifetimes(model, p.cycles));
+        let ipc = points.iter().map(|p| p.ipc);
+        SchemeStudy::new(scheme, lifetimes.collect(), ipc.collect())
+    }
 }
 
-/// Run `scheme` over workloads WL1..WL10 under `cfg` and aggregate.
-pub fn scheme_study(
-    scheme: Scheme,
-    cfg: SystemConfig,
-    cpt: CptConfig,
-    budget: Budget,
-    lifetime: &LifetimeModel,
-) -> SchemeStudy {
-    let ids: Vec<usize> = (1..=N_WORKLOADS).collect();
-    let results: Vec<SimResult> = parallel_map(&ids, |&id| {
-        let wl = workload_mix(id, cfg.n_cores);
-        run_workload(&wl, scheme, cfg, cpt, budget)
-    });
-    aggregate_study(scheme, &results, lifetime)
+/// The grid's workload ids: WL1–WL10, then the write-burst family WB1–WB4.
+pub fn grid_ids() -> Vec<usize> {
+    let wb = (1..=N_WBURST).map(|l| WBURST_ID_BASE + l);
+    (1..=N_WORKLOADS).chain(wb).collect()
+}
+
+/// What a grid study reads from one multi-core run, computed once from
+/// its [`SimResult`] so the result and its wear tracker can be dropped.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Point {
+    /// Total IPC.
+    pub ipc: f64,
+    /// Measured cycles: the run's own lifetime window.
+    pub cycles: u64,
+    /// Per-bank effective slot writes under [`lifetime_model`].
+    pub slot_writes: Vec<f64>,
+    /// Raw minimum bank lifetime in years under [`lifetime_model`].
+    pub raw_min_years: f64,
+    /// Read-side queue cycles per L3 bank.
+    pub queue_cycles: Vec<u64>,
+    /// L3 fills.
+    pub l3_fills: u64,
+    /// Inter-set write-variation CV at the config's associativity.
+    pub interset_cv: f64,
+    /// Intra-set write-variation CV at the config's associativity.
+    pub intraset_cv: f64,
+}
+
+impl Point {
+    /// Per-bank lifetimes in years under `model` over `window_cycles`: bit
+    /// for bit `model.all_bank_lifetimes` of the run's wear tracker.
+    pub fn lifetimes(&self, model: &LifetimeModel, window_cycles: u64) -> Vec<f64> {
+        let years = |&w| model.years_over_window(w, window_cycles);
+        self.slot_writes.iter().map(years).collect()
+    }
+
+    /// Queue cycles summed over banks.
+    pub fn queue_total(&self) -> u64 {
+        self.queue_cycles.iter().sum()
+    }
+}
+
+/// The [`Point`]s every grid study reads, memoised by (scheme, machine,
+/// budget, workload id) so each is simulated at most once per `Points`.
+#[derive(Debug, Default)]
+pub struct Points(std::cell::RefCell<Vec<(PointKey, Point)>>);
+
+type PointKey = (Scheme, SystemConfig, Budget, usize);
+
+impl Points {
+    /// `schemes` × workload `ids` on `cfg` at `budget` with the default CPT,
+    /// in `[scheme][workload]` order; only points not yet held are simulated.
+    pub fn grid(
+        &self,
+        schemes: &[Scheme],
+        ids: &[usize],
+        cfg: SystemConfig,
+        budget: Budget,
+    ) -> Vec<Vec<Point>> {
+        let key = |s, id| (s, cfg, budget, id);
+        let row = |&s: &Scheme| ids.iter().map(move |&id| key(s, id));
+        let held = |k: &_| self.0.borrow().iter().any(|(h, _)| h == k);
+        let missing: Vec<_> = schemes.iter().flat_map(row).filter(|k| !held(k)).collect();
+        let fresh = parallel_map(&missing, |&(s, cfg, budget, id)| {
+            let wl = workload_mix(id, cfg.n_cores);
+            let r = run_workload(&wl, s, cfg, CptConfig::default(), budget);
+            let (model, assoc) = (lifetime_model(&cfg), cfg.l3_bank.assoc);
+            let slot_writes = (0..r.wear.nbanks()).map(|b| model.effective_slot_writes(&r.wear, b));
+            let queue_cycles = r.bank_service.iter().map(|b| b.queue_cycles.get());
+            Point {
+                ipc: r.total_ipc(),
+                cycles: r.cycles,
+                slot_writes: slot_writes.collect(),
+                raw_min_years: raw_min_lifetime(&[model.all_bank_lifetimes(&r.wear, r.cycles)]),
+                queue_cycles: queue_cycles.collect(),
+                l3_fills: r.hierarchy.l3_fills.get(),
+                interset_cv: r.wear.interset_cv(assoc),
+                intraset_cv: r.wear.intraset_cv(assoc),
+            }
+        });
+        let mut memo = self.0.borrow_mut();
+        memo.extend(missing.into_iter().zip(fresh));
+        let point = |k| memo.iter().find(|(h, _)| *h == k).expect("held").1.clone();
+        let points = |s| row(s).map(&point).collect();
+        schemes.iter().map(points).collect()
+    }
 }
 
 /// Aggregate per-workload results into a [`SchemeStudy`].
@@ -215,6 +298,55 @@ mod tests {
                 r.bank_writes
             );
         }
+    }
+
+    #[test]
+    fn grid_points_are_memoised_and_keep_lifetimes_exact() {
+        use crate::figures::{headtohead, wburst};
+        use crate::forecast::forecast_study;
+        let (cfg, budget) = (SystemConfig::small(4), Budget::test());
+        let points = Points::default();
+        let held = || points.0.borrow().len();
+        headtohead::run(&points, cfg, budget);
+        assert_eq!(
+            held(),
+            6 * 14,
+            "headtohead: six schemes × WL1-WL10, WB1-WB4"
+        );
+        let wb = wburst::run(&points, cfg, budget);
+        assert_eq!(held(), 6 * 14 + 3 * 4, "wburst adds only its other schemes");
+        forecast_study(&points, cfg, budget);
+        assert_eq!(held(), 96, "forecast's points are all held");
+        assert_eq!(wburst::run(&points, cfg, budget), wb);
+        assert_eq!(held(), 96, "a repeated request simulates nothing");
+
+        // Lifetimes rebuilt from a point equal the fresh run's, bit for bit:
+        // capped over its own window and uncapped over another point's.
+        let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let grid = points.grid(&[Scheme::ReNucaC2], &[1, WBURST_ID_BASE + 2], cfg, budget);
+        let (p, other) = (&grid[0][0], &grid[0][1]);
+        let r = run_workload(
+            &workload_mix(1, 4),
+            Scheme::ReNucaC2,
+            cfg,
+            CptConfig::default(),
+            budget,
+        );
+        let capped = lifetime_model(&cfg);
+        let uncapped = LifetimeModel {
+            cap_years: f64::INFINITY,
+            ..capped
+        };
+        assert_eq!((p.ipc, p.cycles), (r.total_ipc(), r.cycles));
+        assert_eq!(
+            bits(p.lifetimes(&capped, p.cycles)),
+            bits(capped.all_bank_lifetimes(&r.wear, r.cycles))
+        );
+        assert_ne!(other.cycles, p.cycles);
+        assert_eq!(
+            bits(p.lifetimes(&uncapped, other.cycles)),
+            bits(uncapped.all_bank_lifetimes(&r.wear, other.cycles))
+        );
     }
 
     #[test]

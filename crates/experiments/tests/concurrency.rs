@@ -80,9 +80,10 @@ fn repeated_parallel_runs_are_stable() {
 
 #[test]
 fn pool_matches_serial_on_two_mix_experiment() {
-    // The runner's own pool, on the exact shape scheme_study uses: a small
-    // two-workload experiment. Pooled output must be byte-identical to the
-    // serial map — same values, same order — at any worker count.
+    // The runner's own pool, on the shape `Points::grid` fills: a small
+    // row of one scheme's workload points. Pooled output must be
+    // byte-identical to the serial map — same values, same order — at any
+    // worker count.
     let cfg = cmp_sim::SystemConfig::small(4);
     let budget = Budget::test();
     let ids = [1usize, 2];

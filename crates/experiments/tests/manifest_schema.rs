@@ -9,6 +9,7 @@
 use cmp_sim::SystemConfig;
 use experiments::figures::lifetime;
 use experiments::obs::{self, Manifest, MANIFEST_KEYS, MANIFEST_SCHEMA};
+use experiments::runner::Points;
 use experiments::{run_workload, Budget};
 use renuca_core::{CptConfig, Scheme};
 
@@ -28,7 +29,7 @@ fn assert_key_skeleton(json: &str, what: &str) {
 fn fixed_seed_fig3_manifest_matches_documented_schema() {
     let cfg = SystemConfig::default();
     let budget = Budget::test();
-    let study = lifetime::run("Actual Results", cfg, budget);
+    let study = lifetime::run(&Points::default(), "Actual Results", cfg, budget);
     let mut m = Manifest::new("fig3", study.label, Some(&cfg), budget);
     obs::register_study(&mut m, &study);
     let json = m.to_json();

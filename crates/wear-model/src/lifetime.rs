@@ -66,28 +66,32 @@ impl LifetimeModel {
         bank: usize,
         window_cycles: u64,
     ) -> f64 {
-        assert!(window_cycles > 0, "empty measurement window");
+        self.years_over_window(self.effective_slot_writes(tracker, bank), window_cycles)
+    }
+
+    /// One bank's effective per-slot write count under this model's
+    /// intra-bank assumption: the count its lifetime extrapolates.
+    pub fn effective_slot_writes(&self, tracker: &WearTracker, bank: usize) -> f64 {
         // With sub-block (compression) accounting the endurance budget is
         // per *cell*, and only written sub-blocks age: the effective count
         // is the mean (or max) cell-write count. On a tracker where every
         // write was full-line this reduces exactly to the line-level
-        // arithmetic below, so uncompressed schemes are unaffected.
-        let effective_writes = if tracker.subblocks_per_slot() != 0 {
-            match self.intra_bank {
-                IntraBankWear::Uniform => {
-                    tracker.subblock_bank_writes(bank) as f64
-                        / (tracker.slots_per_bank() * tracker.subblocks_per_slot()) as f64
-                }
-                IntraBankWear::MaxSlot => tracker.max_cell_writes(bank) as f64,
+        // arithmetic, so uncompressed schemes are unaffected.
+        let (slots, subblocks) = (tracker.slots_per_bank(), tracker.subblocks_per_slot());
+        match (self.intra_bank, subblocks) {
+            (IntraBankWear::Uniform, 0) => tracker.bank_writes(bank) as f64 / slots as f64,
+            (IntraBankWear::MaxSlot, 0) => tracker.max_slot_writes(bank) as f64,
+            (IntraBankWear::Uniform, _) => {
+                tracker.subblock_bank_writes(bank) as f64 / (slots * subblocks) as f64
             }
-        } else {
-            match self.intra_bank {
-                IntraBankWear::Uniform => {
-                    tracker.bank_writes(bank) as f64 / tracker.slots_per_bank() as f64
-                }
-                IntraBankWear::MaxSlot => tracker.max_slot_writes(bank) as f64,
-            }
-        };
+            (IntraBankWear::MaxSlot, _) => tracker.max_cell_writes(bank) as f64,
+        }
+    }
+
+    /// Lifetime in years of a bank whose slots took `effective_writes` each
+    /// over `window_cycles` (positive), capped at `cap_years`.
+    pub fn years_over_window(&self, effective_writes: f64, window_cycles: u64) -> f64 {
+        assert!(window_cycles > 0, "empty measurement window");
         if effective_writes <= 0.0 {
             return self.cap_years;
         }
